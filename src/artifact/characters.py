@@ -11,14 +11,18 @@ a process (a whole-table sweep re-uses almost all of them).
 
 import json
 from dataclasses import dataclass
+from math import factorial
+from operator import mul
 
 from .partitions import (
     SizeMismatchError,
     check_partition,
+    class_size,
     enumerate_partitions,
 )
 
 _memo = {}
+_kernels = {}
 _memo_cap = None
 _inserts = 0
 
@@ -30,8 +34,9 @@ _CHECK_EVERY = 4096
 
 
 def clear_memo():
-    """Drop all cached character values."""
+    """Drop all cached character values, kernel rows included."""
     _memo.clear()
+    _kernels.clear()
 
 
 def set_memo_cap(max_bytes=None):
@@ -80,7 +85,7 @@ def _char(shape, alpha):
         and _inserts % _CHECK_EVERY == 0
         and len(_memo) * _ENTRY_BYTES > _memo_cap
     ):
-        _memo.clear()
+        clear_memo()
     return total
 
 
@@ -97,6 +102,35 @@ def character(lam, alpha):
             "cycle type %r does not match |shape| = %d" % (alpha, sum(lam))
         )
     return _char(lam, tuple(sorted(alpha, reverse=True)))
+
+
+class CharKernel:
+    """Classes of S_n in enumerate_partitions order, their sizes, and n!.
+
+    Rows chi^lam (lam validated by the caller) are int tuples built on first
+    request, so one Kronecker query costs three rows, never the whole table.
+    """
+
+    def __init__(self, n):
+        self.classes = tuple(enumerate_partitions(n))
+        self.sizes = tuple(map(class_size, self.classes))
+        self.order = factorial(n)
+        self.rows = {}
+
+    def row(self, lam):
+        cached = self.rows.get(lam)
+        if cached is None:
+            cached = self.rows[lam] = tuple(_char(lam, a) for a in self.classes)
+        return cached
+
+    def weighted(self, lam, mu):
+        """The tuple |C_a| * chi^lam(a) * chi^mu(a) over the classes a."""
+        return tuple(map(mul, self.sizes, map(mul, self.row(lam), self.row(mu))))
+
+
+def char_kernel(n):
+    """The shared CharKernel of S_n (dropped by clear_memo)."""
+    return _kernels.get(n) or _kernels.setdefault(n, CharKernel(n))
 
 
 @dataclass
@@ -131,11 +165,9 @@ def character_table(n, limit=22):
             "character_table(%d) exceeds the limit %d; pass limit= to override"
             % (n, limit)
         )
-    parts = tuple(enumerate_partitions(n))
-    rows = {
-        lam: {alpha: character(lam, alpha) for alpha in parts} for lam in parts
-    }
-    return CharTable(n, parts, rows)
+    kern = char_kernel(n)
+    rows = {lam: dict(zip(kern.classes, kern.row(lam))) for lam in kern.classes}
+    return CharTable(n, kern.classes, rows)
 
 
 def rim_hook_heights(filling, cycle_type):

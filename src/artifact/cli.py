@@ -220,7 +220,7 @@ def table():
 @table.command("kron")
 @click.option("--n", type=int, required=True, help="Size of the three partitions.")
 @click.option("--cap", type=int, default=None, help="Override the size-22 table guard.")
-@click.option("--jobs", type=int, default=1, help="Worker processes.")
+@click.option("--jobs", type=int, default=1, help="Accepted and ignored (serial).")
 @click.option("--out", type=click.Path(), default=None, help="Write JSONL to PATH.")
 def table_kron(n, cap, jobs, out):
     """Every g(lam, mu, nu) on canonical triples lam <= mu <= nu of size N."""
@@ -257,7 +257,7 @@ _N_KEY = {
 @click.option("--d", type=int, default=None, help="Outer degree (foulkes).")
 @click.option("--cap", type=int, default=None, help="Resource-cap override.")
 @click.option("--n-max", type=int, default=None, help="Largest stretch N (saturation-cex).")
-@click.option("--jobs", type=int, default=1, help="Worker processes.")
+@click.option("--jobs", type=int, default=1, help="Worker processes (at most the CPU count).")
 @_output_options
 def verify(prop, n, k, d, cap, n_max, jobs, as_json, out):
     """Run one property check, or the saturation-cex counterexample search."""

@@ -6,6 +6,10 @@ kron_schur_oracle expands a Schur polynomial at pairwise-product variables
 and strips the Kostka unitriangularity from both alphabets.  They share no
 algorithmic machinery, so their agreement on a corpus is a real check.
 
+Every contraction (kron_char, kron_table, the engine's level sums) reads its
+classes, class sizes, n! and int-tuple rows from the per-n CharKernel, which
+builds a row only on first request: a query costs three rows, a table p(n).
+
 Reduced (stable) coefficients use the padded definition with an n0/n0+1
 stability check when the padded size stays small, and otherwise an exact
 inversion over subdiagrams of the smallest argument: summing ghat over
@@ -14,16 +18,14 @@ ordinary Kroneckers at |U| with skew Littlewood-Richardson data of the two
 big arguments, so ghat is recovered bottom-up in exact integers.
 """
 
-import math
 from functools import cache
-from multiprocessing import get_context
+from operator import mul
 
-from .characters import character, character_table
+from .characters import char_kernel, character, character_table
 from .partitions import (
     SizeMismatchError,
     add_horizontal_strips,
     check_partition,
-    class_size,
     count_bounded,
     enumerate_partitions,
     pad,
@@ -37,12 +39,22 @@ class InternalConsistencyError(Exception):
     """An exactness assertion failed; results upstream cannot be trusted."""
 
 
+def _exact(total, order, lam, mu, nu):
+    value, rem = divmod(total, order)
+    if rem or value < 0:
+        raise InternalConsistencyError(
+            "character contraction gave %d remainder %d for %r,%r,%r"
+            % (value, rem, lam, mu, nu)
+        )
+    return value
+
+
 def kron_char(lam, mu, nu):
     """g(lam, mu, nu) by the character contraction, exact.
 
-    Accumulates classSize * chi * chi * chi over all classes and divides by
-    n! once at the end.  A nonzero remainder or a negative result is not a
-    user error but a broken character table, hence the hard failure.
+    One dot product of classSize * chi^lam * chi^mu with chi^nu, divided by
+    n! once.  A nonzero remainder or a negative result is not a user error
+    but a broken character table, hence the hard failure.
     """
     check_partition(lam)
     check_partition(mu)
@@ -53,21 +65,9 @@ def kron_char(lam, mu, nu):
             "Kronecker arguments must share a size, got %d, %d, %d"
             % (n, sum(mu), sum(nu))
         )
-    total = 0
-    for alpha in enumerate_partitions(n):
-        total += (
-            class_size(alpha)
-            * character(lam, alpha)
-            * character(mu, alpha)
-            * character(nu, alpha)
-        )
-    value, rem = divmod(total, math.factorial(n))
-    if rem or value < 0:
-        raise InternalConsistencyError(
-            "character contraction gave %d remainder %d for %r,%r,%r"
-            % (value, rem, lam, mu, nu)
-        )
-    return value
+    kern = char_kernel(n)
+    total = sum(map(mul, kern.weighted(lam, mu), kern.row(nu)))
+    return _exact(total, kern.order, lam, mu, nu)
 
 
 def _contingency_sum(lam, rows, cols):
@@ -288,8 +288,9 @@ def _level_sum(u, t, beta, gamma, deltas, nb, ng):
     window = [d for d in deltas if sum(d) >= lo]
     if not window:
         return 0
+    kern = char_kernel(t)
     total = 0
-    for cls in enumerate_partitions(t):
+    for cls, size, chi in zip(kern.classes, kern.sizes, kern.row(u)):
         psi = 0
         for d in window:
             fb = _phi(beta, d, t, cls)
@@ -298,8 +299,8 @@ def _level_sum(u, t, beta, gamma, deltas, nb, ng):
             fg = fb if beta == gamma else _phi(gamma, d, t, cls)
             psi += fb * fg
         if psi:
-            total += class_size(cls) * character(u, cls) * psi
-    value, rem = divmod(total, math.factorial(t))
+            total += size * chi * psi
+    value, rem = divmod(total, kern.order)
     if rem:
         raise InternalConsistencyError(
             "level sum at %r not divisible by %d! (remainder %d)"
@@ -311,30 +312,24 @@ def _level_sum(u, t, beta, gamma, deltas, nb, ng):
 # -- batch export -----------------------------------------------------------------
 
 
-def _table_entry(trip):
-    lam, mu, nu = trip
-    return (lam, mu, nu, kron_char(lam, mu, nu))
-
-
 def kron_table(n, limit=22, jobs=1):
     """All g on canonical triples lam <= mu <= nu (enumeration order).
 
     Returns a list of (lam, mu, nu, value); by the full S3 symmetry this
-    determines every ordered triple at size n.  With jobs > 1 the triples
-    are farmed out to forked workers; the parent fills the character memo
-    first so every child inherits it, and an ordered map keeps the result
-    independent of the worker count.
+    determines every ordered triple at size n.  The weighted pair product
+    classSize * chi^lam * chi^mu is formed once per (lam, mu) and dotted
+    with every chi^nu.  jobs is accepted and ignored: the serial table costs
+    less than starting a worker pool.
     """
-    character_table(n, limit=limit)
-    parts = list(enumerate_partitions(n))
-    trips = [
-        (parts[i], parts[j], parts[k])
-        for i in range(len(parts))
-        for j in range(i, len(parts))
-        for k in range(j, len(parts))
-    ]
-    if jobs > 1:
-        chunk = max(1, len(trips) // (jobs * 4))
-        with get_context("fork").Pool(jobs) as pool:
-            return pool.map(_table_entry, trips, chunksize=chunk)
-    return [_table_entry(t) for t in trips]
+    parts = character_table(n, limit=limit).columns
+    kern = char_kernel(n)
+    rows = [kern.row(p) for p in parts]
+    out = []
+    for i, lam in enumerate(parts):
+        for j in range(i, len(parts)):
+            mu = parts[j]
+            pair = kern.weighted(lam, mu)
+            for nu, row in zip(parts[j:], rows[j:]):
+                total = sum(map(mul, pair, row))
+                out.append((lam, mu, nu, _exact(total, kern.order, lam, mu, nu)))
+    return out

@@ -6,7 +6,9 @@ from itertools import combinations, product
 
 import pytest
 
+from artifact import characters
 from artifact.characters import (
+    char_kernel,
     character,
     character_table,
     clear_memo,
@@ -278,3 +280,25 @@ def test_memo_cap_does_not_change_values():
     clear_memo()
     for (lam, a), v in want.items():
         assert character(lam, a) == v
+
+
+def test_clear_memo_empties_the_kernel():
+    char_kernel(6).row((3, 2, 1))
+    assert char_kernel(6).rows
+    clear_memo()
+    assert characters._kernels == {}
+    assert char_kernel(6).rows == {}
+
+
+def test_memo_cap_eviction_drops_kernel_rows():
+    clear_memo()
+    set_memo_cap(1)
+    try:
+        # a cold n = 12 table inserts over 4096 memo entries, so the cap is
+        # checked, and trips, at least once while its rows are built
+        table = character_table(12)
+        assert characters._kernels == {}
+    finally:
+        set_memo_cap(None)
+    clear_memo()
+    assert character_table(12).rows == table.rows

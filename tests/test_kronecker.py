@@ -1,8 +1,10 @@
 import random
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
+from math import factorial
 
 import pytest
 
+from artifact.characters import char_kernel, character, clear_memo
 from artifact.kronecker import (
     InternalConsistencyError,
     _stable_engine,
@@ -14,6 +16,7 @@ from artifact.kronecker import (
 )
 from artifact.partitions import (
     SizeMismatchError,
+    class_size,
     conjugate,
     dimension_hlf,
     enumerate_partitions,
@@ -251,3 +254,57 @@ def test_kron_table_deterministic():
 def test_kron_table_limit_guard():
     with pytest.raises(ValueError):
         kron_table(23)
+
+
+# -- kernel differential gate ------------------------------------------------------
+
+
+def per_call_contraction(lam, mu, nu):
+    """Oracle: the contraction from one character() call per class and shape."""
+    n = sum(lam)
+    total = sum(
+        class_size(a) * character(lam, a) * character(mu, a) * character(nu, a)
+        for a in enumerate_partitions(n)
+    )
+    value, rem = divmod(total, factorial(n))
+    assert rem == 0 and value >= 0
+    return value
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_matches_per_call_contraction(n):
+    rows = kron_table(n)
+    canonical = combinations_with_replacement(enumerate_partitions(n), 3)
+    assert [row[:3] for row in rows] == list(canonical)
+    for lam, mu, nu, value in rows:
+        want = per_call_contraction(lam, mu, nu)
+        assert value == want
+        assert kron_char(lam, mu, nu) == want
+        if n <= 5:
+            assert want == kron_schur_oracle(lam, mu, nu)
+
+
+@pytest.mark.parametrize(
+    "corrupted",
+    [
+        (-1, 0, 3),  # total 25, not a multiple of 3! = 6
+        (-1, 0, -4),  # total -66, a multiple of 6 but negative
+    ],
+)
+def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, corrupted):
+    kern = char_kernel(3)
+    assert kern.row((2, 1)) == (-1, 0, 2)
+    monkeypatch.setitem(kern.rows, (2, 1), corrupted)
+    with pytest.raises(InternalConsistencyError):
+        kron_char((2, 1), (2, 1), (2, 1))
+    with pytest.raises(InternalConsistencyError):
+        kron_table(3)
+
+
+def test_single_query_builds_only_its_rows():
+    # one padded rkron step at n0 = 16 must not pay for the 231-row table
+    trio = (10, 5, 1), (9, 7), (8, 8)
+    clear_memo()
+    assert kron_char(*trio) == per_call_contraction(*trio)
+    assert len(char_kernel(16).classes) == 231
+    assert sorted(char_kernel(16).rows, reverse=True) == list(trio)
