@@ -153,12 +153,10 @@ def kron(lam, mu, nu, method, cap, as_json, out):
 @click.argument("alpha", type=PARTITION)
 @click.argument("beta", type=PARTITION)
 @click.argument("gamma", type=PARTITION)
-@click.option("--cap", type=int, default=None, help="Padded-route size cap.")
 @_output_options
-def rkron(alpha, beta, gamma, cap, as_json, out):
+def rkron(alpha, beta, gamma, as_json, out):
     """Reduced (stable) Kronecker coefficient gbar(ALPHA, BETA, GAMMA)."""
-    kwargs = {} if cap is None else {"cap": cap}
-    value = reduced_kron(alpha, beta, gamma, **kwargs)
+    value = reduced_kron(alpha, beta, gamma)
     if as_json:
         record = {
             "alpha": _parts(alpha),

@@ -122,12 +122,12 @@ def _require(params, key, default, low, high=None):
 
 def _check_orthogonality(item):
     kind, n, p, q = item
-    shapes = list(enumerate_partitions(n))
+    kern = char_kernel(n)
     if kind == "col":
-        total = sum(character(lam, p) * character(lam, q) for lam in shapes)
+        i, j = kern.classes.index(p), kern.classes.index(q)
+        total = sum(row[i] * row[j] for row in map(kern.row, kern.classes))
         want = centralizer_order(p) if p == q else 0
     else:
-        kern = char_kernel(n)
         total = sum(kern.weighted(p, q))
         want = kern.order if p == q else 0
     if total != want:
@@ -555,6 +555,9 @@ def search_saturation_counterexample(k, n_max, size_cap=SATURATION_SIZE_CAP):
     the counterexample (positivity of a stretch without positivity of the
     base).  Stops with "inconclusive-within-range" if the padding size of
     the next stretch would exceed size_cap — raise the cap to push further.
+    The padding size (padding_threshold) serves only as a proxy for the
+    size of a stretch: reduced_kron runs the subdiagram engine, which never
+    pads.
     """
     if k < 3:
         raise ValueError("the family needs k >= 3")

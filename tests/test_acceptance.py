@@ -24,6 +24,7 @@ from artifact import (
     kron_table,
     kron_tworow,
     lr_coefficient,
+    padding_threshold,
     pleth_coefficient,
     pleth_hn_expansion,
     reduced_kron,
@@ -34,6 +35,7 @@ from artifact import (
     to_schur_basis,
 )
 from artifact.symfunc import multiply
+from test_kronecker import padded_oracle
 
 
 def _budget(num, limit, started):
@@ -177,8 +179,8 @@ def test_criterion_10_foulkes_instances():
 
 def test_criterion_11_reduced_kronecker():
     started = time.perf_counter()
-    # Sizes here keep every call on the padded route, so each one also runs
-    # the built-in n0/n0+1 stability recheck (its failure is a hard error).
+    # Balanced triples (|beta| + |gamma| = |alpha|): here the reduced
+    # coefficient is an LR number, computed by an independent route.
     checked = 0
     for s in range(0, 5):
         for alpha in enumerate_partitions(s):
@@ -203,8 +205,9 @@ def test_criterion_12_extended_saturation():
     started = time.perf_counter()
     base = ((1,) * 8, (1,) * 8, (3, 3))
     assert reduced_kron(*base) == 0
-    # same value through the padded route (size 28 forces the raised cap)
-    assert reduced_kron(*base, cap=29) == 0
+    # same value through the padded oracle, at sizes 28 and 29
+    assert padding_threshold(*base) == 28
+    assert padded_oracle(*base) == 0
     report = search_saturation_counterexample(3, 4, size_cap=100)
     assert report.status in ("counterexample-confirmed", "inconclusive-within-range")
     assert report.witness["base_value"] == 0

@@ -95,6 +95,12 @@ def test_rkron_known_value(capsys):
     assert json.loads(out)["gbar"] == "1"
 
 
+def test_rkron_has_no_cap_option(capsys):
+    code, out, err = run(capsys, "rkron", "2,1", "1", "1,1", "--cap", "5")
+    assert code == 1 and out == ""
+    assert "--cap" in err
+
+
 def test_pleth_coefficients(capsys):
     assert run(capsys, "pleth", "2,2", "1,1", "2") == (0, "1\n", "")
     assert run(capsys, "pleth", "3,1", "1,1", "2") == (0, "0\n", "")

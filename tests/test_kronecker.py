@@ -12,6 +12,7 @@ from artifact.kronecker import (
     kron_schur_oracle,
     kron_table,
     kron_tworow,
+    padding_threshold,
     reduced_kron,
 )
 from artifact.partitions import (
@@ -195,16 +196,34 @@ def test_reduced_lr_specialization():
                         )
 
 
+def canonical_reduced_triples(bound):
+    """Each multiset {alpha, beta, gamma} once, padding_threshold <= bound."""
+    budget = bound - 1  # padding_threshold is 1 + the sum of these weights
+
+    def weight(p):
+        return sum(p) + (p[0] if p else 0)
+
+    parts = sorted(
+        (p for s in range(budget + 1) for p in enumerate_partitions(s)),
+        key=weight,
+    )
+    parts = [p for p in parts if weight(p) <= budget]
+    for i, a in enumerate(parts):
+        for j in range(i, len(parts)):
+            b = parts[j]
+            if weight(a) + 2 * weight(b) > budget:
+                break
+            for c in parts[j:]:
+                if weight(a) + weight(b) + weight(c) > budget:
+                    break
+                yield a, b, c
+
+
 def test_engine_agrees_with_padding():
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for al in enumerate_partitions(a):
-                    for be in enumerate_partitions(b):
-                        for ga in enumerate_partitions(c):
-                            assert _stable_engine(al, be, ga) == reduced_kron(
-                                al, be, ga
-                            )
+    corpus = list(canonical_reduced_triples(16))
+    assert len(corpus) == 1014
+    for trip in corpus:
+        assert reduced_kron(*trip) == padded_oracle(*trip)
 
 
 def test_engine_s3_symmetry():
@@ -213,7 +232,7 @@ def test_engine_s3_symmetry():
         ((3,), (2, 1), (1, 1)),
         ((2, 2), (1,), (2, 1)),
     ):
-        want = reduced_kron(*trip)
+        want = padded_oracle(*trip)
         for p in permutations(trip):
             assert _stable_engine(*p) == want
 
@@ -271,6 +290,21 @@ def per_call_contraction(lam, mu, nu):
     return value
 
 
+def padded_oracle(alpha, beta, gamma):
+    """Oracle: gbar by its definition, kron_char of the padded arguments.
+
+    Pads to n0 = padding_threshold and to n0 + 1; the two values must agree,
+    or n0 was not yet in the stable range.
+    """
+    n0 = padding_threshold(alpha, beta, gamma)
+    first, again = (
+        kron_char(pad(alpha, n), pad(beta, n), pad(gamma, n))
+        for n in (n0, n0 + 1)
+    )
+    assert first == again, (n0, first, again)
+    return first
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_kernel_matches_per_call_contraction(n):
     rows = kron_table(n)
@@ -302,7 +336,7 @@ def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, corrupted):
 
 
 def test_single_query_builds_only_its_rows():
-    # one padded rkron step at n0 = 16 must not pay for the 231-row table
+    # one padded-oracle step at n0 = 16 must not pay for the 231-row table
     trio = (10, 5, 1), (9, 7), (8, 8)
     clear_memo()
     assert kron_char(*trio) == per_call_contraction(*trio)
