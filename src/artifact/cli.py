@@ -311,3 +311,7 @@ def main(argv=None):
         click.echo("internal consistency failure: %s" % exc, err=True)
         return 3
     return 0 if rv is None else rv
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,126 +1,105 @@
-"""Plethysm coefficients.
+"""Plethysm coefficients through the power sums and the character kernel.
 
-The general coefficient a^lam_{mu,nu} is the multiplicity of s_lam in the
-composition s_nu[s_mu].  Rather than filling composite tableaux directly
-(symfunc.compose_schur does that, and serves as the brute-force cross-check),
-this module works through the power-sum recurrence
+The coefficient a^lam_{nu,mu} is the multiplicity of s_lam in the
+composition s_nu[s_mu].  With m = |mu| and d = |nu| (Macdonald, Symmetric
+Functions and Hall Polynomials, I.8):
 
-    m * h_m[g] = sum_{k=1}^{m} p_k[g] * h_{m-k}[g]
+    s_mu       = (1/m!) sum_sig |C_sig| chi^mu(sig) p_sig
+    p_k[s_mu]  = (1/m!) sum_sig |C_sig| chi^mu(sig) p_{k sig}
+    s_nu[s_mu] = (1/d!) sum_rho |C_rho| chi^nu(rho) prod_i p_{rho_i}[s_mu]
 
-which needs nothing more than exponent scaling and exact polynomial
-arithmetic, followed by a Jacobi-Trudi determinant to assemble s_nu[g] from
-the h_m[g].  Every division in the recurrence must come out exact; a nonzero
-remainder would mean corrupted arithmetic and raises immediately.
-
-The family h_d[h_n] (symmetric powers of symmetric powers) gets a dedicated
-entry point that works in exactly d variables, which is what keeps the larger
-comparison instances affordable: every constituent of h_d[h_n] has at most d
-rows, so nothing is lost to truncation.
+where k sig scales every part of sig by k, and <s_lam, p_tau> = chi^lam(tau)
+reads off a constituent.  Scaling by d! (m!)^d keeps everything in integers:
+the rho term carries the factor (m!)^(d - len(rho)).  One integer vector per
+(outer, inner), indexed like char_kernel(d*m).classes, holds the scaled
+expansion, so a coefficient is one dot product with a kernel row followed by
+an exact division.  A remainder or a negative quotient means corrupted
+arithmetic and raises ArithmeticError.  symfunc.compose_schur fills composite
+tableaux directly and serves as the brute-force cross-check.
 """
 
 from functools import cache
-from itertools import permutations
-from math import comb
+from math import comb, factorial
+from operator import mul
 
+from .characters import char_kernel
 from .partitions import (
     SizeMismatchError,
     check_partition,
     enumerate_partitions,
     hook_lengths,
 )
-from .symfunc import (
-    SchurVector,
-    SymPoly,
-    complete_homogeneous,
-    multiply,
-    schur_in_monomials,
-    to_schur_basis,
-)
+from .symfunc import SchurVector
 
 DEGREE_CAP = 16
 
 
-def _power_pleth(k, g):
-    # p_k[g] just raises every monomial of g to the k-th power, so the orbit
-    # representation maps key -> k*key with the same coefficient.
-    return SymPoly(
-        g.nvars, {tuple(k * e for e in key): c for key, c in g.terms.items()}
-    )
-
-
-def _exact_div(f, m):
-    out = {}
-    for key, c in f.terms.items():
-        q, r = divmod(c, m)
-        if r:
-            raise ArithmeticError(
-                f"inexact division by {m} in the plethysm recurrence"
-            )
-        out[key] = q
-    return SymPoly(f.nvars, out)
-
-
 @cache
-def _h_pleth(m, g):
-    """h_m evaluated at the alphabet of monomials of ``g``."""
-    if m == 0:
-        return SymPoly.one(g.nvars)
-    acc = SymPoly.zero(g.nvars)
-    for k in range(1, m + 1):
-        acc = acc + multiply(_power_pleth(k, g), _h_pleth(m - k, g))
-    return _exact_div(acc, m)
+def _class_vector(outer, inner):
+    """d! (m!)^d s_outer[s_inner] on the power sums, and that scale.
 
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def schur_pleth(outer, g):
-    """s_outer evaluated at the alphabet of monomials of ``g``.
-
-    Expands the Jacobi-Trudi determinant det(h_{outer_i - i + j}) over
-    permutations; entries with negative index vanish, h_0 = 1.
+    The vector is indexed like char_kernel(d*m).classes.
     """
-    check_partition(outer)
-    if not isinstance(g, SymPoly):
-        raise TypeError("inner argument must be a SymPoly")
-    ell = len(outer)
-    if ell == 0:
-        return SymPoly.one(g.nvars)
-    total = SymPoly.zero(g.nvars)
-    for perm in permutations(range(ell)):
-        degrees = [outer[i] - i + perm[i] for i in range(ell)]
-        if any(d < 0 for d in degrees):
-            continue
-        term = SymPoly.one(g.nvars)
-        for d in sorted(degrees, reverse=True):
-            term = multiply(term, _h_pleth(d, g))
-        total = total + term if _perm_sign(perm) > 0 else total - term
-    return total
+    d, m = sum(outer), sum(inner)
+    kern = char_kernel(m)
+    weights = [
+        (sig, c)
+        for sig, c in zip(kern.classes, map(mul, kern.sizes, kern.row(inner)))
+        if c
+    ]
+    # m! p_k[s_inner] = sum_sig |C_sig| chi^inner(sig) p_{k sig}
+    powers = {
+        k: {tuple(k * part for part in sig): c for sig, c in weights}
+        for k in range(1, d + 1)
+    }
+    products = {(): {(): 1}}
+
+    def product(rho):
+        # (m!)^len(rho) prod_i p_{rho_i}[s_inner], built on the prefix of rho
+        got = products.get(rho)
+        if got is None:
+            got = products[rho] = {}
+            for tau, a in product(rho[:-1]).items():
+                for sig, b in powers[rho[-1]].items():
+                    key = tuple(sorted(tau + sig, reverse=True))
+                    got[key] = got.get(key, 0) + a * b
+        return got
+
+    mfact = factorial(m)
+    total = {}
+    kern = char_kernel(d)
+    for rho, size, chi in zip(kern.classes, kern.sizes, kern.row(outer)):
+        if chi:
+            w = size * chi * mfact ** (d - len(rho))
+            for tau, c in product(rho).items():
+                total[tau] = total.get(tau, 0) + w * c
+    vec = tuple(total.get(tau, 0) for tau in char_kernel(d * m).classes)
+    return vec, factorial(d) * mfact**d
 
 
-@cache
-def _schur_pleth_expansion(inner, outer, nvars):
-    g = schur_in_monomials(inner, nvars)
-    return to_schur_basis(schur_pleth(outer, g))
+def _coefficient(target, inner, outer):
+    vec, scale = _class_vector(outer, inner)
+    q, r = divmod(sum(map(mul, vec, char_kernel(sum(target)).row(target))), scale)
+    if r or q < 0:
+        raise ArithmeticError(
+            f"plethysm coefficient of {target} in s_{outer}[s_{inner}] is "
+            f"{q} remainder {r} after the division by {scale}"
+        )
+    return q
 
 
 def pleth_coefficient(target, inner, outer, cap=DEGREE_CAP):
     """Multiplicity of s_target in s_outer[s_inner].
 
-    The computation runs in len(outer)'s-worth of copies of the inner
-    alphabet: |outer| * len(inner) variables bound the number of rows of any
-    constituent, so the requested coefficient is exact.  Degrees above
-    ``cap`` cells are refused rather than attempted.
+    Contracts the cached power-sum vector of s_outer[s_inner] with the one
+    kernel row chi^target and divides by d! (m!)^d exactly.  s_outer[s_inner]
+    is a summand of s_inner^|outer|, so no constituent has more than
+    |outer| * len(inner) rows, and a longer target is 0 without any work.
+    Degrees above ``cap`` cells are refused rather than attempted.
     """
-    check_partition(target)
-    check_partition(inner)
-    check_partition(outer)
+    target = check_partition(target)
+    inner = check_partition(inner)
+    outer = check_partition(outer)
     degree = sum(inner) * sum(outer)
     if sum(target) != degree:
         raise SizeMismatchError(
@@ -128,22 +107,34 @@ def pleth_coefficient(target, inner, outer, cap=DEGREE_CAP):
         )
     if degree > cap:
         raise ValueError(f"degree {degree} exceeds the cap of {cap} cells")
-    nvars = max(1, sum(outer) * len(inner))
-    if len(target) > nvars:
+    if len(target) > sum(outer) * len(inner):
         return 0
-    return _schur_pleth_expansion(inner, outer, nvars).coeffs.get(target, 0)
+    return _coefficient(target, inner, outer)
+
+
+@cache
+def _hn_coeffs(d, n):
+    # the returned dict is cached and must not be mutated
+    coeffs = {}
+    for lam in enumerate_partitions(d * n, max_len=d):
+        a = _coefficient(lam, (n,), (d,))
+        if a:
+            coeffs[lam] = a
+    return coeffs
 
 
 def pleth_hn_expansion(d, n, cap=DEGREE_CAP):
-    """Full Schur expansion of h_d[h_n], computed in exactly d variables."""
+    """Full Schur expansion of h_d[h_n], cached per (d, n).
+
+    Only lam |- dn with len(lam) <= d are contracted.  h_d[h_n] is a summand
+    of h_n^d = sum_lam K_{lam,(n^d)} s_lam, and K_{lam,(n^d)} is nonzero only
+    when lam dominates (n^d), which forces len(lam) <= d; nothing is lost.
+    """
     if d < 1 or n < 1:
         raise ValueError("both indices must be at least 1")
     if d * n > cap:
         raise ValueError(f"degree {d * n} exceeds the cap of {cap} cells")
-    if n == 1:
-        # the inner alphabet is the variable alphabet itself
-        return to_schur_basis(complete_homogeneous(d, d))
-    return to_schur_basis(_h_pleth(d, complete_homogeneous(n, d)))
+    return SchurVector("schur", dict(_hn_coeffs(d, n)))
 
 
 def sym_power_dimension(d, n):

@@ -88,9 +88,6 @@ class SymPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __repr__(self):
         body = ", ".join(
             "%r: %d" % (k, v) for k, v in sorted(self.terms.items())

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line dispatcher: output bytes + exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from artifact.cli import main
 
@@ -13,6 +17,19 @@ def run(capsys, *args):
 
 def test_kron_worked_example(capsys):
     assert run(capsys, "kron", "2,1", "2,1", "2,1") == (0, "1\n", "")
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "artifact.cli", "kron", "2,1", "2,1", "2,1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "1\n")
 
 
 def test_lr_worked_example(capsys):

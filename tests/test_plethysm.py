@@ -1,15 +1,20 @@
+from functools import lru_cache
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.partitions import SizeMismatchError, enumerate_partitions
+from artifact import plethysm
+from artifact.characters import char_kernel
+from artifact.cli import main
+from artifact.partitions import SizeMismatchError, dimension_hlf, enumerate_partitions
 from artifact.plethysm import (
     foulkes_violations,
     gl_dimension,
     hn_expansion_json,
     pleth_coefficient,
     pleth_hn_expansion,
-    schur_pleth,
     sym_power_dimension,
 )
 from artifact.symfunc import (
@@ -17,6 +22,13 @@ from artifact.symfunc import (
     schur_in_monomials,
     to_schur_basis,
 )
+
+
+@lru_cache(maxsize=None)
+def brute_expansion(inner, outer):
+    """Schur expansion of s_outer[s_inner] by filling composite tableaux."""
+    nvars = max(1, sum(outer) * len(inner))
+    return to_schur_basis(plethysm_compose(outer, inner, nvars)).coeffs
 
 
 @pytest.mark.parametrize(
@@ -58,18 +70,19 @@ def test_long_target_is_zero():
 
 
 def test_matches_tableau_composition():
-    for total_inner in range(1, 4):
-        for total_outer in range(1, 4):
-            if total_inner * total_outer > 8:
-                continue
+    # the full expansion, one pleth_coefficient per target, for every
+    # (inner, outer) of degree at most 8
+    for total_inner in range(1, 9):
+        for total_outer in range(1, 8 // total_inner + 1):
+            degree = total_inner * total_outer
             for inner in enumerate_partitions(total_inner):
                 for outer in enumerate_partitions(total_outer):
-                    nvars = max(1, total_outer * len(inner))
-                    fast = to_schur_basis(
-                        schur_pleth(outer, schur_in_monomials(inner, nvars))
-                    )
-                    brute = to_schur_basis(plethysm_compose(inner=inner, outer=outer, nvars=nvars))
-                    assert fast.coeffs == brute.coeffs, (inner, outer)
+                    fast = {}
+                    for lam in enumerate_partitions(degree):
+                        a = pleth_coefficient(lam, inner, outer)
+                        if a:
+                            fast[lam] = a
+                    assert fast == brute_expansion(inner, outer), (inner, outer)
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,14 +94,11 @@ def test_coefficient_agrees_with_expansion(data):
     outer = data.draw(
         st.sampled_from([p for k in (1, 2) for p in enumerate_partitions(k)])
     )
-    nvars = max(1, sum(outer) * len(inner))
-    full = to_schur_basis(
-        schur_pleth(outer, schur_in_monomials(inner, nvars))
-    ).coeffs
     target = data.draw(
         st.sampled_from(list(enumerate_partitions(sum(inner) * sum(outer))))
     )
-    assert pleth_coefficient(target, inner, outer) == full.get(target, 0)
+    want = brute_expansion(inner, outer).get(target, 0)
+    assert pleth_coefficient(target, inner, outer) == want
 
 
 # -- the h_d[h_n] family --
@@ -148,13 +158,39 @@ def test_hn_two_row_coefficients():
 
 
 def test_hn_matches_general_coefficient():
-    for d in range(1, 11):
-        for n in range(1, 11):
-            if d * n > 10:
+    for d in range(1, 17):
+        for n in range(1, 17):
+            if d * n > 16:
                 continue
             vec = pleth_hn_expansion(d, n).coeffs
             for lam in enumerate_partitions(d * n):
                 assert pleth_coefficient(lam, (n,), (d,)) == vec.get(lam, 0)
+            # h_d[h_n] is the character of S_dn acting on set partitions into
+            # d blocks of n; its dimension sum shows no constituent longer
+            # than d rows is missing
+            dims = sum(a * dimension_hlf(lam) for lam, a in vec.items())
+            assert dims == factorial(d * n) // (factorial(d) * factorial(n) ** d)
+
+
+@pytest.mark.parametrize(
+    "corrupted",
+    [
+        (-1, 0, -1, 1, 4),  # total 1, not a multiple of 2! * (2!)^2 = 8
+        (0, 1, -2, 0, -2),  # total -8, a multiple of 8 but negative
+    ],
+)
+def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, capsys, corrupted):
+    # h_2[h_2] = (2 p_4 + 3 p_22 + 2 p_211 + p_1111) / 8 on the classes of S_4
+    kern = char_kernel(4)
+    assert kern.row((3, 1)) == (-1, 0, -1, 1, 3)
+    monkeypatch.setitem(kern.rows, (3, 1), corrupted)
+    plethysm._hn_coeffs.cache_clear()
+    with pytest.raises(ArithmeticError):
+        pleth_coefficient((3, 1), (2,), (2,))
+    with pytest.raises(ArithmeticError):
+        pleth_hn_expansion(2, 2)
+    assert main(["pleth", "3,1", "2", "2"]) == 3
+    assert "internal consistency failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (5, 2), (4, 3)])
