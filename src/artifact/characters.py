@@ -1,12 +1,15 @@
 """Exact symmetric-group characters via the Murnaghan-Nakayama recursion.
 
-The recursion runs on beta-numbers (first-column hook lengths): removing a
-rim hook of length t from a shape replaces one beta b by b - t, which must
-stay nonnegative and distinct from the others, and the height of the hook
-equals the number of betas lying strictly between b - t and b.  Cycle-type
-parts are consumed largest-first, so the remaining type is always a suffix
-of the sorted input and memo entries are shared across every query made in
-a process (a whole-table sweep re-uses almost all of them).
+The recursion runs on the beta-set of a shape (its first-column hook
+lengths, the abacus of James-Kerber 2.7) held as one int word: bit
+lam_i + len(lam) - 1 - i is set for each part.  A rim hook of length t is
+a set bit b >= t whose bit b - t is clear; removing it moves that bit down
+by t, and its height is the number of set bits strictly between.  Zero
+parts are trailing one bits, which are shifted out, so every shape has one
+word.  Cycle-type parts are consumed largest-first, so the remaining type
+is always a suffix of the sorted input and memo entries, keyed (word,
+suffix), are shared across every query made in a process (a whole-table
+sweep re-uses almost all of them).
 """
 
 import json
@@ -26,10 +29,12 @@ _kernels = {}
 _memo_cap = None
 _inserts = 0
 
-# Crude per-entry byte estimate for the optional cap: two small tuples, a
-# dict slot and an int.  Eviction is wholesale; correctness never depends
-# on the cache, only speed does.
-_ENTRY_BYTES = 256
+# Per-entry byte estimate for the optional cap: a dict slot, the key pair,
+# the word and value ints and a share of the suffix tuples and kernel rows.
+# tracemalloc over whole tables puts it at 126-146 bytes for n = 12-16.
+# Eviction is wholesale; correctness never depends on the cache, only
+# speed does.
+_ENTRY_BYTES = 146
 _CHECK_EVERY = 4096
 
 
@@ -45,38 +50,40 @@ def set_memo_cap(max_bytes=None):
     _memo_cap = max_bytes
 
 
-def _betas(shape):
-    ell = len(shape)
-    return tuple(shape[i] + ell - 1 - i for i in range(ell))
+def _word(lam):
+    """The beta-set of lam as one int: bit lam_i + len(lam) - 1 - i per part."""
+    ell = len(lam)
+    w = 0
+    for i, part in enumerate(lam):
+        w |= 1 << (part + ell - 1 - i)
+    return w
 
 
-def _from_betas(betas):
-    ell = len(betas)
-    parts = [b - (ell - 1 - i) for i, b in enumerate(betas)]
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return tuple(parts)
-
-
-def _char(shape, alpha):
+def _mn(w, alpha):
+    """chi(alpha) for the shape with beta-set word w (bit 0 clear)."""
     if not alpha:
         return 1
-    key = (shape, alpha)
+    key = (w, alpha)
     cached = _memo.get(key)
     if cached is not None:
         return cached
     t, rest = alpha[0], alpha[1:]
-    betas = _betas(shape)
-    bset = set(betas)
     total = 0
-    for b in betas:
-        c = b - t
-        if c < 0 or c in bset:
-            continue
-        height = sum(1 for x in bset if c < x < b)
-        child = _from_betas(sorted((bset - {b}) | {c}, reverse=True))
-        term = _char(child, rest)
-        total += -term if height & 1 else term
+    # a set bit b >= t whose bit b - t is clear heads a removable t-hook
+    hooks = w & ~(w << t) & -(1 << t)
+    while hooks:
+        top = hooks & -hooks
+        hooks ^= top
+        child = w ^ top ^ (top >> t)
+        # trailing ones are zero parts; shifting them out keeps one word
+        # per shape
+        child >>= (child ^ (child + 1)).bit_length() - 1
+        term = _mn(child, rest)
+        # the hook's height is the number of betas strictly inside it
+        if (w & (top - (top >> (t - 1)))).bit_count() & 1:
+            total -= term
+        else:
+            total += term
     _memo[key] = total
     global _inserts
     _inserts += 1
@@ -101,7 +108,7 @@ def character(lam, alpha):
         raise SizeMismatchError(
             "cycle type %r does not match |shape| = %d" % (alpha, sum(lam))
         )
-    return _char(lam, tuple(sorted(alpha, reverse=True)))
+    return _mn(_word(lam), tuple(sorted(alpha, reverse=True)))
 
 
 class CharKernel:
@@ -120,7 +127,8 @@ class CharKernel:
     def row(self, lam):
         cached = self.rows.get(lam)
         if cached is None:
-            cached = self.rows[lam] = tuple(_char(lam, a) for a in self.classes)
+            w = _word(lam)
+            cached = self.rows[lam] = tuple(_mn(w, a) for a in self.classes)
         return cached
 
     def weighted(self, lam, mu):
@@ -152,12 +160,8 @@ class CharTable:
             )
 
 
-def character_table(n, limit=22):
-    """All chi^lam(alpha) for lam, alpha |- n, in enumerate_partitions order.
-
-    The limit is a resource guard, not a correctness bound; raise it
-    explicitly for bigger sweeps.
-    """
+def check_table_size(n, limit):
+    """Raise ValueError unless 1 <= n <= limit (the whole-table size guard)."""
     if n < 1:
         raise ValueError("character_table needs n >= 1, got %d" % n)
     if n > limit:
@@ -165,6 +169,15 @@ def character_table(n, limit=22):
             "character_table(%d) exceeds the limit %d; pass limit= to override"
             % (n, limit)
         )
+
+
+def character_table(n, limit=22):
+    """All chi^lam(alpha) for lam, alpha |- n, in enumerate_partitions order.
+
+    The limit is a resource guard, not a correctness bound; raise it
+    explicitly for bigger sweeps.
+    """
+    check_table_size(n, limit)
     kern = char_kernel(n)
     rows = {lam: dict(zip(kern.classes, kern.row(lam))) for lam in kern.classes}
     return CharTable(n, kern.classes, rows)

@@ -22,7 +22,7 @@ the tests keep it as the independent oracle for this route.
 from functools import cache
 from operator import mul
 
-from .characters import char_kernel, character_table
+from .characters import char_kernel, check_table_size
 from .partitions import (
     SizeMismatchError,
     add_horizontal_strips,
@@ -303,8 +303,9 @@ def kron_table(n, limit=22, jobs=1):
     with every chi^nu.  jobs is accepted and ignored: the serial table costs
     less than starting a worker pool.
     """
-    parts = character_table(n, limit=limit).columns
+    check_table_size(n, limit)
     kern = char_kernel(n)
+    parts = kern.classes
     rows = [kern.row(p) for p in parts]
     out = []
     for i, lam in enumerate(parts):

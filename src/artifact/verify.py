@@ -21,7 +21,6 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement as multisets
-from multiprocessing import get_context
 
 from .characters import char_kernel, character, character_table
 from .kronecker import kron_char, kron_tworow, padding_threshold, reduced_kron
@@ -83,6 +82,13 @@ def _stringify(obj):
     if isinstance(obj, (list, tuple)):
         return [_stringify(x) for x in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def get_context(method):
+    """multiprocessing.get_context, imported only when a pool is made."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 def _map_ordered(fn, items, jobs):

@@ -182,6 +182,34 @@ def test_character_order_independence():
                 )
 
 
+def test_kernel_rows_match_smallest_first_recursion():
+    # the bit-word recursion behind every kernel row, against removals of
+    # rim hooks found cell by cell, consuming the cycle type the other way
+    clear_memo()
+    for n in range(1, 12):
+        kern = char_kernel(n)
+        for lam in kern.classes:
+            assert kern.row(lam) == tuple(
+                char_smallest_first(lam, a) for a in kern.classes
+            )
+
+
+def test_memo_holds_one_entry_per_shape_and_suffix():
+    # Every shape mu |- |s| is reached under every nonempty suffix s of a
+    # class of S_12 (add the removed parts back along the first row), so one
+    # entry per (shape, suffix) means sum over distinct suffixes of p(|s|).
+    n = 12
+    suffixes = {
+        alpha[i:] for alpha in enumerate_partitions(n) for i in range(len(alpha))
+    }
+    expected = sum(len(enumerate_partitions(sum(s))) for s in suffixes)
+    clear_memo()
+    kern = char_kernel(n)
+    for lam in kern.classes:
+        kern.row(lam)
+    assert len(characters._memo) == expected == 7331
+
+
 # -- orthogonality and symmetries ------------------------------------------------
 
 
