@@ -1,11 +1,11 @@
 """Exact structure constants for symmetric groups and symmetric functions.
 
 Everything is integer arithmetic end to end: characters by
-Murnaghan-Nakayama, Kostka and Littlewood-Richardson numbers by tableau
-enumeration, Kronecker and reduced Kronecker coefficients, plethysm, and a
-harness that machine-checks the identities the rest of the library leans
-on.  The curated surface below is the supported API; module internals may
-move without notice.
+Murnaghan-Nakayama, Kostka numbers by the branching rule,
+Littlewood-Richardson numbers by tableau enumeration, Kronecker and reduced
+Kronecker coefficients, plethysm, and a harness that machine-checks the
+identities the rest of the library leans on.  The curated surface below is
+the supported API; module internals may move without notice.
 """
 
 from .characters import (

@@ -255,7 +255,7 @@ _N_KEY = {
 @click.option("--d", type=int, default=None, help="Outer degree (foulkes).")
 @click.option("--cap", type=int, default=None, help="Resource-cap override.")
 @click.option("--n-max", type=int, default=None, help="Largest stretch N (saturation-cex).")
-@click.option("--jobs", type=int, default=1, help="Worker processes (at most the CPU count).")
+@click.option("--jobs", type=int, default=1, help="Accepted and ignored (serial).")
 @_output_options
 def verify(prop, n, k, d, cap, n_max, jobs, as_json, out):
     """Run one property check, or the saturation-cex counterexample search."""

@@ -39,7 +39,8 @@ class InternalConsistencyError(Exception):
     """An exactness assertion failed; results upstream cannot be trusted."""
 
 
-def _exact(total, order, lam, mu, nu):
+def exact_coefficient(total, order, lam, mu, nu):
+    """total / order for a contraction total of (lam, mu, nu); must be exact."""
     value, rem = divmod(total, order)
     if rem or value < 0:
         raise InternalConsistencyError(
@@ -67,7 +68,7 @@ def kron_char(lam, mu, nu):
         )
     kern = char_kernel(n)
     total = sum(map(mul, kern.weighted(lam, mu), kern.row(nu)))
-    return _exact(total, kern.order, lam, mu, nu)
+    return exact_coefficient(total, kern.order, lam, mu, nu)
 
 
 def _contingency_sum(lam, rows, cols):
@@ -76,7 +77,7 @@ def _contingency_sum(lam, rows, cols):
     total = 0
     matrix = []
 
-    def fill_row(i, remaining_cols):
+    def add_row(i, remaining_cols):
         nonlocal total
         if i == nrows:
             if all(r == 0 for r in remaining_cols):
@@ -92,7 +93,7 @@ def _contingency_sum(lam, rows, cols):
             if j == ncols:
                 if left == 0:
                     matrix.append(tuple(comp))
-                    fill_row(
+                    add_row(
                         i + 1,
                         tuple(
                             remaining_cols[t] - comp[t] for t in range(ncols)
@@ -107,7 +108,7 @@ def _contingency_sum(lam, rows, cols):
 
         place(0, rows[i])
 
-    fill_row(0, tuple(cols))
+    add_row(0, tuple(cols))
     return total
 
 
@@ -314,5 +315,5 @@ def kron_table(n, limit=22, jobs=1):
             pair = kern.weighted(lam, mu)
             for nu, row in zip(parts[j:], rows[j:]):
                 total = sum(map(mul, pair, row))
-                out.append((lam, mu, nu, _exact(total, kern.order, lam, mu, nu)))
+                out.append((lam, mu, nu, exact_coefficient(total, kern.order, lam, mu, nu)))
     return out

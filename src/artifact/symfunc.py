@@ -2,21 +2,18 @@
 
 A SymPoly is stored by monomial orbits: each key is a weakly decreasing
 exponent vector with trailing zeros trimmed, and its coefficient applies to
-every distinct permutation of the key over the fixed variable set.  Schur
-expansions here come from horizontal-strip chains rather than tableau
-counting, and plethysm substitutes monomials directly into a Schur
-polynomial, so this module serves as the independent route of the
-dual-route checks elsewhere.
+every distinct permutation of the key over the fixed variable set.  A Schur
+polynomial's orbit coefficients are the Kostka numbers of tableaux.kostka;
+plethysm substitutes monomials directly into a Schur polynomial and
+to_schur_basis inverts the unitriangular Kostka matrix, so compose_schur and
+plethysm_compose serve as the brute-force oracle for the character route of
+plethysm.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
-from .partitions import (
-    check_partition,
-    enumerate_partitions,
-    remove_horizontal_strips,
-)
+from .partitions import check_partition, enumerate_partitions
+from .tableaux import kostka
 
 
 def _distinct_permutations(pool):
@@ -170,37 +167,20 @@ def multiply(f, g):
     return SymPoly(f.nvars, out)
 
 
-@cache
-def _weight_multiplicities(nu, tmin):
-    """Counts of horizontal-strip chains building nu, by weight partition.
-
-    A chain removes the strip of the largest letter first; tmin forces the
-    sizes already removed below, so weights come out weakly decreasing.
-    The returned dict is cached and must not be mutated.
-    """
-    if not nu:
-        return {(): 1}
-    out = {}
-    for t in range(tmin, sum(nu) + 1):
-        for rho in remove_horizontal_strips(nu, t):
-            for mu, c in _weight_multiplicities(rho, t).items():
-                key = mu + (t,)
-                out[key] = out.get(key, 0) + c
-    return out
-
-
 def schur_in_monomials(lam, nvars):
     """Monomial expansion of s_lam in nvars variables.
 
-    The coefficient of an orbit mu is the Kostka number K_{lam,mu}, computed
-    here by strip-chain counting (no tableau backtracking involved).
+    The coefficient of an orbit mu is the Kostka number K_{lam,mu}.
     """
-    check_partition(lam)
+    lam = check_partition(lam)
     if nvars < 1:
         raise ValueError("need at least one variable")
-    chains = _weight_multiplicities(tuple(lam), 1)
     return SymPoly(
-        nvars, {mu: c for mu, c in chains.items() if len(mu) <= nvars}
+        nvars,
+        {
+            mu: kostka(lam, mu)
+            for mu in enumerate_partitions(sum(lam), max_len=nvars)
+        },
     )
 
 

@@ -1,14 +1,23 @@
-"""Tableau enumeration: Kostka numbers and Littlewood-Richardson coefficients.
+"""Tableau counts: Kostka numbers and Littlewood-Richardson coefficients.
 
-Counts are obtained by direct depth-first generation of (skew) semistandard
-tableaux — rows weakly increase, columns strictly increase — with the ballot
-condition enforced incrementally for LR coefficients.  The reading word of a
-skew tableau scans rows right-to-left, top-to-bottom.
+Kostka numbers follow the branching rule: an SSYT is a chain of horizontal
+strips, one per letter, so K(lam, alpha) sums K(nu, alpha without its last
+part) over the nu with lam/nu a horizontal strip of that size, memoized per
+(nu, weight prefix).  LR coefficients and skew Schur expansions come from
+direct depth-first generation of skew semistandard tableaux — rows weakly
+increase, columns strictly increase — with the ballot condition enforced
+incrementally.  The reading word of a skew tableau scans rows right-to-left,
+top-to-bottom.
 """
 
 from functools import cache
 
-from .partitions import SizeMismatchError, contains
+from .partitions import (
+    SizeMismatchError,
+    check_partition,
+    contains,
+    remove_horizontal_strips,
+)
 
 Partition = tuple[int, ...]
 
@@ -35,47 +44,42 @@ def is_ballot(word) -> bool:
 def kostka(lam: Partition, alpha: tuple[int, ...]) -> int:
     """Number of SSYT of shape ``lam`` and weight ``alpha``.
 
-    ``alpha`` may be any composition of |lam| (Kostka numbers are invariant
-    under permuting the weight, which the tests exercise rather than assume).
+    ``alpha`` may be any composition of |lam|, zero parts included; it is
+    never sorted (Kostka numbers are invariant under permuting the weight,
+    which the tests exercise rather than assume).
 
     Raises:
+        ValueError: if ``lam`` is not a partition or a part of ``alpha`` is
+            not a nonnegative int.
         SizeMismatchError: if |alpha| != |lam|.
     """
-    lam = tuple(lam)
+    lam = check_partition(lam)
     alpha = tuple(alpha)
+    for a in alpha:
+        if not isinstance(a, int) or a < 0:
+            raise ValueError(f"weight parts must be nonnegative integers, got {a!r}")
     if sum(lam) != sum(alpha):
         raise SizeMismatchError(f"|{alpha}| != |{lam}|")
-    if not lam:
+    return _strip_chains(lam, alpha)
+
+
+@cache
+def _strip_chains(nu: Partition, alpha: tuple[int, ...]) -> int:
+    """K(nu, alpha) for validated arguments of equal size.
+
+    Branching rule (Macdonald I.(5.11)): the cells holding the largest
+    letter form a horizontal strip of size alpha[-1], and what is left is
+    an SSYT of weight alpha[:-1].  A column-strict filling with len(alpha)
+    letters has at most len(alpha) rows.
+    """
+    if len(nu) > len(alpha):
+        return 0
+    if not alpha:
         return 1
-    letters = len(alpha)
-    budget = list(alpha)
-    rows = len(lam)
-    # previous row's entries; row 0 has no column constraint
-    above = [0] * lam[0]
-    total = 0
-
-    def fill_row(i: int, j: int, row: list[int]) -> None:
-        nonlocal total
-        if j == lam[i]:
-            if i + 1 == rows:
-                total += 1
-                return
-            saved = above[: lam[i + 1]]
-            above[: lam[i + 1]] = row[: lam[i + 1]]
-            fill_row(i + 1, 0, [0] * lam[i + 1])
-            above[: lam[i + 1]] = saved
-            return
-        lo = max(above[j] + 1, row[j - 1] if j else 1)
-        for v in range(lo, letters + 1):
-            if budget[v - 1] == 0:
-                continue
-            budget[v - 1] -= 1
-            row[j] = v
-            fill_row(i, j + 1, row)
-            budget[v - 1] += 1
-
-    fill_row(0, 0, [0] * lam[0])
-    return total
+    head = alpha[:-1]
+    return sum(
+        _strip_chains(rho, head) for rho in remove_horizontal_strips(nu, alpha[-1])
+    )
 
 
 def _skew_cells(outer: Partition, inner: Partition) -> list[tuple[int, int]]:

@@ -10,20 +10,24 @@ the sought-after outcome ("counterexample-confirmed" refutes saturation for
 reduced coefficients), and running out of budget is recorded as
 "inconclusive-within-range" rather than dressed up as a result.
 
-Sweeps fan out over a forked worker pool when jobs > 1, capped at the CPU
-count.  Items are mapped in canonical order and the pool map preserves it,
-so status, witness and checked_count are identical for every worker count;
-only elapsed time varies.
+Sweeps run serially over their items in canonical order, so status, witness
+and checked_count are identical for every run; only elapsed time varies.
 """
 
-import os
 import random
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement as multisets
+from operator import mul
 
 from .characters import char_kernel, character, character_table
-from .kronecker import kron_char, kron_tworow, padding_threshold, reduced_kron
+from .kronecker import (
+    exact_coefficient,
+    kron_char,
+    kron_tworow,
+    padding_threshold,
+    reduced_kron,
+)
 from .partitions import (
     add,
     centralizer_order,
@@ -36,8 +40,7 @@ from .partitions import (
     stretch,
 )
 from .plethysm import foulkes_violations
-from .symfunc import schur_in_monomials
-from .tableaux import lr_coefficient
+from .tableaux import kostka, lr_coefficient
 
 CHAR_TABLE_CAP = 22
 SATURATION_SIZE_CAP = 35
@@ -84,26 +87,9 @@ def _stringify(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def get_context(method):
-    """multiprocessing.get_context, imported only when a pool is made."""
-    import multiprocessing
-
-    return multiprocessing.get_context(method)
-
-
-def _map_ordered(fn, items, jobs):
-    items = list(items)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(items) > 1:
-        chunk = max(1, len(items) // (jobs * 4))
-        with get_context("fork").Pool(jobs) as pool:
-            return pool.map(fn, items, chunk)
-    return [fn(item) for item in items]
-
-
-def _sweep(check, items, jobs):
+def _sweep(check, items):
     """Run a witness-or-None check over all items; first witness wins."""
-    results = _map_ordered(check, items, jobs)
+    results = [check(item) for item in items]
     for witness in results:
         if witness is not None:
             return FAIL, witness, len(results)
@@ -141,13 +127,13 @@ def _check_orthogonality(item):
     return None
 
 
-def _run_orthogonality(params, jobs):
+def _run_orthogonality(params):
     n = _require(params, "n", 8, 1, int(params.get("cap", CHAR_TABLE_CAP)))
     character_table(n, limit=max(n, CHAR_TABLE_CAP))
     parts = list(enumerate_partitions(n))
     items = [("col", n, p, q) for p in parts for q in parts]
     items += [("row", n, p, q) for p in parts for q in parts]
-    return _sweep(_check_orthogonality, items, jobs)
+    return _sweep(_check_orthogonality, items)
 
 
 # -- Kronecker symmetries ------------------------------------------------------------
@@ -185,18 +171,18 @@ def _canonical_triples(n):
     return multisets(enumerate_partitions(n), 3)
 
 
-def _run_kron_symmetry(params, jobs):
+def _run_kron_symmetry(params):
     n = _require(params, "n", 5, 1, int(params.get("cap", CHAR_TABLE_CAP)))
     character_table(n, limit=max(n, CHAR_TABLE_CAP))
-    return _sweep(_check_symmetry, _canonical_triples(n), jobs)
+    return _sweep(_check_symmetry, _canonical_triples(n))
 
 
-def _run_transpose(params, jobs):
+def _run_transpose(params):
     n = _require(params, "n", 5, 1, int(params.get("cap", CHAR_TABLE_CAP)))
     character_table(n, limit=max(n, CHAR_TABLE_CAP))
     parts = enumerate_partitions(n)
     items = [(lam, mu, nu) for lam, mu in multisets(parts, 2) for nu in parts]
-    return _sweep(_check_transpose, items, jobs)
+    return _sweep(_check_transpose, items)
 
 
 # -- dimension sum -------------------------------------------------------------------
@@ -204,20 +190,24 @@ def _run_transpose(params, jobs):
 
 def _check_dimension_sum(item):
     n, lam, mu = item
-    total = sum(
-        kron_char(lam, mu, nu) * dimension_hlf(nu) for nu in enumerate_partitions(n)
-    )
+    kern = char_kernel(n)
+    pair = kern.weighted(lam, mu)
+    total = 0
+    for nu in kern.classes:
+        total += dimension_hlf(nu) * exact_coefficient(
+            sum(map(mul, pair, kern.row(nu))), kern.order, lam, mu, nu
+        )
     want = dimension_hlf(lam) * dimension_hlf(mu)
     if total != want:
         return {"lambda": lam, "mu": mu, "sum": total, "expected": want}
     return None
 
 
-def _run_dimension_sum(params, jobs):
+def _run_dimension_sum(params):
     n = _require(params, "n", 6, 1, int(params.get("cap", CHAR_TABLE_CAP)))
     character_table(n, limit=max(n, CHAR_TABLE_CAP))
     items = [(n, lam, mu) for lam, mu in multisets(enumerate_partitions(n), 2)]
-    return _sweep(_check_dimension_sum, items, jobs)
+    return _sweep(_check_dimension_sum, items)
 
 
 # -- semigroup spot checks ------------------------------------------------------------
@@ -239,7 +229,7 @@ def _check_semigroup(item):
     return None
 
 
-def _run_semigroup(params, jobs):
+def _run_semigroup(params):
     samples = _require(params, "samples", 40, 1)
     max_size = _require(params, "max_size", 5, 1, 6)
     positives = []
@@ -251,7 +241,7 @@ def _run_semigroup(params, jobs):
     items = [
         (rng.choice(positives), rng.choice(positives)) for _ in range(samples)
     ]
-    return _sweep(_check_semigroup, items, jobs)
+    return _sweep(_check_semigroup, items)
 
 
 # -- Murnaghan stability ---------------------------------------------------------------
@@ -266,7 +256,7 @@ def _check_murnaghan(item):
     return None
 
 
-def _run_murnaghan(params, jobs):
+def _run_murnaghan(params):
     max_size = _require(params, "max_size", 4, 1, 8)
     items = []
     for total in range(1, max_size + 1):
@@ -276,7 +266,7 @@ def _run_murnaghan(params, jobs):
                 for mu in enumerate_partitions(k):
                     for nu in enumerate_partitions(total - k):
                         items.append((lam, mu, nu, n))
-    return _sweep(_check_murnaghan, items, jobs)
+    return _sweep(_check_murnaghan, items)
 
 
 # -- two-row closed form ----------------------------------------------------------------
@@ -292,7 +282,7 @@ def _check_tworow(item):
     return None
 
 
-def _run_tworow(params, jobs):
+def _run_tworow(params):
     max_cells = _require(params, "max_cells", 12, 1, 16)
     items = [
         (n, d, k)
@@ -300,7 +290,7 @@ def _run_tworow(params, jobs):
         for d in range(1, max_cells // n + 1)
         for k in range(n * d // 2 + 1)
     ]
-    return _sweep(_check_tworow, items, jobs)
+    return _sweep(_check_tworow, items)
 
 
 # -- Saxl staircase ----------------------------------------------------------------------
@@ -314,13 +304,13 @@ def _check_saxl(item):
     return None
 
 
-def _run_saxl(params, jobs):
+def _run_saxl(params):
     k = _require(params, "k", 3, 1, 6)
     delta = tuple(range(k, 0, -1))
     n = k * (k + 1) // 2
     character_table(n, limit=max(n, CHAR_TABLE_CAP))
     items = [(delta, mu) for mu in enumerate_partitions(n)]
-    return _sweep(_check_saxl, items, jobs)
+    return _sweep(_check_saxl, items)
 
 
 # -- tensor squares covering every irreducible ----------------------------------------------
@@ -336,11 +326,11 @@ def _check_tensor_square(item):
     return (lam, True, missing)
 
 
-def _run_tensor_square(params, jobs):
+def _run_tensor_square(params):
     n = _require(params, "n", 9, 1, int(params.get("cap", CHAR_TABLE_CAP)))
     character_table(n, limit=max(n, CHAR_TABLE_CAP))
     items = [(n, lam) for lam in enumerate_partitions(n)]
-    results = _map_ordered(_check_tensor_square, items, jobs)
+    results = [_check_tensor_square(item) for item in items]
     working = [lam for lam, selfconj, missing in results if selfconj and not missing]
     candidates = [lam for lam, selfconj, _ in results if selfconj]
     witness = {
@@ -371,7 +361,7 @@ def _check_char_bound(item):
     return None
 
 
-def _run_char_bound(params, jobs):
+def _run_char_bound(params):
     n = _require(params, "n", 10, 1, int(params.get("cap", CHAR_TABLE_CAP)))
     character_table(n, limit=max(n, CHAR_TABLE_CAP))
     items = [
@@ -380,7 +370,7 @@ def _run_char_bound(params, jobs):
         if is_self_conjugate(lam)
         for mu in enumerate_partitions(n)
     ]
-    return _sweep(_check_char_bound, items, jobs)
+    return _sweep(_check_char_bound, items)
 
 
 # -- contingency upper bound -----------------------------------------------------------------
@@ -399,16 +389,16 @@ def _check_pp20(item):
     return None
 
 
-def _run_pp20(params, jobs):
+def _run_pp20(params):
     n = _require(params, "n", 6, 1, int(params.get("cap", CHAR_TABLE_CAP)))
     character_table(n, limit=max(n, CHAR_TABLE_CAP))
-    return _sweep(_check_pp20, _canonical_triples(n), jobs)
+    return _sweep(_check_pp20, _canonical_triples(n))
 
 
 # -- Foulkes comparison ------------------------------------------------------------------------
 
 
-def _run_foulkes(params, jobs):
+def _run_foulkes(params):
     d = _require(params, "d", 3, 1)
     n = _require(params, "n", 2, 1)
     cap = _require(params, "cap", 16, 1)
@@ -449,12 +439,12 @@ def _check_ip23(item):
     return None
 
 
-def _run_ip23(params, jobs):
+def _run_ip23(params):
     n = _require(params, "n", 4, 1, 6)
     character_table(n, limit=CHAR_TABLE_CAP)
     parts = enumerate_partitions(n)
     items = [(lam, mu, nu) for lam, mu in multisets(parts, 2) for nu in parts]
-    return _sweep(_check_ip23, items, jobs)
+    return _sweep(_check_ip23, items)
 
 
 # -- truncated Cauchy identity ----------------------------------------------------------------------
@@ -486,12 +476,10 @@ def _matrix_count(rows, cols):
 def _check_cauchy(item):
     nvars, a, b = item
     degree = sum(a)
-    lhs = 0
-    for lam in enumerate_partitions(degree):
-        if len(lam) > nvars:
-            continue
-        terms = schur_in_monomials(lam, nvars).terms
-        lhs += terms.get(a, 0) * terms.get(b, 0)
+    lhs = sum(
+        kostka(lam, a) * kostka(lam, b)
+        for lam in enumerate_partitions(degree, max_len=nvars)
+    )
     rows = a + (0,) * (nvars - len(a))
     cols = b + (0,) * (nvars - len(b))
     rhs = _matrix_count(rows, cols)
@@ -500,14 +488,14 @@ def _check_cauchy(item):
     return None
 
 
-def _run_cauchy(params, jobs):
+def _run_cauchy(params):
     max_degree = _require(params, "max_degree", 5, 1, 8)
     nvars = _require(params, "nvars", 3, 1, 4)
     items = []
     for degree in range(1, max_degree + 1):
         shapes = [p for p in enumerate_partitions(degree) if len(p) <= nvars]
         items += [(nvars, a, b) for a in shapes for b in shapes]
-    return _sweep(_check_cauchy, items, jobs)
+    return _sweep(_check_cauchy, items)
 
 
 # -- registry ------------------------------------------------------------------------------------------
@@ -535,14 +523,17 @@ def property_names():
 
 
 def run_property(name, params=None, jobs=1):
-    """Check one named property exhaustively; returns a deterministic Report."""
+    """Check one named property exhaustively; returns a deterministic Report.
+
+    jobs is accepted and ignored: every sweep runs serially.
+    """
     if name not in _PROPERTIES:
         raise ValueError(
             f"unknown property {name!r}; known: {', '.join(property_names())}"
         )
     params = dict(params or {})
     start = time.perf_counter()
-    status, witness, checked = _PROPERTIES[name](params, jobs)
+    status, witness, checked = _PROPERTIES[name](params)
     return Report(
         property=name,
         params=params,

@@ -50,6 +50,31 @@ def test_partition_grammar_accepted(capsys):
     assert run(capsys, "rkron", "-", "-", "-") == (0, "1\n", "")
 
 
+def test_kostka_output_and_exit_codes(capsys):
+    assert run(capsys, "kostka", "3,1", "2,1,1") == (0, "2\n", "")
+    assert run(capsys, "kostka", "6,5,3,2", "2^8") == (0, "4340\n", "")
+    assert run(capsys, "kostka", "3,1", "2,1,1", "--json") == (
+        0,
+        '{"lambda": ["3", "1"], "alpha": ["2", "1", "1"], "value": "2"}\n',
+        "",
+    )
+    assert run(capsys, "kostka", "2,1", "2,2") == (
+        1, "", "error: |(2, 2)| != |(2, 1)|\n"
+    )
+    assert run(capsys, "kostka", "1,2", "3") == (
+        1,
+        "",
+        "error: Invalid value for 'LAM': parts must be weakly decreasing, "
+        "got (1, 2)\n",
+    )
+    assert run(capsys, "kostka", "1", "2,-1") == (
+        1,
+        "",
+        "error: Invalid value for 'ALPHA': parts must be positive integers, "
+        "got -1\n",
+    )
+
+
 def test_bad_partition_is_invalid_input(capsys):
     code, out, err = run(capsys, "kron", "oops", "2,1", "2,1")
     assert code == 1 and out == ""

@@ -24,6 +24,7 @@ from artifact.partitions import (
     pad,
 )
 from artifact.tableaux import lr_coefficient
+from artifact.verify import run_property
 
 
 def triples(n):
@@ -333,6 +334,8 @@ def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, corrupted):
         kron_char((2, 1), (2, 1), (2, 1))
     with pytest.raises(InternalConsistencyError):
         kron_table(3)
+    with pytest.raises(InternalConsistencyError):
+        run_property("dimension-sum", {"n": 3})
 
 
 def test_single_query_builds_only_its_rows():

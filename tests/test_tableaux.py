@@ -45,6 +45,54 @@ def brute_ssyt(shape, weight):
     return count
 
 
+def dfs_kostka(lam, alpha):
+    """Oracle: count SSYT of shape lam and weight alpha by depth-first filling.
+
+    Fills cells row by row with the smallest admissible letters first; the
+    cost grows with the count.  alpha may be any composition of |lam|.
+    """
+    lam, alpha = tuple(lam), tuple(alpha)
+    assert sum(lam) == sum(alpha)
+    if not lam:
+        return 1
+    letters = len(alpha)
+    budget = list(alpha)
+    rows = len(lam)
+    # previous row's entries; row 0 has no column constraint
+    above = [0] * lam[0]
+    total = 0
+
+    def fill_row(i, j, row):
+        nonlocal total
+        if j == lam[i]:
+            if i + 1 == rows:
+                total += 1
+                return
+            saved = above[: lam[i + 1]]
+            above[: lam[i + 1]] = row[: lam[i + 1]]
+            fill_row(i + 1, 0, [0] * lam[i + 1])
+            above[: lam[i + 1]] = saved
+            return
+        lo = max(above[j] + 1, row[j - 1] if j else 1)
+        for v in range(lo, letters + 1):
+            if budget[v - 1] == 0:
+                continue
+            budget[v - 1] -= 1
+            row[j] = v
+            fill_row(i, j + 1, row)
+            budget[v - 1] += 1
+
+    fill_row(0, 0, [0] * lam[0])
+    return total
+
+
+def compositions(n):
+    """Every composition of n into positive parts."""
+    if n == 0:
+        return [()]
+    return [(k, *rest) for k in range(1, n + 1) for rest in compositions(n - k)]
+
+
 def brute_skew_ballot(outer, inner, weight):
     """Oracle: skew SSYT of given weight with ballot reading word, by filtering."""
     cells = [
@@ -114,6 +162,49 @@ def test_kostka_against_bruteforce():
         for lam in enumerate_partitions(n):
             for alpha in enumerate_partitions(n):
                 assert kostka(lam, alpha) == brute_ssyt(lam, alpha)
+
+
+def test_kostka_matches_dfs_on_every_composition():
+    pairs = 0
+    for n in range(9):
+        weights = compositions(n)
+        for lam in enumerate_partitions(n):
+            for alpha in weights:
+                assert kostka(lam, alpha) == dfs_kostka(lam, alpha), (lam, alpha)
+                pairs += 1
+    assert pairs == 4298
+
+
+def test_kostka_zero_weight_parts():
+    for lam in ((3, 1), (2, 2), (2, 1, 1)):
+        for alpha in ((2, 0, 1, 1), (0, 2, 1, 1, 0), (1, 1, 0, 0, 2)):
+            assert kostka(lam, alpha) == dfs_kostka(lam, alpha)
+    assert kostka((), (0, 0)) == 1
+    assert kostka((1,), (0, 0, 1)) == 1
+
+
+def test_kostka_large_values():
+    # the two Kostka queries of the benchmark's CLI stream, and a value the
+    # tableau enumeration took seconds to reach
+    assert kostka((6, 5, 3, 2), (2,) * 8) == 4340
+    assert kostka((7, 4, 3, 2), (2,) * 8) == 4928
+    assert kostka((7, 5, 4, 3, 1), (3, 3, 3, 2, 2, 2, 2, 2, 1)) == 52175
+
+
+@pytest.mark.parametrize(
+    "lam, alpha",
+    [
+        ((1,), (2, -1)),
+        ((1, 2), (3,)),
+        ((0,), (0,)),
+        ((2,), (1.5, 0.5)),
+        ((2,), ("2",)),
+    ],
+)
+def test_kostka_rejects_invalid_input(lam, alpha):
+    with pytest.raises(ValueError) as err:
+        kostka(lam, alpha)
+    assert not isinstance(err.value, SizeMismatchError)
 
 
 def test_kostka_weight_permutation_invariance():

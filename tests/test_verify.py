@@ -1,9 +1,7 @@
 import json
-import os
 
 import pytest
 
-from artifact import verify
 from artifact.verify import (
     Report,
     _matrix_count,
@@ -195,32 +193,3 @@ def test_matrix_count_small():
     assert _matrix_count((1, 1), (1, 1)) == 2
     assert _matrix_count((2, 0), (1, 1)) == 1
     assert _matrix_count((2,), (1, 2)) == 0
-
-
-def test_map_ordered_caps_jobs_at_cpu_count(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunk):
-            return [fn(item) for item in items]
-
-    class RecordingContext:
-        Pool = SerialPool
-
-    monkeypatch.setattr(verify, "get_context", lambda method: RecordingContext)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert verify._map_ordered(str, range(10), 10**9) == [str(i) for i in range(10)]
-    assert sizes == [3]
-    # an unknown CPU count means one worker: no pool at all
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert verify._map_ordered(str, range(4), 10**9) == ["0", "1", "2", "3"]
-    assert sizes == [3]
