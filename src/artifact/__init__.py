@@ -48,7 +48,6 @@ from .partitions import (
 from .plethysm import (
     foulkes_violations,
     gl_dimension,
-    hn_expansion_json,
     pleth_coefficient,
     pleth_hn_expansion,
     sym_power_dimension,
@@ -91,7 +90,6 @@ __all__ = [
     "format_partition",
     "foulkes_violations",
     "gl_dimension",
-    "hn_expansion_json",
     "hook_lengths",
     "is_ballot",
     "is_self_conjugate",

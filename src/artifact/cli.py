@@ -20,10 +20,10 @@ from .kronecker import (
     kron_table,
     reduced_kron,
 )
-from .partitions import format_partition, parse_partition
-from .plethysm import hn_expansion_json, pleth_coefficient
+from .partitions import enumerate_partitions, format_partition, parse_partition
+from .plethysm import pleth_coefficient, pleth_hn_expansion
 from .tableaux import kostka, lr_coefficient
-from .verify import FAIL, run_property, search_saturation_counterexample
+from .verify import FAIL, n_key, run_property, search_saturation_counterexample
 
 
 class PartitionType(click.ParamType):
@@ -70,103 +70,68 @@ def cli():
     """Exact structure constants for S_n characters and symmetric functions."""
 
 
-@cli.command()
-@click.argument("lam", type=PARTITION)
-@click.argument("alpha", type=PARTITION)
-@_output_options
-def char(lam, alpha, as_json, out):
-    """Character value chi^LAM(ALPHA)."""
-    value = character(lam, alpha)
-    if as_json:
-        record = {"lambda": _parts(lam), "alpha": _parts(alpha), "value": str(value)}
-        _emit(json.dumps(record), out)
-    else:
-        _emit(str(value), out)
-
-
-@cli.command("kostka")
-@click.argument("lam", type=PARTITION)
-@click.argument("alpha", type=PARTITION)
-@_output_options
-def kostka_cmd(lam, alpha, as_json, out):
-    """Kostka number K_{LAM,ALPHA}."""
-    value = kostka(lam, alpha)
-    if as_json:
-        record = {"lambda": _parts(lam), "alpha": _parts(alpha), "value": str(value)}
-        _emit(json.dumps(record), out)
-    else:
-        _emit(str(value), out)
-
-
-@cli.command()
-@click.argument("lam", type=PARTITION)
-@click.argument("mu", type=PARTITION)
-@click.argument("nu", type=PARTITION)
-@_output_options
-def lr(lam, mu, nu, as_json, out):
-    """Littlewood-Richardson coefficient c^LAM_{MU,NU}."""
-    value = lr_coefficient(lam, mu, nu)
-    if as_json:
-        record = {
-            "lambda": _parts(lam),
-            "mu": _parts(mu),
-            "nu": _parts(nu),
-            "value": str(value),
-        }
-        _emit(json.dumps(record), out)
-    else:
-        _emit(str(value), out)
-
-
-@cli.command()
-@click.argument("lam", type=PARTITION)
-@click.argument("mu", type=PARTITION)
-@click.argument("nu", type=PARTITION)
-@click.option(
-    "--method",
-    type=click.Choice(["char", "schur"]),
-    default="char",
-    help="char = character contraction; schur = capped cross-validation oracle.",
-)
-@click.option("--cap", type=int, default=None, help="Size cap for --method schur.")
-@_output_options
-def kron(lam, mu, nu, method, cap, as_json, out):
-    """Kronecker coefficient g(LAM, MU, NU)."""
+def _kron(lam, mu, nu, method, cap):
     if method == "schur":
         kwargs = {} if cap is None else {"size_cap": cap}
-        value = kron_schur_oracle(lam, mu, nu, **kwargs)
-    else:
-        value = kron_char(lam, mu, nu)
-    if as_json:
-        record = {
-            "lambda": _parts(lam),
-            "mu": _parts(mu),
-            "nu": _parts(nu),
-            "g": str(value),
-        }
-        _emit(json.dumps(record), out)
-    else:
-        _emit(str(value), out)
+        return kron_schur_oracle(lam, mu, nu, **kwargs)
+    return kron_char(lam, mu, nu)
 
 
-@cli.command()
-@click.argument("alpha", type=PARTITION)
-@click.argument("beta", type=PARTITION)
-@click.argument("gamma", type=PARTITION)
-@_output_options
-def rkron(alpha, beta, gamma, as_json, out):
-    """Reduced (stable) Kronecker coefficient gbar(ALPHA, BETA, GAMMA)."""
-    value = reduced_kron(alpha, beta, gamma)
-    if as_json:
-        record = {
-            "alpha": _parts(alpha),
-            "beta": _parts(beta),
-            "gamma": _parts(gamma),
-            "gbar": str(value),
-        }
-        _emit(json.dumps(record), out)
-    else:
-        _emit(str(value), out)
+def _pleth(target, inner, outer, cap):
+    kwargs = {} if cap is None else {"cap": cap}
+    return pleth_coefficient(target, inner, outer, **kwargs)
+
+
+# The single-value commands: name, partition arguments, JSON value key, help
+# line, library call and extra options.  Each call looks its library function
+# up when it runs, so that rebinding the module attribute (as the
+# benchmark's layer spans do) reaches it.
+_VALUE_COMMANDS = (
+    ("char", ("lam", "alpha"), "value", "Character value chi^LAM(ALPHA).",
+     lambda lam, alpha: character(lam, alpha)),
+    ("kostka", ("lam", "alpha"), "value", "Kostka number K_{LAM,ALPHA}.",
+     lambda lam, alpha: kostka(lam, alpha)),
+    ("lr", ("lam", "mu", "nu"), "value",
+     "Littlewood-Richardson coefficient c^LAM_{MU,NU}.",
+     lambda lam, mu, nu: lr_coefficient(lam, mu, nu)),
+    ("kron", ("lam", "mu", "nu"), "g", "Kronecker coefficient g(LAM, MU, NU).", _kron,
+     click.Option(
+         ["--method"],
+         type=click.Choice(["char", "schur"]),
+         default="char",
+         help="char = character contraction; schur = capped cross-validation oracle.",
+     ),
+     click.Option(["--cap"], type=int, help="Size cap for --method schur.")),
+    ("rkron", ("alpha", "beta", "gamma"), "gbar",
+     "Reduced (stable) Kronecker coefficient gbar(ALPHA, BETA, GAMMA).",
+     lambda alpha, beta, gamma: reduced_kron(alpha, beta, gamma)),
+    ("pleth", ("target", "inner", "outer"), "a",
+     "Plethysm coefficient of s_TARGET in s_OUTER[s_INNER].", _pleth,
+     click.Option(["--cap"], type=int, help="Degree cap for |inner|*|outer|.")),
+)
+
+
+def _value_command(name, args, value_key, help, call, *options):
+    """Add a command printing one value, or {args..., value_key: value} under --json."""
+    params = [click.Argument([arg], type=PARTITION) for arg in args]
+
+    @cli.command(name, help=help, params=params + list(options))
+    @_output_options
+    def command(as_json, out, **kwargs):
+        parts = [kwargs.pop(arg) for arg in args]
+        text = str(call(*parts, **kwargs))
+        if as_json:
+            record = {
+                "lambda" if arg == "lam" else arg: _parts(part)
+                for arg, part in zip(args, parts)
+            }
+            record[value_key] = text
+            text = json.dumps(record)
+        _emit(text, out)
+
+
+for _row in _VALUE_COMMANDS:
+    _value_command(*_row)
 
 
 @cli.command("pleth-hn")
@@ -177,37 +142,13 @@ def rkron(alpha, beta, gamma, as_json, out):
 def pleth_hn(d, n, cap, as_json, out):
     """Schur expansion of the plethysm h_D[h_N]."""
     kwargs = {} if cap is None else {"cap": cap}
-    record = hn_expansion_json(d, n, **kwargs)
+    coeffs = pleth_hn_expansion(d, n, **kwargs).coeffs
+    terms = [(lam, coeffs[lam]) for lam in enumerate_partitions(d * n) if lam in coeffs]
     if as_json:
-        _emit(json.dumps(record), out)
+        rows = [{"lambda": _parts(lam), "a": str(a)} for lam, a in terms]
+        _emit(json.dumps({"d": str(d), "n": str(n), "coeffs": rows}), out)
     else:
-        lines = [
-            "%s: %s" % (format_partition(tuple(int(x) for x in row["lambda"])), row["a"])
-            for row in record["coeffs"]
-        ]
-        _emit("\n".join(lines), out)
-
-
-@cli.command()
-@click.argument("target", type=PARTITION)
-@click.argument("inner", type=PARTITION)
-@click.argument("outer", type=PARTITION)
-@click.option("--cap", type=int, default=None, help="Degree cap for |inner|*|outer|.")
-@_output_options
-def pleth(target, inner, outer, cap, as_json, out):
-    """Plethysm coefficient of s_TARGET in s_OUTER[s_INNER]."""
-    kwargs = {} if cap is None else {"cap": cap}
-    value = pleth_coefficient(target, inner, outer, **kwargs)
-    if as_json:
-        record = {
-            "target": _parts(target),
-            "inner": _parts(inner),
-            "outer": _parts(outer),
-            "a": str(value),
-        }
-        _emit(json.dumps(record), out)
-    else:
-        _emit(str(value), out)
+        _emit("\n".join("%s: %s" % (format_partition(lam), a) for lam, a in terms), out)
 
 
 @cli.group()
@@ -238,16 +179,6 @@ def table_kron(n, cap, jobs, out):
     _emit("\n".join(lines), out)
 
 
-# The generic --n flag lands on whichever range parameter the property
-# sweeps; everything not listed here takes it as the partition size n.
-_N_KEY = {
-    "murnaghan": "max_size",
-    "tworow": "max_cells",
-    "cauchy": "max_degree",
-    "semigroup": "samples",
-}
-
-
 @cli.command()
 @click.argument("prop")
 @click.option("--n", type=int, default=None, help="Range parameter (see property docs).")
@@ -260,6 +191,8 @@ _N_KEY = {
 def verify(prop, n, k, d, cap, n_max, jobs, as_json, out):
     """Run one property check, or the saturation-cex counterexample search."""
     if prop == "saturation-cex":
+        if n is not None or d is not None:
+            raise ValueError("saturation-cex takes --k, --n-max and --cap")
         kwargs = {} if cap is None else {"size_cap": cap}
         report = search_saturation_counterexample(
             k if k is not None else 3,
@@ -267,15 +200,10 @@ def verify(prop, n, k, d, cap, n_max, jobs, as_json, out):
             **kwargs,
         )
     else:
-        params = {}
+        flags = {"k": k, "d": d, "cap": cap, "n_max": n_max}
         if n is not None:
-            params[_N_KEY.get(prop, "n")] = n
-        if k is not None:
-            params["k"] = k
-        if d is not None:
-            params["d"] = d
-        if cap is not None:
-            params["cap"] = cap
+            flags[n_key(prop)] = n
+        params = {key: value for key, value in flags.items() if value is not None}
         report = run_property(prop, params, jobs=jobs)
     record = report.to_json()
     if as_json:

@@ -185,14 +185,3 @@ def foulkes_violations(d, n, cap=DEGREE_CAP):
         if a < b:
             bad.append((lam, a, b))
     return bad
-
-
-def hn_expansion_json(d, n, cap=DEGREE_CAP):
-    """JSON-ready dict for h_d[h_n], every number rendered as a decimal string."""
-    vec = pleth_hn_expansion(d, n, cap=cap)
-    coeffs = [
-        {"lambda": [str(part) for part in lam], "a": str(vec.coeffs[lam])}
-        for lam in enumerate_partitions(d * n)
-        if lam in vec.coeffs
-    ]
-    return {"d": str(d), "n": str(n), "coeffs": coeffs}

@@ -40,13 +40,13 @@ def is_ballot(word) -> bool:
     return True
 
 
-@cache
 def kostka(lam: Partition, alpha: tuple[int, ...]) -> int:
     """Number of SSYT of shape ``lam`` and weight ``alpha``.
 
     ``alpha`` may be any composition of |lam|, zero parts included; it is
     never sorted (Kostka numbers are invariant under permuting the weight,
-    which the tests exercise rather than assume).
+    which the tests exercise rather than assume).  The arguments are
+    validated on every call; the memo lives on the strip chains below.
 
     Raises:
         ValueError: if ``lam`` is not a partition or a part of ``alpha`` is

@@ -10,6 +10,14 @@ the sought-after outcome ("counterexample-confirmed" refutes saturation for
 reduced coefficients), and running out of budget is recorded as
 "inconclusive-within-range" rather than dressed up as a result.
 
+Each property is one Spec in the registry near the end of this module: its
+range parameters with their defaults and bounds, a generator of its items
+and a check that returns a witness or None.  run_property rejects any
+parameter the property does not read and any value that is not an int,
+bounds the rest and sweeps the items.  tensor-square and foulkes report
+something other than a first witness, so their specs carry a run function
+of their own.
+
 Sweeps run serially over their items in canonical order, so status, witness
 and checked_count are identical for every run; only elapsed time varies.
 """
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement as multisets
 from operator import mul
 
-from .characters import char_kernel, character, character_table
+from .characters import char_kernel, character
 from .kronecker import (
     exact_coefficient,
     kron_char,
@@ -96,8 +104,8 @@ def _sweep(check, items):
     return PASS, None, len(results)
 
 
-def _require(params, key, default, low, high=None):
-    value = int(params.get(key, default))
+def _require(params, key, default, low, high):
+    value = params.get(key, default)
     if value < low:
         raise ValueError(f"{key} must be at least {low}")
     if high is not None and value > high:
@@ -127,13 +135,9 @@ def _check_orthogonality(item):
     return None
 
 
-def _run_orthogonality(params):
-    n = _require(params, "n", 8, 1, int(params.get("cap", CHAR_TABLE_CAP)))
-    character_table(n, limit=max(n, CHAR_TABLE_CAP))
+def _orthogonality_items(n):
     parts = list(enumerate_partitions(n))
-    items = [("col", n, p, q) for p in parts for q in parts]
-    items += [("row", n, p, q) for p in parts for q in parts]
-    return _sweep(_check_orthogonality, items)
+    return [(kind, n, p, q) for kind in ("col", "row") for p in parts for q in parts]
 
 
 # -- Kronecker symmetries ------------------------------------------------------------
@@ -171,18 +175,10 @@ def _canonical_triples(n):
     return multisets(enumerate_partitions(n), 3)
 
 
-def _run_kron_symmetry(params):
-    n = _require(params, "n", 5, 1, int(params.get("cap", CHAR_TABLE_CAP)))
-    character_table(n, limit=max(n, CHAR_TABLE_CAP))
-    return _sweep(_check_symmetry, _canonical_triples(n))
-
-
-def _run_transpose(params):
-    n = _require(params, "n", 5, 1, int(params.get("cap", CHAR_TABLE_CAP)))
-    character_table(n, limit=max(n, CHAR_TABLE_CAP))
+def _pair_triples(n):
+    """(lam, mu, nu) with lam <= mu canonical and nu free."""
     parts = enumerate_partitions(n)
-    items = [(lam, mu, nu) for lam, mu in multisets(parts, 2) for nu in parts]
-    return _sweep(_check_transpose, items)
+    return [(lam, mu, nu) for lam, mu in multisets(parts, 2) for nu in parts]
 
 
 # -- dimension sum -------------------------------------------------------------------
@@ -203,11 +199,8 @@ def _check_dimension_sum(item):
     return None
 
 
-def _run_dimension_sum(params):
-    n = _require(params, "n", 6, 1, int(params.get("cap", CHAR_TABLE_CAP)))
-    character_table(n, limit=max(n, CHAR_TABLE_CAP))
-    items = [(n, lam, mu) for lam, mu in multisets(enumerate_partitions(n), 2)]
-    return _sweep(_check_dimension_sum, items)
+def _dimension_sum_items(n):
+    return [(n, lam, mu) for lam, mu in multisets(enumerate_partitions(n), 2)]
 
 
 # -- semigroup spot checks ------------------------------------------------------------
@@ -229,19 +222,14 @@ def _check_semigroup(item):
     return None
 
 
-def _run_semigroup(params):
-    samples = _require(params, "samples", 40, 1)
-    max_size = _require(params, "max_size", 5, 1, 6)
+def _semigroup_items(samples, max_size):
     positives = []
     for n in range(1, max_size + 1):
         for trip in _canonical_triples(n):
             if kron_char(*trip) > 0:
                 positives.append(trip)
     rng = random.Random(SEMIGROUP_SEED)
-    items = [
-        (rng.choice(positives), rng.choice(positives)) for _ in range(samples)
-    ]
-    return _sweep(_check_semigroup, items)
+    return [(rng.choice(positives), rng.choice(positives)) for _ in range(samples)]
 
 
 # -- Murnaghan stability ---------------------------------------------------------------
@@ -256,8 +244,7 @@ def _check_murnaghan(item):
     return None
 
 
-def _run_murnaghan(params):
-    max_size = _require(params, "max_size", 4, 1, 8)
+def _murnaghan_items(max_size):
     items = []
     for total in range(1, max_size + 1):
         n = 2 * total + 1
@@ -266,7 +253,7 @@ def _run_murnaghan(params):
                 for mu in enumerate_partitions(k):
                     for nu in enumerate_partitions(total - k):
                         items.append((lam, mu, nu, n))
-    return _sweep(_check_murnaghan, items)
+    return items
 
 
 # -- two-row closed form ----------------------------------------------------------------
@@ -282,15 +269,13 @@ def _check_tworow(item):
     return None
 
 
-def _run_tworow(params):
-    max_cells = _require(params, "max_cells", 12, 1, 16)
-    items = [
+def _tworow_items(max_cells):
+    return [
         (n, d, k)
         for n in range(1, max_cells + 1)
         for d in range(1, max_cells // n + 1)
         for k in range(n * d // 2 + 1)
     ]
-    return _sweep(_check_tworow, items)
 
 
 # -- Saxl staircase ----------------------------------------------------------------------
@@ -304,13 +289,9 @@ def _check_saxl(item):
     return None
 
 
-def _run_saxl(params):
-    k = _require(params, "k", 3, 1, 6)
+def _saxl_items(k):
     delta = tuple(range(k, 0, -1))
-    n = k * (k + 1) // 2
-    character_table(n, limit=max(n, CHAR_TABLE_CAP))
-    items = [(delta, mu) for mu in enumerate_partitions(n)]
-    return _sweep(_check_saxl, items)
+    return [(delta, mu) for mu in enumerate_partitions(k * (k + 1) // 2)]
 
 
 # -- tensor squares covering every irreducible ----------------------------------------------
@@ -326,9 +307,7 @@ def _check_tensor_square(item):
     return (lam, True, missing)
 
 
-def _run_tensor_square(params):
-    n = _require(params, "n", 9, 1, int(params.get("cap", CHAR_TABLE_CAP)))
-    character_table(n, limit=max(n, CHAR_TABLE_CAP))
+def _run_tensor_square(n):
     items = [(n, lam) for lam in enumerate_partitions(n)]
     results = [_check_tensor_square(item) for item in items]
     working = [lam for lam, selfconj, missing in results if selfconj and not missing]
@@ -361,16 +340,13 @@ def _check_char_bound(item):
     return None
 
 
-def _run_char_bound(params):
-    n = _require(params, "n", 10, 1, int(params.get("cap", CHAR_TABLE_CAP)))
-    character_table(n, limit=max(n, CHAR_TABLE_CAP))
-    items = [
+def _char_bound_items(n):
+    return [
         (lam, principal_hooks(lam), mu)
         for lam in enumerate_partitions(n)
         if is_self_conjugate(lam)
         for mu in enumerate_partitions(n)
     ]
-    return _sweep(_check_char_bound, items)
 
 
 # -- contingency upper bound -----------------------------------------------------------------
@@ -389,19 +365,10 @@ def _check_pp20(item):
     return None
 
 
-def _run_pp20(params):
-    n = _require(params, "n", 6, 1, int(params.get("cap", CHAR_TABLE_CAP)))
-    character_table(n, limit=max(n, CHAR_TABLE_CAP))
-    return _sweep(_check_pp20, _canonical_triples(n))
-
-
 # -- Foulkes comparison ------------------------------------------------------------------------
 
 
-def _run_foulkes(params):
-    d = _require(params, "d", 3, 1)
-    n = _require(params, "n", 2, 1)
-    cap = _require(params, "cap", 16, 1)
+def _run_foulkes(d, n, cap):
     violations = foulkes_violations(d, n, cap=cap)
     checked = sum(1 for _ in enumerate_partitions(d * n))
     if violations:
@@ -437,14 +404,6 @@ def _check_ip23(item):
             "reduced": gbar,
         }
     return None
-
-
-def _run_ip23(params):
-    n = _require(params, "n", 4, 1, 6)
-    character_table(n, limit=CHAR_TABLE_CAP)
-    parts = enumerate_partitions(n)
-    items = [(lam, mu, nu) for lam, mu in multisets(parts, 2) for nu in parts]
-    return _sweep(_check_ip23, items)
 
 
 # -- truncated Cauchy identity ----------------------------------------------------------------------
@@ -488,33 +447,72 @@ def _check_cauchy(item):
     return None
 
 
-def _run_cauchy(params):
-    max_degree = _require(params, "max_degree", 5, 1, 8)
-    nvars = _require(params, "nvars", 3, 1, 4)
+def _cauchy_items(max_degree, nvars):
     items = []
     for degree in range(1, max_degree + 1):
         shapes = [p for p in enumerate_partitions(degree) if len(p) <= nvars]
         items += [(nvars, a, b) for a in shapes for b in shapes]
-    return _sweep(_check_cauchy, items)
+    return items
 
 
 # -- registry ------------------------------------------------------------------------------------------
 
+
+CAP = "cap"
+
+
+class Spec:
+    """One property: its range parameters, its items and its check.
+
+    Each keyword range is key=(default, low, high); high is a fixed cap, None
+    for no cap, or CAP for the property's "cap" parameter (default
+    CHAR_TABLE_CAP).  items(**values) lists the instances and check(item)
+    returns a witness or None; a spec with ``run`` returns (status, witness,
+    checked) from run(**values) instead.  ``n_key`` is the range that the
+    CLI's generic --n flag sets.
+    """
+
+    def __init__(self, items=None, check=None, run=None, n_key="n", **ranges):
+        self.items, self.check, self.run, self.n_key = items, check, run, n_key
+        self.ranges = ranges
+        self.keys = list(ranges)
+        if any(high == CAP for _, _, high in ranges.values()):
+            self.keys.append("cap")
+
+
 _PROPERTIES = {
-    "orthogonality": _run_orthogonality,
-    "kron-symmetry": _run_kron_symmetry,
-    "transpose": _run_transpose,
-    "dimension-sum": _run_dimension_sum,
-    "semigroup": _run_semigroup,
-    "murnaghan": _run_murnaghan,
-    "tworow": _run_tworow,
-    "saxl": _run_saxl,
-    "tensor-square": _run_tensor_square,
-    "char-bound": _run_char_bound,
-    "pp20-bound": _run_pp20,
-    "foulkes": _run_foulkes,
-    "ip23": _run_ip23,
-    "cauchy": _run_cauchy,
+    "orthogonality": Spec(_orthogonality_items, _check_orthogonality, n=(8, 1, CAP)),
+    "kron-symmetry": Spec(_canonical_triples, _check_symmetry, n=(5, 1, CAP)),
+    "transpose": Spec(_pair_triples, _check_transpose, n=(5, 1, CAP)),
+    "dimension-sum": Spec(_dimension_sum_items, _check_dimension_sum, n=(6, 1, CAP)),
+    "semigroup": Spec(
+        _semigroup_items,
+        _check_semigroup,
+        n_key="samples",
+        samples=(40, 1, None),
+        max_size=(5, 1, 6),
+    ),
+    "murnaghan": Spec(
+        _murnaghan_items, _check_murnaghan, n_key="max_size", max_size=(4, 1, 8)
+    ),
+    "tworow": Spec(
+        _tworow_items, _check_tworow, n_key="max_cells", max_cells=(12, 1, 16)
+    ),
+    "saxl": Spec(_saxl_items, _check_saxl, k=(3, 1, 6)),
+    "tensor-square": Spec(run=_run_tensor_square, n=(9, 1, CAP)),
+    "char-bound": Spec(_char_bound_items, _check_char_bound, n=(10, 1, CAP)),
+    "pp20-bound": Spec(_canonical_triples, _check_pp20, n=(6, 1, CAP)),
+    "foulkes": Spec(
+        run=_run_foulkes, d=(3, 1, None), n=(2, 1, None), cap=(16, 1, None)
+    ),
+    "ip23": Spec(_pair_triples, _check_ip23, n=(4, 1, 6)),
+    "cauchy": Spec(
+        _cauchy_items,
+        _check_cauchy,
+        n_key="max_degree",
+        max_degree=(5, 1, 8),
+        nvars=(3, 1, 4),
+    ),
 }
 
 
@@ -522,18 +520,44 @@ def property_names():
     return sorted(_PROPERTIES)
 
 
-def run_property(name, params=None, jobs=1):
-    """Check one named property exhaustively; returns a deterministic Report.
-
-    jobs is accepted and ignored: every sweep runs serially.
-    """
+def _spec(name):
     if name not in _PROPERTIES:
         raise ValueError(
             f"unknown property {name!r}; known: {', '.join(property_names())}"
         )
+    return _PROPERTIES[name]
+
+
+def n_key(name):
+    """The parameter of property ``name`` that a generic --n flag sets."""
+    return _spec(name).n_key
+
+
+def run_property(name, params=None, jobs=1):
+    """Check one named property exhaustively; returns a deterministic Report.
+
+    Every key of ``params`` must be one the property reads, with an int
+    value; anything else raises ValueError.  jobs is accepted and ignored:
+    every sweep runs serially.
+    """
+    spec = _spec(name)
     params = dict(params or {})
+    for key, value in params.items():
+        if key not in spec.keys:
+            keys = ", ".join(spec.keys)
+            raise ValueError(f"{name} takes no {key!r}; it takes {keys}")
+        if type(value) is not int:
+            raise ValueError(f"{key} must be an int, got {value!r}")
     start = time.perf_counter()
-    status, witness, checked = _PROPERTIES[name](params)
+    cap = params.get("cap", CHAR_TABLE_CAP)
+    values = {
+        key: _require(params, key, default, low, cap if high == CAP else high)
+        for key, (default, low, high) in spec.ranges.items()
+    }
+    if spec.run is not None:
+        status, witness, checked = spec.run(**values)
+    else:
+        status, witness, checked = _sweep(spec.check, spec.items(**values))
     return Report(
         property=name,
         params=params,

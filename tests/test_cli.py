@@ -6,13 +6,81 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from artifact.cli import main
+from artifact.partitions import enumerate_partitions
 
 
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Exact plain and --json stdout of every single-value command.
+@pytest.mark.parametrize(
+    "args,plain,record",
+    [
+        (
+            "char 3,1 2,1,1",
+            "1",
+            '{"lambda": ["3", "1"], "alpha": ["2", "1", "1"], "value": "1"}',
+        ),
+        (
+            "kostka 3,1 2,1,1",
+            "2",
+            '{"lambda": ["3", "1"], "alpha": ["2", "1", "1"], "value": "2"}',
+        ),
+        (
+            "lr 6,4,3 3,1 4,3,2",
+            "2",
+            '{"lambda": ["6", "4", "3"], "mu": ["3", "1"], "nu": ["4", "3", "2"], '
+            '"value": "2"}',
+        ),
+        (
+            "kron 3,1 2,2 2,1,1 --method schur",
+            "1",
+            '{"lambda": ["3", "1"], "mu": ["2", "2"], "nu": ["2", "1", "1"], "g": "1"}',
+        ),
+        (
+            "rkron 3,1 2,1 2,1,1",
+            "11",
+            '{"alpha": ["3", "1"], "beta": ["2", "1"], "gamma": ["2", "1", "1"], '
+            '"gbar": "11"}',
+        ),
+        (
+            "pleth 4,2 2 3",
+            "1",
+            '{"target": ["4", "2"], "inner": ["2"], "outer": ["3"], "a": "1"}',
+        ),
+    ],
+)
+def test_value_command_output_bytes(capsys, args, plain, record):
+    assert run(capsys, *args.split()) == (0, plain + "\n", "")
+    assert run(capsys, *args.split(), "--json") == (0, record + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "command,names",
+    [
+        ("char", ["LAM", "ALPHA"]),
+        ("kostka", ["LAM", "ALPHA"]),
+        ("lr", ["LAM", "MU", "NU"]),
+        ("kron", ["LAM", "MU", "NU"]),
+        ("rkron", ["ALPHA", "BETA", "GAMMA"]),
+        ("pleth", ["TARGET", "INNER", "OUTER"]),
+    ],
+)
+def test_value_command_argument_names(capsys, command, names):
+    for i, name in enumerate(names):
+        args = ["1"] * len(names)
+        args[i] = "x"
+        assert run(capsys, command, *args) == (
+            1,
+            "",
+            "error: Invalid value for '%s': bad partition term 'x'\n" % name,
+        )
 
 
 def test_kron_worked_example(capsys):
@@ -181,6 +249,21 @@ def test_pleth_hn_json(capsys):
         assert row["a"].isdigit()
 
 
+def test_pleth_hn_json_export(capsys):
+    assert run(capsys, "pleth-hn", "2", "2", "--json") == (
+        0,
+        '{"d": "2", "n": "2", "coeffs": [{"lambda": ["4"], "a": "1"}, '
+        '{"lambda": ["2", "2"], "a": "1"}]}\n',
+        "",
+    )
+    # rows follow the canonical partition enumeration, values are strings
+    _, out, _ = run(capsys, "pleth-hn", "3", "2", "--json")
+    rows = json.loads(out)["coeffs"]
+    lams = [tuple(int(x) for x in row["lambda"]) for row in rows]
+    assert lams == sorted(lams, key=list(enumerate_partitions(6)).index)
+    assert all(row["a"].isdigit() for row in rows)
+
+
 def test_pleth_hn_cap_guard(capsys):
     code, out, err = run(capsys, "pleth-hn", "5", "4")
     assert code == 1 and out == ""
@@ -232,6 +315,22 @@ def test_verify_bad_range_is_invalid_input(capsys):
     assert code == 1
     code, _, err = run(capsys, "verify", "saxl", "--k", "7")
     assert code == 1
+
+
+def test_verify_rejects_flags_the_property_does_not_read(capsys):
+    # saxl sweeps k, not n; murnaghan's cap is fixed at 8
+    assert run(capsys, "verify", "saxl", "--n", "5") == (
+        1, "", "error: saxl takes no 'n'; it takes k\n"
+    )
+    assert run(capsys, "verify", "murnaghan", "--cap", "10") == (
+        1, "", "error: murnaghan takes no 'cap'; it takes max_size\n"
+    )
+    assert run(capsys, "verify", "tworow", "--n-max", "3") == (
+        1, "", "error: tworow takes no 'n_max'; it takes max_cells\n"
+    )
+    assert run(capsys, "verify", "saturation-cex", "--n", "3") == (
+        1, "", "error: saturation-cex takes --k, --n-max and --cap\n"
+    )
 
 
 def test_verify_jobs_do_not_change_output(capsys):

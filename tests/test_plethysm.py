@@ -12,7 +12,6 @@ from artifact.partitions import SizeMismatchError, dimension_hlf, enumerate_part
 from artifact.plethysm import (
     foulkes_violations,
     gl_dimension,
-    hn_expansion_json,
     pleth_coefficient,
     pleth_hn_expansion,
     sym_power_dimension,
@@ -228,19 +227,3 @@ def test_sym_power_dimension_small():
     assert sym_power_dimension(1, 7) == 1  # everything is 1-dim in one variable
     assert sym_power_dimension(7, 1) == 1716  # multisets of 7 from 7 letters
 
-
-def test_json_export():
-    doc = hn_expansion_json(2, 2)
-    assert doc == {
-        "d": "2",
-        "n": "2",
-        "coeffs": [
-            {"lambda": ["4"], "a": "1"},
-            {"lambda": ["2", "2"], "a": "1"},
-        ],
-    }
-    # keys follow the canonical partition enumeration, values are strings
-    doc = hn_expansion_json(3, 2)
-    lams = [tuple(int(x) for x in row["lambda"]) for row in doc["coeffs"]]
-    assert lams == sorted(lams, key=lambda l: list(enumerate_partitions(6)).index(l))
-    assert all(row["a"].isdigit() for row in doc["coeffs"])

@@ -207,6 +207,14 @@ def test_kostka_rejects_invalid_input(lam, alpha):
     assert not isinstance(err.value, SizeMismatchError)
 
 
+def test_kostka_validates_after_an_equal_valid_call():
+    # (1.0,) hashes and compares equal to (1,), so a memo in front of the
+    # validation would answer it from the valid call
+    assert kostka((1,), (1,)) == 1
+    with pytest.raises(ValueError, match="nonnegative integers, got 1.0"):
+        kostka((1,), (1.0,))
+
+
 def test_kostka_weight_permutation_invariance():
     for n in range(6):
         for lam in enumerate_partitions(n):

@@ -36,12 +36,30 @@ def test_unknown_property():
 
 
 def test_param_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
         run_property("orthogonality", {"n": 0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n=23 exceeds the cap of 22$"):
         run_property("orthogonality", {"n": 23})  # above the table cap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k=7 exceeds the cap of 6$"):
         run_property("saxl", {"k": 7})
+
+
+@pytest.mark.parametrize(
+    "name,params,message",
+    [
+        ("saxl", {"n": 5}, "saxl takes no 'n'; it takes k"),
+        ("murnaghan", {"cap": 99}, "murnaghan takes no 'cap'; it takes max_size"),
+        ("orthogonality", {"bogus": 1}, "orthogonality takes no 'bogus'; it takes n, cap"),
+        ("foulkes", {"k": 2}, "foulkes takes no 'k'; it takes d, n, cap"),
+        ("orthogonality", {"n": 3.7}, "n must be an int, got 3.7"),
+        ("saxl", {"k": "3"}, "k must be an int, got '3'"),
+        ("tworow", {"max_cells": True}, "max_cells must be an int, got True"),
+    ],
+)
+def test_params_the_property_does_not_read_are_rejected(name, params, message):
+    with pytest.raises(ValueError) as err:
+        run_property(name, params)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
