@@ -14,6 +14,7 @@ sweep re-uses almost all of them).
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from math import factorial
 from operator import mul
 
@@ -116,6 +117,9 @@ class CharKernel:
 
     Rows chi^lam (lam validated by the caller) are int tuples built on first
     request, so one Kronecker query costs three rows, never the whole table.
+    A weight vector that is zero on most classes (plethysm, the Saxl
+    staircase) is contracted by ``contract`` on its support alone, which
+    builds no row.
     """
 
     def __init__(self, n):
@@ -130,6 +134,21 @@ class CharKernel:
             w = _word(lam)
             cached = self.rows[lam] = tuple(_mn(w, a) for a in self.classes)
         return cached
+
+    def contract(self, lam, classes, weights):
+        """Sum of weights[i] * chi^lam(classes[i]); stores no row.
+
+        Each class is a cycle type of n with its parts in decreasing order.
+        The values come from one bulk read of the MN memo; only the misses
+        run the recursion, which fills them in.
+        """
+        w = _word(lam)
+        values = list(map(_memo.get, zip(repeat(w), classes)))
+        if None in values:
+            for i, v in enumerate(values):
+                if v is None:
+                    values[i] = _mn(w, classes[i])
+        return sum(map(mul, weights, values))
 
     def weighted(self, lam, mu):
         """The tuple |C_a| * chi^lam(a) * chi^mu(a) over the classes a."""

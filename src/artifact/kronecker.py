@@ -258,8 +258,8 @@ def _engine_value(alpha, beta, gamma):
     for u in subdiagrams(alpha):
         t = sum(u)
         level = _level_sum(u, t, beta, gamma, deltas, nb, ng)
-        for s in range(1, t + 1):
-            for prev in remove_horizontal_strips(u, s):
+        for prev in remove_horizontal_strips(u):
+            if prev != u:
                 level -= ghat[prev]
         if level < 0:
             raise InternalConsistencyError(

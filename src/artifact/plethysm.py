@@ -10,15 +10,18 @@ Functions and Hall Polynomials, I.8):
 
 where k sig scales every part of sig by k, and <s_lam, p_tau> = chi^lam(tau)
 reads off a constituent.  Scaling by d! (m!)^d keeps everything in integers:
-the rho term carries the factor (m!)^(d - len(rho)).  One integer vector per
-(outer, inner), indexed like char_kernel(d*m).classes, holds the scaled
-expansion, so a coefficient is one dot product with a kernel row followed by
-an exact division.  A remainder or a negative quotient means corrupted
-arithmetic and raises ArithmeticError.  symfunc.compose_schur fills composite
-tableaux directly and serves as the brute-force cross-check.
+the rho term carries the factor (m!)^(d - len(rho)).  The scaled expansion of
+each (outer, inner) is kept as its support, the classes of S_dm it reaches
+with their nonzero weights (81 of 176 classes for h_5[h_3]), so a
+coefficient is one CharKernel.contract over those classes followed by an
+exact division; no dense character row is built.  A remainder or a negative
+quotient means corrupted arithmetic and raises ArithmeticError.
+symfunc.compose_schur fills composite tableaux directly and serves as the
+brute-force cross-check.
 """
 
 from functools import cache
+from itertools import compress
 from math import comb, factorial
 from operator import mul
 
@@ -38,7 +41,9 @@ DEGREE_CAP = 16
 def _class_vector(outer, inner):
     """d! (m!)^d s_outer[s_inner] on the power sums, and that scale.
 
-    The vector is indexed like char_kernel(d*m).classes.
+    Returns (classes, weights, scale): the cycle types tau of S_dm (parts
+    decreasing) whose power sum p_tau has a nonzero coefficient, and those
+    coefficients, in matching order.
     """
     d, m = sum(outer), sum(inner)
     kern = char_kernel(m)
@@ -73,13 +78,15 @@ def _class_vector(outer, inner):
             w = size * chi * mfact ** (d - len(rho))
             for tau, c in product(rho).items():
                 total[tau] = total.get(tau, 0) + w * c
-    vec = tuple(total.get(tau, 0) for tau in char_kernel(d * m).classes)
-    return vec, factorial(d) * mfact**d
+    classes = tuple(compress(total, total.values()))
+    weights = tuple(filter(None, total.values()))
+    return classes, weights, factorial(d) * mfact**d
 
 
 def _coefficient(target, inner, outer):
-    vec, scale = _class_vector(outer, inner)
-    q, r = divmod(sum(map(mul, vec, char_kernel(sum(target)).row(target))), scale)
+    classes, weights, scale = _class_vector(outer, inner)
+    total = char_kernel(sum(target)).contract(target, classes, weights)
+    q, r = divmod(total, scale)
     if r or q < 0:
         raise ArithmeticError(
             f"plethysm coefficient of {target} in s_{outer}[s_{inner}] is "
@@ -91,10 +98,17 @@ def _coefficient(target, inner, outer):
 def pleth_coefficient(target, inner, outer, cap=DEGREE_CAP):
     """Multiplicity of s_target in s_outer[s_inner].
 
-    Contracts the cached power-sum vector of s_outer[s_inner] with the one
-    kernel row chi^target and divides by d! (m!)^d exactly.  s_outer[s_inner]
-    is a summand of s_inner^|outer|, so no constituent has more than
-    |outer| * len(inner) rows, and a longer target is 0 without any work.
+    Contracts chi^target with the cached power-sum support of
+    s_outer[s_inner] and divides by d! (m!)^d exactly.  Two bounds give 0
+    without any work.  With d = |outer|, s_outer[s_inner] is a
+    Schur-positive summand of s_inner^d = p_1^d[s_inner] (p_1^d is a
+    positive sum of Schur functions), so every constituent of it is one of
+    s_inner^d.  A product of d Schur functions of at most len(inner) rows
+    has no constituent longer than d * len(inner), so a longer target is 0.
+    omega is a ring map with omega(s_mu) = s_mu', so omega(s_inner^d) =
+    s_inner'^d, whose constituents have at most d * inner[0] rows; their
+    conjugates, the constituents of s_inner^d, have first row at most
+    d * inner[0], so a wider target is 0 too.
     Degrees above ``cap`` cells are refused rather than attempted.
     """
     target = check_partition(target)
@@ -108,6 +122,8 @@ def pleth_coefficient(target, inner, outer, cap=DEGREE_CAP):
     if degree > cap:
         raise ValueError(f"degree {degree} exceeds the cap of {cap} cells")
     if len(target) > sum(outer) * len(inner):
+        return 0
+    if target and target[0] > sum(outer) * inner[0]:
         return 0
     return _coefficient(target, inner, outer)
 
@@ -180,8 +196,10 @@ def foulkes_violations(d, n, cap=DEGREE_CAP):
     big = pleth_hn_expansion(d, n, cap=cap).coeffs
     small = pleth_hn_expansion(n, d, cap=cap).coeffs
     bad = []
-    for lam in enumerate_partitions(d * n):
-        a, b = big.get(lam, 0), small.get(lam, 0)
+    # a failure needs b > 0, so only the constituents of h_n[h_d] are
+    # walked; _hn_coeffs stores them in enumerate_partitions(dn) order
+    for lam, b in small.items():
+        a = big.get(lam, 0)
         if a < b:
             bad.append((lam, a, b))
     return bad

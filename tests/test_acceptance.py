@@ -31,6 +31,7 @@ from artifact import (
     search_saturation_counterexample,
     to_schur_basis,
 )
+from artifact.characters import clear_memo
 from artifact.symfunc import multiply
 from test_kronecker import padded_oracle
 
@@ -224,3 +225,14 @@ def test_criterion_13_performance():
     assert chars_elapsed < 10
     assert len(tbl.rows) == 176
     _budget(13, 75, started)
+
+
+def test_criterion_14_saxl_staircase_k7():
+    # 3,718 targets at n = 28, each contracted on the 159 classes where
+    # |C_a| chi^delta(a)^2 is nonzero
+    started = time.perf_counter()
+    report = run_property("saxl", {"k": 7})
+    assert report.status == "pass"
+    assert report.checked_count == 3718
+    clear_memo()  # the sweep leaves about 750,000 MN memo entries
+    _budget(14, 60, started)

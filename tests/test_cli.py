@@ -313,7 +313,7 @@ def test_verify_unknown_property(capsys):
 def test_verify_bad_range_is_invalid_input(capsys):
     code, _, err = run(capsys, "verify", "orthogonality", "--n", "0")
     assert code == 1
-    code, _, err = run(capsys, "verify", "saxl", "--k", "7")
+    code, _, err = run(capsys, "verify", "saxl", "--k", "8")
     assert code == 1
 
 

@@ -1,12 +1,13 @@
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import plethysm
-from artifact.characters import char_kernel
+from artifact import characters, plethysm
+from artifact.characters import char_kernel, character, clear_memo
 from artifact.cli import main
 from artifact.partitions import SizeMismatchError, dimension_hlf, enumerate_partitions
 from artifact.plethysm import (
@@ -66,6 +67,54 @@ def test_coefficient_guards():
 def test_long_target_is_zero():
     # constituents of s_{(2)}[s_{(2)}] live in at most 2 rows
     assert pleth_coefficient((1, 1, 1, 1), (2,), (2,)) == 0
+
+
+def test_no_constituent_passes_either_bound():
+    # the length and first-row cuts of pleth_coefficient lose nothing
+    for total_inner in range(1, 9):
+        for total_outer in range(1, 8 // total_inner + 1):
+            for inner in enumerate_partitions(total_inner):
+                for outer in enumerate_partitions(total_outer):
+                    for lam in brute_expansion(inner, outer):
+                        assert len(lam) <= total_outer * len(inner)
+                        assert lam[0] <= total_outer * inner[0]
+
+
+def test_contract_matches_dense_rows():
+    # the support contraction against the dense dot product with the kernel
+    # row, on every target of every (inner, outer) of degree at most 12; the
+    # memo is cleared first, so contract computes every value it reads
+    for degree in range(1, 13):
+        supports = [
+            plethysm._class_vector(outer, inner)
+            for m in range(1, degree + 1)
+            if degree % m == 0
+            for inner in enumerate_partitions(m)
+            for outer in enumerate_partitions(degree // m)
+        ]
+        clear_memo()
+        kern = char_kernel(degree)
+        got = [
+            [kern.contract(lam, classes, weights) for lam in kern.classes]
+            for classes, weights, _ in supports
+        ]
+        for (classes, weights, _), values in zip(supports, got):
+            assert 0 not in weights
+            support = dict(zip(classes, weights))
+            dense = [support.pop(a, 0) for a in kern.classes]
+            assert not support  # every class is a sorted cycle type
+            assert values == [sum(map(mul, dense, kern.row(lam))) for lam in kern.classes]
+
+
+def test_coefficients_build_no_rows_at_the_target_degree():
+    clear_memo()
+    pleth_coefficient((4, 2), (2,), (3,))
+    for lam in enumerate_partitions(8):
+        pleth_coefficient(lam, (2, 1, 1), (2,))
+    pleth_hn_expansion(4, 3)
+    assert char_kernel(6).rows == {}
+    assert char_kernel(8).rows == {}
+    assert char_kernel(12).rows == {}
 
 
 def test_matches_tableau_composition():
@@ -179,10 +228,13 @@ def test_hn_matches_general_coefficient():
     ],
 )
 def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, capsys, corrupted):
-    # h_2[h_2] = (2 p_4 + 3 p_22 + 2 p_211 + p_1111) / 8 on the classes of S_4
-    kern = char_kernel(4)
-    assert kern.row((3, 1)) == (-1, 0, -1, 1, 3)
-    monkeypatch.setitem(kern.rows, (3, 1), corrupted)
+    # h_2[h_2] = (2 p_4 + 3 p_22 + 2 p_211 + p_1111) / 8 on the classes of S_4;
+    # the contraction reads chi^(3,1) from the MN memo, so corrupt it there
+    classes = char_kernel(4).classes
+    assert [character((3, 1), a) for a in classes] == [-1, 0, -1, 1, 3]
+    word = characters._word((3, 1))
+    for alpha, value in zip(classes, corrupted):
+        monkeypatch.setitem(characters._memo, (word, alpha), value)
     plethysm._hn_coeffs.cache_clear()
     with pytest.raises(ArithmeticError):
         pleth_coefficient((3, 1), (2,), (2,))

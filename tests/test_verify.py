@@ -2,6 +2,11 @@ import json
 
 import pytest
 
+from artifact import verify
+from artifact.characters import char_kernel, clear_memo
+from artifact.cli import main
+from artifact.kronecker import kron_char
+from artifact.partitions import enumerate_partitions
 from artifact.verify import (
     Report,
     _matrix_count,
@@ -40,8 +45,8 @@ def test_param_guards():
         run_property("orthogonality", {"n": 0})
     with pytest.raises(ValueError, match="^n=23 exceeds the cap of 22$"):
         run_property("orthogonality", {"n": 23})  # above the table cap
-    with pytest.raises(ValueError, match="^k=7 exceeds the cap of 6$"):
-        run_property("saxl", {"k": 7})
+    with pytest.raises(ValueError, match="^k=8 exceeds the cap of 7$"):
+        run_property("saxl", {"k": 8})
 
 
 @pytest.mark.parametrize(
@@ -211,3 +216,26 @@ def test_matrix_count_small():
     assert _matrix_count((1, 1), (1, 1)) == 2
     assert _matrix_count((2, 0), (1, 1)) == 1
     assert _matrix_count((2,), (1, 2)) == 0
+
+
+def test_saxl_contraction_matches_kron_char():
+    # the staircase support contraction against the dense route, k <= 6;
+    # each contract runs before kron_char builds the row of mu
+    clear_memo()
+    for k in range(1, 7):
+        delta = tuple(range(k, 0, -1))
+        n = sum(delta)
+        classes, weights = verify._staircase_support(delta)
+        assert all(part % 2 for alpha in classes for part in alpha)
+        kern = char_kernel(n)
+        for mu in enumerate_partitions(n):
+            total = kern.contract(mu, classes, weights)
+            assert total == kron_char(delta, delta, mu) * kern.order
+
+
+def test_corrupted_saxl_weight_exits_3(monkeypatch, capsys):
+    classes, weights = verify._staircase_support((3, 2, 1))
+    corrupted = (weights[0] + 1,) + weights[1:]
+    monkeypatch.setattr(verify, "_staircase_support", lambda delta: (classes, corrupted))
+    assert main(["verify", "saxl", "--k", "3"]) == 3
+    assert "internal consistency failure" in capsys.readouterr().err
