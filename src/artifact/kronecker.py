@@ -10,13 +10,16 @@ Every contraction (kron_char, kron_table, the engine's level sums) reads its
 classes, class sizes, n! and int-tuple rows from the per-n CharKernel, which
 builds a row only on first request: a query costs three rows, a table p(n).
 
-Reduced (stable) coefficients have one route, an exact inversion over
-subdiagrams of the smallest argument that never pads: summing ghat over
-horizontal-strip predecessors of a shape U equals a class sum that couples
-ordinary Kroneckers at |U| with skew Littlewood-Richardson data of the two
-big arguments, so ghat is recovered bottom-up in exact integers.  The
-padded definition (kron_char at a large padding size) is not called here;
-the tests keep it as the independent oracle for this route.
+Reduced (stable) coefficients have one route, an exact inversion that
+never pads.  The level L(U), the sum of gbar over the V with U/V a
+horizontal strip, is a class sum at |U| coupling ordinary Kroneckers with
+skew Littlewood-Richardson data of the two big arguments.  Summing over
+horizontal strips is multiplication by H(1) = sum h_r, whose inverse is
+E(-1) = sum (-1)^r e_r (Macdonald I.(2.6) and the two Pieri rules), so
+gbar(A) = sum over V with A/V a vertical strip of (-1)^|A/V| L(V): one
+level per such V, prod (multiplicity + 1) over the distinct parts of A.
+The padded definition (kron_char at a large padding size) is not called
+here; the tests keep it as the independent oracle for this route.
 """
 
 from functools import cache
@@ -27,6 +30,7 @@ from .partitions import (
     SizeMismatchError,
     add_horizontal_strips,
     check_partition,
+    conjugate,
     count_bounded,
     enumerate_partitions,
     remove_horizontal_strips,
@@ -196,7 +200,7 @@ def reduced_kron(alpha, beta, gamma):
 
     gbar is the value g(alpha[n], beta[n], gamma[n]) takes for all large n,
     where p[n] = (n - |p|, p) pads p with a first row.  It is computed by
-    the subdiagram inversion of _stable_engine, which never pads, so the
+    the vertical-strip inversion of _stable_engine, which never pads, so the
     cost does not grow with the padding size; its exact division and
     nonnegativity checks are hard failures.
     """
@@ -234,15 +238,16 @@ def _phi(big, delta, t):
 
 
 def _stable_engine(alpha, beta, gamma):
-    """gbar by exact inversion over subdiagrams of the smallest argument.
+    """gbar by exact inversion over vertical strips of the smallest argument.
 
-    For every subdiagram U of the unraveled argument, the sum of gbar over
-    horizontal-strip predecessors of U equals an ordinary class sum at
-    size |U| whose class function couples the two remaining arguments
-    through their skew constituents; peeling strip predecessors bottom-up
-    isolates each gbar.  Every level divides exactly by |U|! and every
-    recovered value is a genuine reduced coefficient, so nonnegativity and
-    exact division are asserted, not assumed.
+    The level L(U) of a shape U, the sum of gbar over its horizontal-strip
+    predecessors, is an ordinary class sum at size |U| whose class function
+    couples the two remaining arguments through their skew constituents.
+    Inverting the strip sum with H(1)E(-1) = 1 (Macdonald I.(2.6)) gives
+    gbar(A) = sum of (-1)^|A/V| L(V) over the V with A/V a vertical strip,
+    so only those levels are computed.  Every level divides exactly by
+    |V|! and is a sum of reduced coefficients, and the result is one, so
+    exact division and nonnegativity are asserted, not assumed.
     """
     trio = sorted((alpha, beta, gamma), key=lambda p: (sum(p), p))
     small, big1, big2 = trio
@@ -254,20 +259,17 @@ def _engine_value(alpha, beta, gamma):
     nb, ng = sum(beta), sum(gamma)
     meet = tuple(min(x, y) for x, y in zip(beta, gamma))
     deltas = subdiagrams(meet)
-    ghat = {}
-    for u in subdiagrams(alpha):
-        t = sum(u)
-        level = _level_sum(u, t, beta, gamma, deltas, nb, ng)
-        for prev in remove_horizontal_strips(u):
-            if prev != u:
-                level -= ghat[prev]
-        if level < 0:
-            raise InternalConsistencyError(
-                "negative reduced coefficient %d at %r for %r,%r,%r"
-                % (level, u, alpha, beta, gamma)
-            )
-        ghat[u] = level
-    return ghat[alpha]
+    value = 0
+    for v in map(conjugate, remove_horizontal_strips(conjugate(alpha))):
+        t = sum(v)
+        level = _level_sum(v, t, beta, gamma, deltas, nb, ng)
+        value += (-1) ** (sum(alpha) - t) * level
+    if value < 0:
+        raise InternalConsistencyError(
+            "negative reduced coefficient %d for %r,%r,%r"
+            % (value, alpha, beta, gamma)
+        )
+    return value
 
 
 def _level_sum(u, t, beta, gamma, deltas, nb, ng):
@@ -289,6 +291,8 @@ def _level_sum(u, t, beta, gamma, deltas, nb, ng):
             "level sum at %r not divisible by %d! (remainder %d)"
             % (u, t, rem)
         )
+    if value < 0:
+        raise InternalConsistencyError("negative level sum %d at %r" % (value, u))
     return value
 
 

@@ -595,8 +595,8 @@ def search_saturation_counterexample(k, n_max, size_cap=SATURATION_SIZE_CAP):
     base).  Stops with "inconclusive-within-range" if the padding size of
     the next stretch would exceed size_cap — raise the cap to push further.
     The padding size (padding_threshold) serves only as a proxy for the
-    size of a stretch: reduced_kron runs the subdiagram engine, which never
-    pads.
+    size of a stretch: reduced_kron runs the vertical-strip engine, which
+    never pads.
     """
     if k < 3:
         raise ValueError("the family needs k >= 3")

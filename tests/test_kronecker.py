@@ -4,7 +4,9 @@ from math import factorial
 
 import pytest
 
+from artifact import kronecker
 from artifact.characters import char_kernel, character, clear_memo
+from artifact.cli import main
 from artifact.kronecker import (
     InternalConsistencyError,
     _stable_engine,
@@ -257,6 +259,22 @@ def test_saturation_family_base_and_stretch():
     assert reduced_kron((2,) * 8, (2,) * 8, (6, 6)) > 0
 
 
+def test_engine_sums_only_vertical_strip_levels(monkeypatch):
+    # gbar(A) needs the levels at A minus a vertical strip, not at every
+    # subdiagram of A: 3 levels for A = (6, 6) where 28 subdiagrams exist
+    summed = []
+    level_sum = kronecker._level_sum
+
+    def counting(u, *args):
+        summed.append(u)
+        return level_sum(u, *args)
+
+    monkeypatch.setattr(kronecker, "_level_sum", counting)
+    kronecker._engine_value.cache_clear()
+    assert reduced_kron((2,) * 8, (2,) * 8, (6, 6)) > 0
+    assert sorted(summed, reverse=True) == [(6, 6), (6, 5), (5, 5)]
+
+
 # -- batch table -------------------------------------------------------------------
 
 
@@ -336,6 +354,31 @@ def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, corrupted):
         kron_table(3)
     with pytest.raises(InternalConsistencyError):
         run_property("dimension-sum", {"n": 3})
+
+
+@pytest.mark.parametrize(
+    "corrupted,check",
+    [
+        ((-1, 0, 3), "not divisible by 3!"),  # level total 173 = 28 * 6 + 5
+        ((-1, 0, -4), "negative level sum -40"),  # level total -240
+        ((1, -1, 1), "negative reduced coefficient -1"),  # the sign row: 9 - 10
+    ],
+)
+def test_corrupted_level_is_a_hard_failure(monkeypatch, capsys, corrupted, check):
+    # gbar((2,1), (2,1), (2,1)) = 9; its top level at u = (2,1) dots the
+    # weights (4, 9, 59) on the classes of S_3 with chi^(2,1) = (-1, 0, 2),
+    # and the three lower levels add up to -10
+    kronecker._engine_value.cache_clear()
+    assert reduced_kron((2, 1), (2, 1), (2, 1)) == 9  # warms the closures
+    kern = char_kernel(3)
+    assert kern.row((2, 1)) == (-1, 0, 2)
+    monkeypatch.setitem(kern.rows, (2, 1), corrupted)
+    kronecker._engine_value.cache_clear()
+    with pytest.raises(InternalConsistencyError, match=check):
+        reduced_kron((2, 1), (2, 1), (2, 1))
+    assert main(["rkron", "2,1", "2,1", "2,1"]) == 3
+    err = capsys.readouterr().err
+    assert "internal consistency failure" in err and check in err
 
 
 def test_single_query_builds_only_its_rows():

@@ -18,6 +18,7 @@ from artifact.plethysm import (
     sym_power_dimension,
 )
 from artifact.symfunc import (
+    SchurVector,
     plethysm_compose,
     schur_in_monomials,
     to_schur_basis,
@@ -247,6 +248,30 @@ def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, capsys, corrupted):
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (5, 2), (4, 3)])
 def test_foulkes_instances(d, n):
     assert foulkes_violations(d, n) == []
+
+
+def test_foulkes_violations_lists_every_failure_in_order(monkeypatch):
+    # doctored h_3[h_2] (big) and h_2[h_3] (small), each stored in
+    # enumerate_partitions(6) order as _hn_coeffs stores them; the first
+    # constituent of small is itself a failure
+    big = {(6,): 1, (5, 1): 1, (4, 2): 3, (2, 2, 2): 1}
+    small = {(6,): 2, (5, 1): 2, (4, 2): 1, (3, 3): 1, (2, 2, 1, 1): 1}
+    table = {
+        key: {lam: coeffs[lam] for lam in enumerate_partitions(6) if lam in coeffs}
+        for key, coeffs in (((3, 2), big), ((2, 3), small))
+    }
+    monkeypatch.setattr(
+        plethysm,
+        "pleth_hn_expansion",
+        lambda d, n, cap=None: SchurVector("schur", table[(d, n)]),
+    )
+    want = [((6,), 1, 2), ((5, 1), 1, 2), ((3, 3), 0, 1), ((2, 2, 1, 1), 0, 1)]
+    assert foulkes_violations(3, 2) == want
+    assert want == [
+        (lam, big.get(lam, 0), small.get(lam, 0))
+        for lam in enumerate_partitions(6)
+        if big.get(lam, 0) < small.get(lam, 0)
+    ]
 
 
 def test_foulkes_argument_order():

@@ -181,6 +181,18 @@ def test_saturation_cap_binds_at_base_for_k4():
     assert report.witness["stopped_at_stretch"] == 1
 
 
+def test_saturation_k4_confirms_at_stretch_2():
+    # a regression pin, not an independent recheck: 602 is the engine's own
+    # value at stretch 2, first recorded from the inversion over every
+    # subdiagram; no other route reaches this witness (its padding size is 97)
+    report = search_saturation_counterexample(4, 2, size_cap=10**6)
+    assert report.status == "counterexample-confirmed"
+    assert report.witness["base_value"] == 0
+    assert report.witness["stretch"] == 2
+    assert report.witness["value"] == 602
+    assert report.witness["stretched"] == ((2,) * 15, (2,) * 15, (8, 8, 8))
+
+
 def test_report_json_is_all_strings():
     report = search_saturation_counterexample(3, 2)
     doc = report.to_json()
