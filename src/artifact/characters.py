@@ -38,6 +38,34 @@ _inserts = 0
 _ENTRY_BYTES = 146
 _CHECK_EVERY = 4096
 
+# Largest n for which whole tables (character_table, kron_table and the
+# table-sized verify sweeps) run without an explicit override.
+TABLE_LIMIT = 22
+
+
+class InternalConsistencyError(ArithmeticError):
+    """An exactness assertion failed; results upstream cannot be trusted."""
+
+
+def exact_quotient(total, divisor, *what):
+    """total // divisor, which must be exact and nonnegative.
+
+    Every structure constant here is a contraction or formula total divided
+    by a known order (n!, |V|!, d! (m!)^d, a hook product).  A remainder or
+    a negative quotient means broken arithmetic upstream, not bad input, so
+    it raises InternalConsistencyError.  ``what`` is a format string and its
+    arguments naming the quantity; it is formatted only on failure.
+    """
+    value, rem = divmod(total, divisor)
+    if rem:
+        check = "leaves remainder %d" % rem
+    elif value < 0:
+        check = "is negative"
+    else:
+        return value
+    name = what[0] % what[1:]
+    raise InternalConsistencyError("%s: %d / %d %s" % (name, total, divisor, check))
+
 
 def clear_memo():
     """Drop all cached character values, kernel rows included."""
@@ -182,15 +210,12 @@ class CharTable:
 def check_table_size(n, limit):
     """Raise ValueError unless 1 <= n <= limit (the whole-table size guard)."""
     if n < 1:
-        raise ValueError("character_table needs n >= 1, got %d" % n)
+        raise ValueError("a table needs n >= 1, got %d" % n)
     if n > limit:
-        raise ValueError(
-            "character_table(%d) exceeds the limit %d; pass limit= to override"
-            % (n, limit)
-        )
+        raise ValueError("n=%d exceeds the table limit of %d" % (n, limit))
 
 
-def character_table(n, limit=22):
+def character_table(n, limit=TABLE_LIMIT):
     """All chi^lam(alpha) for lam, alpha |- n, in enumerate_partitions order.
 
     The limit is a resource guard, not a correctness bound; raise it

@@ -12,14 +12,8 @@ import json
 
 import click
 
-from .characters import character
-from .kronecker import (
-    InternalConsistencyError,
-    kron_char,
-    kron_schur_oracle,
-    kron_table,
-    reduced_kron,
-)
+from .characters import TABLE_LIMIT, character
+from .kronecker import kron_char, kron_schur_oracle, kron_table, reduced_kron
 from .partitions import enumerate_partitions, format_partition, parse_partition
 from .plethysm import pleth_coefficient, pleth_hn_expansion
 from .tableaux import kostka, lr_coefficient
@@ -74,6 +68,8 @@ def _kron(lam, mu, nu, method, cap):
     if method == "schur":
         kwargs = {} if cap is None else {"size_cap": cap}
         return kron_schur_oracle(lam, mu, nu, **kwargs)
+    if cap is not None:
+        raise ValueError("kron takes --cap only with --method schur")
     return kron_char(lam, mu, nu)
 
 
@@ -158,13 +154,15 @@ def table():
 
 @table.command("kron")
 @click.option("--n", type=int, required=True, help="Size of the three partitions.")
-@click.option("--cap", type=int, default=None, help="Override the size-22 table guard.")
-@click.option("--jobs", type=int, default=1, help="Accepted and ignored (serial).")
+@click.option(
+    "--cap", type=int, default=None,
+    help="Override the size-%d table limit." % TABLE_LIMIT,
+)
 @click.option("--out", type=click.Path(), default=None, help="Write JSONL to PATH.")
-def table_kron(n, cap, jobs, out):
+def table_kron(n, cap, out):
     """Every g(lam, mu, nu) on canonical triples lam <= mu <= nu of size N."""
     kwargs = {} if cap is None else {"limit": cap}
-    rows = kron_table(n, jobs=jobs, **kwargs)
+    rows = kron_table(n, **kwargs)
     lines = [
         json.dumps(
             {
@@ -186,9 +184,8 @@ def table_kron(n, cap, jobs, out):
 @click.option("--d", type=int, default=None, help="Outer degree (foulkes).")
 @click.option("--cap", type=int, default=None, help="Resource-cap override.")
 @click.option("--n-max", type=int, default=None, help="Largest stretch N (saturation-cex).")
-@click.option("--jobs", type=int, default=1, help="Accepted and ignored (serial).")
 @_output_options
-def verify(prop, n, k, d, cap, n_max, jobs, as_json, out):
+def verify(prop, n, k, d, cap, n_max, as_json, out):
     """Run one property check, or the saturation-cex counterexample search."""
     if prop == "saturation-cex":
         if n is not None or d is not None:
@@ -204,7 +201,7 @@ def verify(prop, n, k, d, cap, n_max, jobs, as_json, out):
         if n is not None:
             flags[n_key(prop)] = n
         params = {key: value for key, value in flags.items() if value is not None}
-        report = run_property(prop, params, jobs=jobs)
+        report = run_property(prop, params)
     record = report.to_json()
     if as_json:
         _emit(json.dumps(record), out)
@@ -232,9 +229,6 @@ def main(argv=None):
     except ValueError as exc:
         click.echo("error: %s" % exc, err=True)
         return 1
-    except InternalConsistencyError as exc:
-        click.echo("internal consistency failure: %s" % exc, err=True)
-        return 3
     except ArithmeticError as exc:
         click.echo("internal consistency failure: %s" % exc, err=True)
         return 3

@@ -25,33 +25,25 @@ here; the tests keep it as the independent oracle for this route.
 from functools import cache
 from operator import mul
 
-from .characters import char_kernel, check_table_size
+from .characters import (
+    TABLE_LIMIT,
+    InternalConsistencyError,
+    char_kernel,
+    check_table_size,
+    exact_quotient,
+)
 from .partitions import (
     SizeMismatchError,
     add_horizontal_strips,
     check_partition,
     conjugate,
+    contingency_tables,
     count_bounded,
     enumerate_partitions,
     remove_horizontal_strips,
     subdiagrams,
 )
 from .tableaux import kostka, skew_schur_expansion
-
-
-class InternalConsistencyError(Exception):
-    """An exactness assertion failed; results upstream cannot be trusted."""
-
-
-def exact_coefficient(total, order, lam, mu, nu):
-    """total / order for a contraction total of (lam, mu, nu); must be exact."""
-    value, rem = divmod(total, order)
-    if rem or value < 0:
-        raise InternalConsistencyError(
-            "character contraction gave %d remainder %d for %r,%r,%r"
-            % (value, rem, lam, mu, nu)
-        )
-    return value
 
 
 def kron_char(lam, mu, nu):
@@ -72,48 +64,15 @@ def kron_char(lam, mu, nu):
         )
     kern = char_kernel(n)
     total = sum(map(mul, kern.weighted(lam, mu), kern.row(nu)))
-    return exact_coefficient(total, kern.order, lam, mu, nu)
+    return exact_quotient(total, kern.order, "g(%r, %r, %r)", lam, mu, nu)
 
 
 def _contingency_sum(lam, rows, cols):
     """Sum of kostka(lam, entries) over matrices with given row/col sums."""
-    nrows, ncols = len(rows), len(cols)
-    total = 0
-    matrix = []
-
-    def add_row(i, remaining_cols):
-        nonlocal total
-        if i == nrows:
-            if all(r == 0 for r in remaining_cols):
-                entries = tuple(
-                    sorted((e for row in matrix for e in row if e), reverse=True)
-                )
-                total += kostka(lam, entries)
-            return
-        # enumerate compositions of rows[i] bounded by the column budgets
-        comp = [0] * ncols
-
-        def place(j, left):
-            if j == ncols:
-                if left == 0:
-                    matrix.append(tuple(comp))
-                    add_row(
-                        i + 1,
-                        tuple(
-                            remaining_cols[t] - comp[t] for t in range(ncols)
-                        ),
-                    )
-                    matrix.pop()
-                return
-            for v in range(min(left, remaining_cols[j]) + 1):
-                comp[j] = v
-                place(j + 1, left - v)
-            comp[j] = 0
-
-        place(0, rows[i])
-
-    add_row(0, tuple(cols))
-    return total
+    return sum(
+        kostka(lam, tuple(sorted((e for row in m for e in row if e), reverse=True)))
+        for m in contingency_tables(rows, cols)
+    )
 
 
 @cache
@@ -217,12 +176,6 @@ def _hstrip_closure(shape, t):
     return tuple(map(sum, zip(*map(char_kernel(t).row, grown))))
 
 
-@cache
-def _skew_constituents(outer, inner):
-    """Sorted items of the skew Schur expansion (cached tuple form)."""
-    return tuple(sorted(skew_schur_expansion(outer, inner).items()))
-
-
 def _phi(big, delta, t):
     """Class vector: sum over constituents rho of big/delta of c * closure.
 
@@ -230,7 +183,7 @@ def _phi(big, delta, t):
     """
     terms = [
         (c, _hstrip_closure(rho, t))
-        for rho, c in _skew_constituents(big, delta)
+        for rho, c in skew_schur_expansion(big, delta).items()
         if sum(rho) <= t
     ]
     coeffs = [c for c, _ in terms]
@@ -285,28 +238,19 @@ def _level_sum(u, t, beta, gamma, deltas, nb, ng):
         fb = _phi(beta, d, t)
         fg = fb if beta == gamma else _phi(gamma, d, t)
         total += sum(map(mul, weights, map(mul, fb, fg)))
-    value, rem = divmod(total, kern.order)
-    if rem:
-        raise InternalConsistencyError(
-            "level sum at %r not divisible by %d! (remainder %d)"
-            % (u, t, rem)
-        )
-    if value < 0:
-        raise InternalConsistencyError("negative level sum %d at %r" % (value, u))
-    return value
+    return exact_quotient(total, kern.order, "level sum at %r", u)
 
 
 # -- batch export -----------------------------------------------------------------
 
 
-def kron_table(n, limit=22, jobs=1):
+def kron_table(n, limit=TABLE_LIMIT):
     """All g on canonical triples lam <= mu <= nu (enumeration order).
 
     Returns a list of (lam, mu, nu, value); by the full S3 symmetry this
     determines every ordered triple at size n.  The weighted pair product
     classSize * chi^lam * chi^mu is formed once per (lam, mu) and dotted
-    with every chi^nu.  jobs is accepted and ignored: the serial table costs
-    less than starting a worker pool.
+    with every chi^nu.
     """
     check_table_size(n, limit)
     kern = char_kernel(n)
@@ -319,5 +263,6 @@ def kron_table(n, limit=22, jobs=1):
             pair = kern.weighted(lam, mu)
             for nu, row in zip(parts[j:], rows[j:]):
                 total = sum(map(mul, pair, row))
-                out.append((lam, mu, nu, exact_coefficient(total, kern.order, lam, mu, nu)))
+                value = exact_quotient(total, kern.order, "g(%r, %r, %r)", lam, mu, nu)
+                out.append((lam, mu, nu, value))
     return out

@@ -302,3 +302,36 @@ def subdiagrams(p):
     build(0, ())
     out.sort(key=lambda q: (sum(q), q))
     return out
+
+
+def contingency_tables(rows, cols):
+    """Yield every nonnegative integer matrix with the given row and column sums.
+
+    Each matrix is a tuple of row tuples.  The first row runs over the
+    compositions of rows[0] bounded by cols, and the rest is a table for the
+    column sums left over; the last row is forced.
+    """
+    if sum(rows) != sum(cols):
+        return
+    if len(rows) < 2:
+        yield (tuple(cols),) if rows else ()
+        return
+    for first in _bounded_compositions(rows[0], tuple(cols)):
+        rest = tuple(c - f for c, f in zip(cols, first))
+        for tail in contingency_tables(rows[1:], rest):
+            yield (first, *tail)
+
+
+def _bounded_compositions(total, bounds):
+    """Compositions of total with len(bounds) parts, part i at most bounds[i].
+
+    Each part is at least what the later parts cannot absorb, so every
+    prefix completes.
+    """
+    if len(bounds) < 2:
+        yield (total,) if bounds else ()
+        return
+    room = sum(bounds[1:])
+    for v in range(max(0, total - room), min(total, bounds[0]) + 1):
+        for tail in _bounded_compositions(total - v, bounds[1:]):
+            yield (v, *tail)

@@ -15,7 +15,7 @@ each (outer, inner) is kept as its support, the classes of S_dm it reaches
 with their nonzero weights (81 of 176 classes for h_5[h_3]), so a
 coefficient is one CharKernel.contract over those classes followed by an
 exact division; no dense character row is built.  A remainder or a negative
-quotient means corrupted arithmetic and raises ArithmeticError.
+quotient means corrupted arithmetic and raises InternalConsistencyError.
 symfunc.compose_schur fills composite tableaux directly and serves as the
 brute-force cross-check.
 """
@@ -25,7 +25,7 @@ from itertools import compress
 from math import comb, factorial
 from operator import mul
 
-from .characters import char_kernel
+from .characters import char_kernel, exact_quotient
 from .partitions import (
     SizeMismatchError,
     check_partition,
@@ -86,13 +86,9 @@ def _class_vector(outer, inner):
 def _coefficient(target, inner, outer):
     classes, weights, scale = _class_vector(outer, inner)
     total = char_kernel(sum(target)).contract(target, classes, weights)
-    q, r = divmod(total, scale)
-    if r or q < 0:
-        raise ArithmeticError(
-            f"plethysm coefficient of {target} in s_{outer}[s_{inner}] is "
-            f"{q} remainder {r} after the division by {scale}"
-        )
-    return q
+    return exact_quotient(
+        total, scale, "coefficient of %r in s_%r[s_%r]", target, outer, inner
+    )
 
 
 def pleth_coefficient(target, inner, outer, cap=DEGREE_CAP):
@@ -178,10 +174,9 @@ def gl_dimension(lam, nvars):
         for j, hook in enumerate(row):
             num *= nvars - i + j
             den *= hook
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("hook-content quotient came out inexact")
-    return q
+    return exact_quotient(
+        num, den, "hook-content quotient of %r in %d variables", lam, nvars
+    )
 
 
 def foulkes_violations(d, n, cap=DEGREE_CAP):

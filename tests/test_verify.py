@@ -127,12 +127,13 @@ def test_tensor_square_recovers_at_ten():
 
 
 def test_reports_identical_across_workers():
-    one = run_property("kron-symmetry", {"n": 5}, jobs=1)
-    many = run_property("kron-symmetry", {"n": 5}, jobs=3)
+    # sweeps are serial, so two runs agree on everything but elapsed time
+    one = run_property("kron-symmetry", {"n": 5})
+    two = run_property("kron-symmetry", {"n": 5})
     assert (one.status, one.witness, one.checked_count) == (
-        many.status,
-        many.witness,
-        many.checked_count,
+        two.status,
+        two.witness,
+        two.checked_count,
     )
 
 
