@@ -13,7 +13,6 @@ sweep re-uses almost all of them).
 """
 
 import json
-from dataclasses import dataclass
 from itertools import repeat
 from math import factorial
 from operator import mul
@@ -188,13 +187,13 @@ def char_kernel(n):
     return _kernels.get(n) or _kernels.setdefault(n, CharKernel(n))
 
 
-@dataclass
 class CharTable:
     """Full character table of S_n with deterministic row/column order."""
 
-    n: int
-    columns: tuple
-    rows: dict
+    def __init__(self, n, columns, rows):
+        self.n = n
+        self.columns = columns
+        self.rows = rows
 
     def to_jsonl(self):
         """Yield one JSON line per row; values as decimal strings."""

@@ -1,4 +1,4 @@
-"""Command-line front door.
+"""Command-line front door: one row of COMMANDS per command, standard library only.
 
 Dispatches to the library, prints plain decimal values by default and
 schema-stable JSON under --json (every number a decimal string, so nothing
@@ -9,136 +9,61 @@ expected, 3 internal consistency failure.
 """
 
 import json
-
-import click
+import sys
 
 from .characters import TABLE_LIMIT, character
 from .kronecker import kron_char, kron_schur_oracle, kron_table, reduced_kron
 from .partitions import enumerate_partitions, format_partition, parse_partition
-from .plethysm import pleth_coefficient, pleth_hn_expansion
+from .plethysm import DEGREE_CAP, pleth_coefficient, pleth_hn_expansion
 from .tableaux import kostka, lr_coefficient
 from .verify import FAIL, n_key, run_property, search_saturation_counterexample
 
+# An option is (flag, type, default, help line).  Its type is int, str (a
+# path), a tuple of choices, or bool for a flag, which takes no value.
+REQUIRED = object()  # the default of an option that must be given
+METAVARS = {int: " INTEGER", str: " PATH", bool: ""}
+OUTPUT = (("--json", bool, False, "Emit a JSON record."),
+          ("--out", str, None, "Write output to PATH."))
+HELP = ("--help", bool, False, "Show this message and exit.")
 
-class PartitionType(click.ParamType):
+
+def _partition(text):
     """Accepts '5,4,2', exponent form '2^3,1', and '-' or '' for the empty one."""
-
-    name = "partition"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, tuple):
-            return value
-        try:
-            return parse_partition(value)
-        except ValueError as exc:
-            self.fail(str(exc), param, ctx)
-
-
-PARTITION = PartitionType()
-
-
-def _output_options(fn):
-    fn = click.option(
-        "--out", type=click.Path(), default=None, help="Write output to PATH."
-    )(fn)
-    fn = click.option(
-        "--json", "as_json", is_flag=True, help="Emit a JSON record."
-    )(fn)
-    return fn
+    return parse_partition(text)
 
 
 def _emit(text, out):
     if out is None:
-        click.echo(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        return print(text)
+    with open(out, "w") as fh:
+        fh.write(text + "\n")
 
 
 def _parts(p):
     return [str(x) for x in p]
 
 
-@click.group()
-def cli():
-    """Exact structure constants for S_n characters and symmetric functions."""
-
-
 def _kron(lam, mu, nu, method, cap):
-    if method == "schur":
-        kwargs = {} if cap is None else {"size_cap": cap}
-        return kron_schur_oracle(lam, mu, nu, **kwargs)
-    if cap is not None:
-        raise ValueError("kron takes --cap only with --method schur")
-    return kron_char(lam, mu, nu)
+    if method == "char":
+        if cap is not None:
+            raise ValueError("kron takes --cap only with --method schur")
+        return kron_char(lam, mu, nu)
+    return kron_schur_oracle(lam, mu, nu, **({} if cap is None else {"size_cap": cap}))
 
 
-def _pleth(target, inner, outer, cap):
-    kwargs = {} if cap is None else {"cap": cap}
-    return pleth_coefficient(target, inner, outer, **kwargs)
-
-
-# The single-value commands: name, partition arguments, JSON value key, help
-# line, library call and extra options.  Each call looks its library function
-# up when it runs, so that rebinding the module attribute (as the
-# benchmark's layer spans do) reaches it.
-_VALUE_COMMANDS = (
-    ("char", ("lam", "alpha"), "value", "Character value chi^LAM(ALPHA).",
-     lambda lam, alpha: character(lam, alpha)),
-    ("kostka", ("lam", "alpha"), "value", "Kostka number K_{LAM,ALPHA}.",
-     lambda lam, alpha: kostka(lam, alpha)),
-    ("lr", ("lam", "mu", "nu"), "value",
-     "Littlewood-Richardson coefficient c^LAM_{MU,NU}.",
-     lambda lam, mu, nu: lr_coefficient(lam, mu, nu)),
-    ("kron", ("lam", "mu", "nu"), "g", "Kronecker coefficient g(LAM, MU, NU).", _kron,
-     click.Option(
-         ["--method"],
-         type=click.Choice(["char", "schur"]),
-         default="char",
-         help="char = character contraction; schur = capped cross-validation oracle.",
-     ),
-     click.Option(["--cap"], type=int, help="Size cap for --method schur.")),
-    ("rkron", ("alpha", "beta", "gamma"), "gbar",
-     "Reduced (stable) Kronecker coefficient gbar(ALPHA, BETA, GAMMA).",
-     lambda alpha, beta, gamma: reduced_kron(alpha, beta, gamma)),
-    ("pleth", ("target", "inner", "outer"), "a",
-     "Plethysm coefficient of s_TARGET in s_OUTER[s_INNER].", _pleth,
-     click.Option(["--cap"], type=int, help="Degree cap for |inner|*|outer|.")),
-)
-
-
-def _value_command(name, args, value_key, help, call, *options):
-    """Add a command printing one value, or {args..., value_key: value} under --json."""
-    params = [click.Argument([arg], type=PARTITION) for arg in args]
-
-    @cli.command(name, help=help, params=params + list(options))
-    @_output_options
-    def command(as_json, out, **kwargs):
-        parts = [kwargs.pop(arg) for arg in args]
+def _value(help, args, value_key, call, *options):
+    """The row of a command printing one value, or {args..., value_key: value}."""
+    def handler(*parts, as_json, out, **kwargs):
         text = str(call(*parts, **kwargs))
         if as_json:
-            record = {
-                "lambda" if arg == "lam" else arg: _parts(part)
-                for arg, part in zip(args, parts)
-            }
-            record[value_key] = text
-            text = json.dumps(record)
+            record = {"lambda" if a == "lam" else a: _parts(p) for a, p in zip(args, parts)}
+            text = json.dumps({**record, value_key: text})
         _emit(text, out)
+    return help, tuple((arg.upper(), _partition) for arg in args), options + OUTPUT, handler
 
 
-for _row in _VALUE_COMMANDS:
-    _value_command(*_row)
-
-
-@cli.command("pleth-hn")
-@click.argument("d", type=int)
-@click.argument("n", type=int)
-@click.option("--cap", type=int, default=None, help="Degree cap for d*n.")
-@_output_options
-def pleth_hn(d, n, cap, as_json, out):
-    """Schur expansion of the plethysm h_D[h_N]."""
-    kwargs = {} if cap is None else {"cap": cap}
-    coeffs = pleth_hn_expansion(d, n, **kwargs).coeffs
+def _pleth_hn(d, n, cap, as_json, out):
+    coeffs = pleth_hn_expansion(d, n, cap=cap).coeffs
     terms = [(lam, coeffs[lam]) for lam in enumerate_partitions(d * n) if lam in coeffs]
     if as_json:
         rows = [{"lambda": _parts(lam), "a": str(a)} for lam, a in terms]
@@ -147,92 +72,167 @@ def pleth_hn(d, n, cap, as_json, out):
         _emit("\n".join("%s: %s" % (format_partition(lam), a) for lam, a in terms), out)
 
 
-@cli.group()
-def table():
-    """Bulk JSONL exports."""
+def _table_kron(n, cap, out):
+    rows = ({"lambda": _parts(lam), "mu": _parts(mu), "nu": _parts(nu), "g": str(g)}
+            for lam, mu, nu, g in kron_table(n, limit=cap))
+    _emit("\n".join(map(json.dumps, rows)), out)
 
 
-@table.command("kron")
-@click.option("--n", type=int, required=True, help="Size of the three partitions.")
-@click.option(
-    "--cap", type=int, default=None,
-    help="Override the size-%d table limit." % TABLE_LIMIT,
-)
-@click.option("--out", type=click.Path(), default=None, help="Write JSONL to PATH.")
-def table_kron(n, cap, out):
-    """Every g(lam, mu, nu) on canonical triples lam <= mu <= nu of size N."""
-    kwargs = {} if cap is None else {"limit": cap}
-    rows = kron_table(n, **kwargs)
-    lines = [
-        json.dumps(
-            {
-                "lambda": _parts(lam),
-                "mu": _parts(mu),
-                "nu": _parts(nu),
-                "g": str(value),
-            }
-        )
-        for lam, mu, nu, value in rows
-    ]
-    _emit("\n".join(lines), out)
-
-
-@cli.command()
-@click.argument("prop")
-@click.option("--n", type=int, default=None, help="Range parameter (see property docs).")
-@click.option("--k", type=int, default=None, help="Staircase / family index.")
-@click.option("--d", type=int, default=None, help="Outer degree (foulkes).")
-@click.option("--cap", type=int, default=None, help="Resource-cap override.")
-@click.option("--n-max", type=int, default=None, help="Largest stretch N (saturation-cex).")
-@_output_options
-def verify(prop, n, k, d, cap, n_max, as_json, out):
-    """Run one property check, or the saturation-cex counterexample search."""
+def _verify(prop, n, k, d, cap, n_max, as_json, out):
     if prop == "saturation-cex":
         if n is not None or d is not None:
             raise ValueError("saturation-cex takes --k, --n-max and --cap")
         kwargs = {} if cap is None else {"size_cap": cap}
         report = search_saturation_counterexample(
-            k if k is not None else 3,
-            n_max if n_max is not None else 4,
-            **kwargs,
-        )
+            3 if k is None else k, 4 if n_max is None else n_max, **kwargs)
     else:
         flags = {"k": k, "d": d, "cap": cap, "n_max": n_max}
         if n is not None:
             flags[n_key(prop)] = n
-        params = {key: value for key, value in flags.items() if value is not None}
-        report = run_property(prop, params)
+        report = run_property(prop, {key: v for key, v in flags.items() if v is not None})
     record = report.to_json()
+    text = "{property}: {status} (checked {checked_count}, {elapsed_ms} ms)"
+    text = text.format(**record)
     if as_json:
-        _emit(json.dumps(record), out)
-    else:
-        text = "%s: %s (checked %s, %s ms)" % (
-            record["property"],
-            record["status"],
-            record["checked_count"],
-            record["elapsed_ms"],
-        )
-        if record["witness"] is not None:
-            text += "\n" + json.dumps(record["witness"])
-        _emit(text, out)
+        text = json.dumps(record)
+    elif record["witness"] is not None:
+        text += "\n" + json.dumps(record["witness"])
+    _emit(text, out)
     return 2 if report.status == FAIL else 0
+
+
+# Command path -> (help line, positionals as (NAME, type), options, handler).
+# A group is a row with no handler; () is the whole CLI.  Each library
+# function is looked up when its command runs, so that rebinding the module
+# attribute (as the benchmark's layer spans do) reaches it.
+COMMANDS = {
+    (): ("Exact structure constants for S_n characters and symmetric functions.",
+         (), (), None),
+    ("char",): _value("Character value chi^LAM(ALPHA).", ("lam", "alpha"), "value",
+                      lambda lam, alpha: character(lam, alpha)),
+    ("kostka",): _value("Kostka number K_{LAM,ALPHA}.", ("lam", "alpha"), "value",
+                        lambda lam, alpha: kostka(lam, alpha)),
+    ("lr",): _value("Littlewood-Richardson coefficient c^LAM_{MU,NU}.",
+                    ("lam", "mu", "nu"), "value",
+                    lambda lam, mu, nu: lr_coefficient(lam, mu, nu)),
+    ("kron",): _value(
+        "Kronecker coefficient g(LAM, MU, NU).", ("lam", "mu", "nu"), "g", _kron,
+        ("--method", ("char", "schur"), "char",
+         "char = character contraction; schur = capped cross-validation oracle."),
+        ("--cap", int, None, "Size cap for --method schur.")),
+    ("rkron",): _value(
+        "Reduced (stable) Kronecker coefficient gbar(ALPHA, BETA, GAMMA).",
+        ("alpha", "beta", "gamma"), "gbar",
+        lambda alpha, beta, gamma: reduced_kron(alpha, beta, gamma)),
+    ("pleth",): _value(
+        "Plethysm coefficient of s_TARGET in s_OUTER[s_INNER].",
+        ("target", "inner", "outer"), "a",
+        lambda target, inner, outer, cap: pleth_coefficient(target, inner, outer, cap=cap),
+        ("--cap", int, DEGREE_CAP, "Degree cap for |inner|*|outer|.")),
+    ("pleth-hn",): (
+        "Schur expansion of the plethysm h_D[h_N].", (("D", int), ("N", int)),
+        (("--cap", int, DEGREE_CAP, "Degree cap for d*n."),) + OUTPUT, _pleth_hn),
+    ("table",): ("Bulk JSONL exports.", (), (), None),
+    ("table", "kron"): (
+        "Every g(lam, mu, nu) on canonical triples lam <= mu <= nu of size N.", (),
+        (("--n", int, REQUIRED, "Size of the three partitions."),
+         ("--cap", int, TABLE_LIMIT, "Override the size-%d table limit." % TABLE_LIMIT),
+         ("--out", str, None, "Write JSONL to PATH.")),
+        _table_kron),
+    ("verify",): (
+        "Run one property check, or the saturation-cex counterexample search.",
+        (("PROP", str),),
+        (("--n", int, None, "Range parameter (see property docs)."),
+         ("--k", int, None, "Staircase / family index."),
+         ("--d", int, None, "Outer degree (foulkes)."),
+         ("--cap", int, None, "Resource-cap override."),
+         ("--n-max", int, None, "Largest stretch N (saturation-cex).")) + OUTPUT,
+        _verify),
+}
+
+
+def _help(path):
+    """The --help text of a command or a group."""
+    text, params, options, handler = COMMANDS[path]
+    names = [name for name, _ in params] if handler else ["COMMAND [ARGS]..."]
+    usage = " ".join(["artifact", *path, "[OPTIONS]", *names])
+    lines = ["Usage: " + usage, "", "  " + text, "", "Options:"]
+    for flag, kind, default, line in options + (HELP,):
+        metavar = " [%s]" % "|".join(kind) if isinstance(kind, tuple) else METAVARS[kind]
+        lines.append("  %-22s %s" % (flag + metavar, line))
+    if handler is None:
+        subs = [key for key in sorted(COMMANDS) if key[:-1] == path != key]
+        lines += ["", "Commands:"] + ["  %-10s %s" % (k[-1], COMMANDS[k][0]) for k in subs]
+    return "\n".join(lines)
+
+
+def _convert(kind, text, name):
+    """text as a value of kind, or a ValueError naming the argument NAME."""
+    try:
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValueError("%r is not one of %s." % (text, ", ".join(map(repr, kind))))
+        return text if isinstance(kind, tuple) else kind(text)
+    except ValueError as exc:
+        reason = "%r is not a valid integer." % text if kind is int else exc
+        raise ValueError("Invalid value for '%s': %s" % (name, reason)) from None
+
+
+def _parse(argv):
+    """(handler, positionals, keywords) for argv; usage errors in click's wording."""
+    path, given, positional, words = (), {}, [], iter(argv)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        kinds = {opt[0]: opt[1] for opt in COMMANDS[path][2] + (HELP,)}
+        if word == "--":
+            positional += words  # the rest, so the loop ends here
+        elif word == "-" or not word.startswith("-"):
+            if COMMANDS[path][3] is not None:
+                positional.append(word)
+            elif path + (word,) in COMMANDS:
+                path += (word,)
+            else:
+                raise ValueError("No such command '%s'." % word)
+        elif flag not in kinds:
+            raise ValueError("No such option '%s'." % flag)
+        elif kinds[flag] is bool and eq:
+            raise ValueError("Option '%s' does not take a value." % flag)
+        elif kinds[flag] is bool:
+            given[flag] = True
+        else:
+            given[flag] = value if eq else next(words, None)
+            if given[flag] is None:
+                raise ValueError("Option '%s' requires an argument." % flag)
+    _, params, options, handler = COMMANDS[path]
+    if "--help" in given:
+        return print, (_help(path),), {}
+    if handler is None:
+        raise ValueError(_help(path))
+    kwargs = {}
+    for flag, kind, default, _ in options:
+        if flag not in given and default is REQUIRED:
+            raise ValueError("Missing option '%s'." % flag)
+        value = _convert(kind, given[flag], flag) if flag in given else default
+        kwargs["as_json" if flag == "--json" else flag[2:].replace("-", "_")] = value
+    values = [_convert(kind, word, name) for (name, kind), word in zip(params, positional)]
+    if len(values) < len(params):
+        raise ValueError("Missing argument '%s'." % params[len(values)][0])
+    extra = positional[len(params):]
+    if extra:
+        raise ValueError("Got unexpected extra argument%s (%s)" % (
+            "s" if len(extra) > 1 else "", " ".join(extra)))
+    return handler, values, kwargs
 
 
 def main(argv=None):
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo("error: %s" % exc.format_message(), err=True)
-        return 1
+        handler, args, kwargs = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(*args, **kwargs) or 0
     except ValueError as exc:
-        click.echo("error: %s" % exc, err=True)
+        print("error: %s" % exc, file=sys.stderr)
         return 1
     except ArithmeticError as exc:
-        click.echo("internal consistency failure: %s" % exc, err=True)
+        print("internal consistency failure: %s" % exc, file=sys.stderr)
         return 3
-    return 0 if rv is None else rv
 
 
 if __name__ == "__main__":

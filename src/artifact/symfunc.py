@@ -10,8 +10,6 @@ matrix, so compose_schur and plethysm_compose serve as the brute-force
 oracle for the character route of plethysm.
 """
 
-from dataclasses import dataclass
-
 from .partitions import check_partition, enumerate_partitions
 from .tableaux import _strip_chains
 
@@ -200,12 +198,12 @@ def complete_homogeneous(k, nvars):
     )
 
 
-@dataclass
 class SchurVector:
     """Coefficients of a symmetric function on a named basis."""
 
-    basis: str
-    coeffs: dict
+    def __init__(self, basis, coeffs):
+        self.basis = basis
+        self.coeffs = coeffs
 
 
 def to_schur_basis(f):

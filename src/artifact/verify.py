@@ -24,7 +24,6 @@ and checked_count are identical for every run; only elapsed time varies.
 
 import random
 import time
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement as multisets
 from itertools import compress
@@ -61,14 +60,14 @@ CONFIRMED = "counterexample-confirmed"
 INCONCLUSIVE = "inconclusive-within-range"
 
 
-@dataclass
 class Report:
-    property: str
-    params: dict
-    status: str
-    witness: object
-    checked_count: int
-    elapsed: float
+    def __init__(self, property, params, status, witness, checked_count, elapsed):
+        self.property = property
+        self.params = params
+        self.status = status
+        self.witness = witness
+        self.checked_count = checked_count
+        self.elapsed = elapsed
 
     def to_json(self):
         """Schema-stable dict; every number rendered as a decimal string."""

@@ -172,6 +172,164 @@ def test_help_exits_zero(capsys):
     assert "Usage:" in out
 
 
+KRON_JSON = '{"lambda": ["2", "1"], "mu": ["2", "1"], "nu": ["2", "1"], "g": "1"}\n'
+
+
+# (argv, exit code, stdout, stderr) of the command-line contract: usage
+# errors in click's wording, '--opt=value', '--', and repeated options.
+@pytest.mark.parametrize(
+    "args,code,out,err",
+    [
+        ("frobnicate 2,1", 1, "", "error: No such command 'frobnicate'.\n"),
+        ("table frob", 1, "", "error: No such command 'frob'.\n"),
+        ("kron 2,1 2,1", 1, "", "error: Missing argument 'NU'.\n"),
+        ("verify", 1, "", "error: Missing argument 'PROP'.\n"),
+        ("kron 2,1 2,1 2,1 4", 1, "", "error: Got unexpected extra argument (4)\n"),
+        (
+            "kron 2,1 2,1 2,1 -- --json", 1, "",
+            "error: Got unexpected extra argument (--json)\n",
+        ),
+        (
+            "kron 2,1 2,1 2,1 --method foo", 1, "",
+            "error: Invalid value for '--method': 'foo' is not one of "
+            "'char', 'schur'.\n",
+        ),
+        (
+            "table kron --n x", 1, "",
+            "error: Invalid value for '--n': 'x' is not a valid integer.\n",
+        ),
+        ("table kron", 1, "", "error: Missing option '--n'.\n"),
+        (
+            "verify orthogonality --n", 1, "",
+            "error: Option '--n' requires an argument.\n",
+        ),
+        (
+            "kron 2,1 2,1 2,1 --json=1", 1, "",
+            "error: Option '--json' does not take a value.\n",
+        ),
+        (
+            "pleth-hn 2 x", 1, "",
+            "error: Invalid value for 'N': 'x' is not a valid integer.\n",
+        ),
+        ("pleth-hn -1 2", 1, "", "error: No such option '-1'.\n"),
+        (
+            "rkron -- -1 1 1", 1, "",
+            "error: Invalid value for 'ALPHA': parts must be positive integers, "
+            "got -1\n",
+        ),
+        ("kron 2,1 2,1 2,1 --cap=3 --method=schur", 0, "1\n", ""),
+        ("kron --method schur 2,1 2,1 2,1", 0, "1\n", ""),
+        ("kron 2,1 2,1 2,1 --cap 3 --cap 4 --method schur", 0, "1\n", ""),
+        ("kron 2,1 -- 2,1 2,1", 0, "1\n", ""),
+        ("kron 2,1 2,1 2,1 --json --json", 0, KRON_JSON, ""),
+        ("pleth-hn 2 2 --cap=4", 0, "4: 1\n2^2: 1\n", ""),
+    ],
+)
+def test_cli_contract(capsys, args, code, out, err):
+    assert run(capsys, *args.split()) == (code, out, err)
+
+
+# Usage errors whose wording was click's own: only the exit code and the
+# named token are part of the contract.
+@pytest.mark.parametrize(
+    "args,token",
+    [
+        ("verify orthogonality --jobs 2", "error: No such option '--jobs'"),
+        ("table", "Usage:"),
+        ("", "Usage:"),
+    ],
+)
+def test_cli_usage_error_tokens(capsys, args, token):
+    code, out, err = run(capsys, *args.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and token in err
+
+
+# Every command and the help line of each of its options.
+HELP_LINES = {
+    "": ["Exact structure constants for S_n characters and symmetric functions."],
+    "table": ["Bulk JSONL exports."],
+    "char": ["Character value chi^LAM(ALPHA)."],
+    "kostka": ["Kostka number K_{LAM,ALPHA}."],
+    "lr": ["Littlewood-Richardson coefficient c^LAM_{MU,NU}."],
+    "kron": [
+        "Kronecker coefficient g(LAM, MU, NU).",
+        "char = character contraction; schur = capped cross-validation oracle.",
+        "Size cap for --method schur.",
+    ],
+    "rkron": ["Reduced (stable) Kronecker coefficient gbar(ALPHA, BETA, GAMMA)."],
+    "pleth": [
+        "Plethysm coefficient of s_TARGET in s_OUTER[s_INNER].",
+        "Degree cap for |inner|*|outer|.",
+    ],
+    "pleth-hn": ["Schur expansion of the plethysm h_D[h_N].", "Degree cap for d*n."],
+    "table kron": [
+        "Every g(lam, mu, nu) on canonical triples lam <= mu <= nu of size N.",
+        "Size of the three partitions.",
+        "Override the size-22 table limit.",
+        "Write JSONL to PATH.",
+    ],
+    "verify": [
+        "Run one property check, or the saturation-cex counterexample search.",
+        "Range parameter (see property docs).",
+        "Staircase / family index.",
+        "Outer degree (foulkes).",
+        "Resource-cap override.",
+        "Largest stretch N (saturation-cex).",
+    ],
+}
+OUTPUT_HELP = ["Emit a JSON record.", "Write output to PATH."]
+SUBCOMMANDS = {
+    "": ["char", "kostka", "lr", "kron", "rkron", "pleth", "pleth-hn", "table", "verify"],
+    "table": ["kron"],
+}
+
+
+@pytest.mark.parametrize("command", HELP_LINES)
+def test_help_on_every_command(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("Usage:")
+    # help lines may be wrapped, also after a hyphen
+    words = " ".join(out.split()).replace("- ", "-")
+    lines = HELP_LINES[command] + ["Show this message and exit."]
+    if command not in ("", "table", "table kron"):
+        lines += OUTPUT_HELP
+    for line in lines:
+        assert line in words
+    for sub in SUBCOMMANDS.get(command, ()):
+        assert "\n  %s " % sub in out
+
+
+def test_help_wins_over_missing_arguments(capsys):
+    code, out, _ = run(capsys, "kron", "2,1", "--help")
+    assert code == 0 and "Usage:" in out
+    code, out, _ = run(capsys, "kron", "--help", "2,1", "x", "--method", "foo")
+    assert code == 0 and "Usage:" in out
+
+
+def test_cli_runs_without_click_or_dataclasses():
+    # the library and its CLI need only the standard library, and starting
+    # a query imports neither click nor dataclasses (nor inspect behind it)
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "sys.modules['click'] = None\n"
+        "from artifact.cli import main\n"
+        "code = main(['kron', '2,1', '2,1', '2,1'])\n"
+        "assert code == 0, code\n"
+        "print([m for m in ('click', 'dataclasses', 'inspect') if sys.modules.get(m)])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n[]\n", "")
+
+
 def test_kron_json_schema(capsys):
     code, out, _ = run(capsys, "kron", "2,1", "2,1", "2,1", "--json")
     assert code == 0
