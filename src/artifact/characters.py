@@ -9,11 +9,12 @@ parts are trailing one bits, which are shifted out, so every shape has one
 word.  Cycle-type parts are consumed largest-first, so the remaining type
 is always a suffix of the sorted input and memo entries, keyed (word,
 suffix), are shared across every query made in a process (a whole-table
-sweep re-uses almost all of them).
+sweep re-uses almost all of them).  A sparse weighted sum over classes
+(ClassSum) runs the same recursion over a prefix trie of its cycle types,
+so a rim hook shared by many classes comes off once.
 """
 
 import json
-from itertools import repeat
 from math import factorial
 from operator import mul
 
@@ -106,7 +107,9 @@ def _mn(w, alpha):
         # trailing ones are zero parts; shifting them out keeps one word
         # per shape
         child >>= (child ^ (child + 1)).bit_length() - 1
-        term = _mn(child, rest)
+        term = _memo.get((child, rest)) if rest else 1
+        if term is None:
+            term = _mn(child, rest)
         # the hook's height is the number of betas strictly inside it
         if (w & (top - (top >> (t - 1)))).bit_count() & 1:
             total -= term
@@ -145,8 +148,7 @@ class CharKernel:
     Rows chi^lam (lam validated by the caller) are int tuples built on first
     request, so one Kronecker query costs three rows, never the whole table.
     A weight vector that is zero on most classes (plethysm, the Saxl
-    staircase) is contracted by ``contract`` on its support alone, which
-    builds no row.
+    staircase) is a ClassSum instead, which builds no row.
     """
 
     def __init__(self, n):
@@ -162,21 +164,6 @@ class CharKernel:
             cached = self.rows[lam] = tuple(_mn(w, a) for a in self.classes)
         return cached
 
-    def contract(self, lam, classes, weights):
-        """Sum of weights[i] * chi^lam(classes[i]); stores no row.
-
-        Each class is a cycle type of n with its parts in decreasing order.
-        The values come from one bulk read of the MN memo; only the misses
-        run the recursion, which fills them in.
-        """
-        w = _word(lam)
-        values = list(map(_memo.get, zip(repeat(w), classes)))
-        if None in values:
-            for i, v in enumerate(values):
-                if v is None:
-                    values[i] = _mn(w, classes[i])
-        return sum(map(mul, weights, values))
-
     def weighted(self, lam, mu):
         """The tuple |C_a| * chi^lam(a) * chi^mu(a) over the classes a."""
         return tuple(map(mul, self.sizes, map(mul, self.row(lam), self.row(mu))))
@@ -185,6 +172,85 @@ class CharKernel:
 def char_kernel(n):
     """The shared CharKernel of S_n (dropped by clear_memo)."""
     return _kernels.get(n) or _kernels.setdefault(n, CharKernel(n))
+
+
+class ClassSum:
+    """The class function sum_i weights[i] * chi(classes[i]) on S_n.
+
+    The classes are distinct cycle types of one n, parts decreasing.
+    ``contract(lam)`` evaluates it at chi^lam by the MN recursion run over a
+    prefix trie of the classes: the value at (shape word w, node) is the
+    weighted sum of chi^w(the parts left) over the classes below the node,
+    so a t-hook comes off a shape once for all the classes that go on with
+    part t below a node, not once per class.  Below the root, a node exists
+    only where two or more classes share a prefix; a class that shares its
+    next part with no other one is a tail of its node, (the rest of the
+    class, its weight), read from the shared MN memo through _mn.  Node
+    values are memoized here, keyed (word, node index), and live as long as
+    this object.
+    """
+
+    def __init__(self, classes, weights):
+        self.classes = tuple(classes)
+        self.weights = tuple(weights)
+        self._nodes = []
+        self._values = {}
+        self._node(list(zip(self.classes, self.weights)), 0)
+
+    def _node(self, group, depth):
+        """Add the node of the classes sharing their first depth parts.
+
+        A node is (subs, tails): (t, child node) for each next part t that
+        two or more of the classes share, and the tails of the others.
+        """
+        below = {}
+        for item in group:
+            # a slice, so that the empty class of S_0 is a tail of the root
+            below.setdefault(item[0][depth : depth + 1], []).append(item)
+        index = len(self._nodes)
+        self._nodes.append(None)
+        subs, tails = [], []
+        for head, items in below.items():
+            if len(items) == 1:
+                [(alpha, weight)] = items
+                tails.append((alpha[depth:], weight))
+            else:
+                subs.append((head[0], self._node(items, depth + 1)))
+        self._nodes[index] = subs, tails
+        return index
+
+    def contract(self, lam):
+        """sum_i weights[i] * chi^lam(classes[i]); lam is a partition of n."""
+        w = _word(lam)
+        value = self._values.get((w, 0))
+        return self._value(w, 0) if value is None else value
+
+    def _value(self, w, node):
+        values = self._values
+        subs, tails = self._nodes[node]
+        total = 0
+        for rest, weight in tails:
+            term = _memo.get((w, rest))
+            if term is None:
+                term = _mn(w, rest)
+            total += weight * term
+        for t, sub in subs:
+            # the rim-hook walk of _mn, once for every class below sub
+            hooks = w & ~(w << t) & -(1 << t)
+            while hooks:
+                top = hooks & -hooks
+                hooks ^= top
+                child = w ^ top ^ (top >> t)
+                child >>= (child ^ (child + 1)).bit_length() - 1
+                term = values.get((child, sub))
+                if term is None:
+                    term = self._value(child, sub)
+                if (w & (top - (top >> (t - 1)))).bit_count() & 1:
+                    total -= term
+                else:
+                    total += term
+        values[w, node] = total
+        return total
 
 
 class CharTable:

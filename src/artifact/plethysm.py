@@ -11,11 +11,12 @@ Functions and Hall Polynomials, I.8):
 where k sig scales every part of sig by k, and <s_lam, p_tau> = chi^lam(tau)
 reads off a constituent.  Scaling by d! (m!)^d keeps everything in integers:
 the rho term carries the factor (m!)^(d - len(rho)).  The scaled expansion of
-each (outer, inner) is kept as its support, the classes of S_dm it reaches
-with their nonzero weights (81 of 176 classes for h_5[h_3]), so a
-coefficient is one CharKernel.contract over those classes followed by an
-exact division; no dense character row is built.  A remainder or a negative
-quotient means corrupted arithmetic and raises InternalConsistencyError.
+each (outer, inner) is kept as a characters.ClassSum over its support, the
+classes of S_dm it reaches with their nonzero weights (81 of 176 classes for
+h_5[h_3]), so a coefficient is one ClassSum.contract, an MN recursion over
+the prefix trie of those classes, followed by an exact division; no dense
+character row is built.  A remainder or a negative quotient means corrupted
+arithmetic and raises InternalConsistencyError.
 symfunc.compose_schur fills composite tableaux directly and serves as the
 brute-force cross-check.
 """
@@ -25,7 +26,7 @@ from itertools import compress
 from math import comb, factorial
 from operator import mul
 
-from .characters import char_kernel, exact_quotient
+from .characters import ClassSum, char_kernel, exact_quotient
 from .partitions import (
     SizeMismatchError,
     check_partition,
@@ -41,9 +42,9 @@ DEGREE_CAP = 16
 def _class_vector(outer, inner):
     """d! (m!)^d s_outer[s_inner] on the power sums, and that scale.
 
-    Returns (classes, weights, scale): the cycle types tau of S_dm (parts
-    decreasing) whose power sum p_tau has a nonzero coefficient, and those
-    coefficients, in matching order.
+    Returns (support, scale): support is the ClassSum over the cycle types
+    tau of S_dm (parts decreasing) whose power sum p_tau has a nonzero
+    coefficient, weighted by those coefficients.
     """
     d, m = sum(outer), sum(inner)
     kern = char_kernel(m)
@@ -78,14 +79,13 @@ def _class_vector(outer, inner):
             w = size * chi * mfact ** (d - len(rho))
             for tau, c in product(rho).items():
                 total[tau] = total.get(tau, 0) + w * c
-    classes = tuple(compress(total, total.values()))
-    weights = tuple(filter(None, total.values()))
-    return classes, weights, factorial(d) * mfact**d
+    support = ClassSum(compress(total, total.values()), filter(None, total.values()))
+    return support, factorial(d) * mfact**d
 
 
 def _coefficient(target, inner, outer):
-    classes, weights, scale = _class_vector(outer, inner)
-    total = char_kernel(sum(target)).contract(target, classes, weights)
+    support, scale = _class_vector(outer, inner)
+    total = support.contract(target)
     return exact_quotient(
         total, scale, "coefficient of %r in s_%r[s_%r]", target, outer, inner
     )

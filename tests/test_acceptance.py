@@ -31,6 +31,7 @@ from artifact import (
     search_saturation_counterexample,
     to_schur_basis,
 )
+from artifact import verify
 from artifact.characters import clear_memo
 from artifact.symfunc import multiply
 from test_kronecker import padded_oracle
@@ -233,5 +234,20 @@ def test_criterion_14_saxl_staircase_k7():
     report = run_property("saxl", {"k": 7})
     assert report.status == "pass"
     assert report.checked_count == 3718
-    clear_memo()  # the sweep leaves about 750,000 MN memo entries
+    # the sweep leaves about 41,000 MN memo entries and about 16,000 node
+    # values in the staircase's ClassSum
+    clear_memo()
+    verify._staircase_support.cache_clear()
+    _budget(14, 60, started)
+
+
+def test_criterion_14_saxl_staircase_k8():
+    # 17,977 targets at n = 36, each contracted on the 474 classes where
+    # |C_a| chi^delta(a)^2 is nonzero; about 2 s and 110 MB
+    started = time.perf_counter()
+    report = run_property("saxl", {"k": 8})
+    assert report.status == "pass"
+    assert report.checked_count == 17977
+    clear_memo()
+    verify._staircase_support.cache_clear()
     _budget(14, 60, started)

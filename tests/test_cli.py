@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from artifact import characters, kronecker, verify
+from artifact import kronecker, plethysm, verify
 from artifact.characters import (
     TABLE_LIMIT,
+    ClassSum,
     InternalConsistencyError,
     char_kernel,
-    character,
     character_table,
 )
 from artifact.cli import main
@@ -482,7 +482,7 @@ def test_verify_unknown_property(capsys):
 def test_verify_bad_range_is_invalid_input(capsys):
     code, _, err = run(capsys, "verify", "orthogonality", "--n", "0")
     assert code == 1
-    code, _, err = run(capsys, "verify", "saxl", "--k", "8")
+    code, _, err = run(capsys, "verify", "saxl", "--k", "9")
     assert code == 1
 
 
@@ -607,24 +607,25 @@ def _saxl_weights(weights):
     """Replace the staircase weights of delta_2 = (2, 1), truly (2, 4)."""
 
     def corrupt(monkeypatch):
-        classes, true = verify._staircase_support((2, 1))
-        assert (classes, true) == (((3,), (1, 1, 1)), (2, 4))
-        monkeypatch.setattr(
-            verify, "_staircase_support", lambda delta: (classes, weights)
-        )
+        true = verify._staircase_support((2, 1))
+        assert (true.classes, true.weights) == (((3,), (1, 1, 1)), (2, 4))
+        support = ClassSum(true.classes, weights)
+        monkeypatch.setattr(verify, "_staircase_support", lambda delta: support)
 
     return corrupt
 
 
-def _s4_memo(values):
-    """Replace chi^(3,1) of S_4, truly (-1, 0, -1, 1, 3), in the MN memo."""
+def _h2h2_weights(weights):
+    """Replace the class-vector weights of h_2[h_2], truly (2, 3, 2, 1)."""
 
     def corrupt(monkeypatch):
-        classes = char_kernel(4).classes
-        assert [character((3, 1), a) for a in classes] == [-1, 0, -1, 1, 3]
-        word = characters._word((3, 1))
-        for alpha, value in zip(classes, values):
-            monkeypatch.setitem(characters._memo, (word, alpha), value)
+        true, scale = plethysm._class_vector((2,), (2,))
+        assert (true.classes, true.weights, scale) == (
+            ((4,), (2, 2), (2, 1, 1), (1, 1, 1, 1)), (2, 3, 2, 1), 8
+        )
+        # chi^(3,1) is (-1, -1, 1, 3) on those classes, so the true total is 0
+        vector = ClassSum(true.classes, weights), scale
+        monkeypatch.setattr(plethysm, "_class_vector", lambda outer, inner: vector)
 
     return corrupt
 
@@ -666,8 +667,8 @@ HARD_FAILURES = {
         lambda: pleth_coefficient((3, 1), (2,), (2,)),
         "pleth 3,1 2 2",
         # h_2[h_2] = (2 p_4 + 3 p_22 + 2 p_211 + p_1111) / 8
-        (_s4_memo((-1, 0, -1, 1, 4)), PLETH + "1 / 8 leaves remainder 1"),
-        (_s4_memo((0, 1, -2, 0, -2)), PLETH + "-8 / 8 is negative"),
+        (_h2h2_weights((2, 3, 3, 1)), PLETH + "1 / 8 leaves remainder 1"),
+        (_h2h2_weights((10, 3, 2, 1)), PLETH + "-8 / 8 is negative"),
     ),
 }
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import characters, plethysm
-from artifact.characters import char_kernel, character, clear_memo
+from artifact import plethysm
+from artifact.characters import ClassSum, char_kernel, character, clear_memo
 from artifact.cli import main
 from artifact.partitions import SizeMismatchError, dimension_hlf, enumerate_partitions
 from artifact.plethysm import (
@@ -82,12 +82,14 @@ def test_no_constituent_passes_either_bound():
 
 
 def test_contract_matches_dense_rows():
-    # the support contraction against the dense dot product with the kernel
+    # the trie contraction against the dense dot product with the kernel
     # row, on every target of every (inner, outer) of degree at most 12; the
-    # memo is cleared first, so contract computes every value it reads
+    # class vectors are rebuilt and the MN memo is cleared first, so contract
+    # computes every value it reads
     for degree in range(1, 13):
+        plethysm._class_vector.cache_clear()
         supports = [
-            plethysm._class_vector(outer, inner)
+            plethysm._class_vector(outer, inner)[0]
             for m in range(1, degree + 1)
             if degree % m == 0
             for inner in enumerate_partitions(m)
@@ -95,15 +97,12 @@ def test_contract_matches_dense_rows():
         ]
         clear_memo()
         kern = char_kernel(degree)
-        got = [
-            [kern.contract(lam, classes, weights) for lam in kern.classes]
-            for classes, weights, _ in supports
-        ]
-        for (classes, weights, _), values in zip(supports, got):
-            assert 0 not in weights
-            support = dict(zip(classes, weights))
-            dense = [support.pop(a, 0) for a in kern.classes]
-            assert not support  # every class is a sorted cycle type
+        got = [[support.contract(lam) for lam in kern.classes] for support in supports]
+        for support, values in zip(supports, got):
+            assert 0 not in support.weights
+            left = dict(zip(support.classes, support.weights))
+            dense = [left.pop(a, 0) for a in kern.classes]
+            assert not left  # every class is a sorted cycle type
             assert values == [sum(map(mul, dense, kern.row(lam))) for lam in kern.classes]
 
 
@@ -224,18 +223,19 @@ def test_hn_matches_general_coefficient():
 @pytest.mark.parametrize(
     "corrupted",
     [
-        (-1, 0, -1, 1, 4),  # total 1, not a multiple of 2! * (2!)^2 = 8
-        (0, 1, -2, 0, -2),  # total -8, a multiple of 8 but negative
+        (2, 3, 3, 1),  # total 1, not a multiple of 2! * (2!)^2 = 8
+        (10, 3, 2, 1),  # total -8, a multiple of 8 but negative
     ],
 )
 def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, capsys, corrupted):
-    # h_2[h_2] = (2 p_4 + 3 p_22 + 2 p_211 + p_1111) / 8 on the classes of S_4;
-    # the contraction reads chi^(3,1) from the MN memo, so corrupt it there
-    classes = char_kernel(4).classes
-    assert [character((3, 1), a) for a in classes] == [-1, 0, -1, 1, 3]
-    word = characters._word((3, 1))
-    for alpha, value in zip(classes, corrupted):
-        monkeypatch.setitem(characters._memo, (word, alpha), value)
+    # h_2[h_2] = (2 p_4 + 3 p_22 + 2 p_211 + p_1111) / 8, and chi^(3,1) is
+    # (-1, -1, 1, 3) on those classes; the contraction reads the weights
+    # from the class vector's ClassSum, so corrupt them there
+    true, scale = plethysm._class_vector((2,), (2,))
+    assert true.classes == ((4,), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    assert [character((3, 1), a) for a in true.classes] == [-1, -1, 1, 3]
+    vector = ClassSum(true.classes, corrupted), scale
+    monkeypatch.setattr(plethysm, "_class_vector", lambda outer, inner: vector)
     plethysm._hn_coeffs.cache_clear()
     with pytest.raises(ArithmeticError):
         pleth_coefficient((3, 1), (2,), (2,))
@@ -245,9 +245,24 @@ def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, capsys, corrupted):
     assert "internal consistency failure" in capsys.readouterr().err
 
 
+def test_degree_zero_coefficients_are_one():
+    # s_nu[s_mu] with |nu| = 0 or |mu| = 0 is the constant 1 = s_(), and
+    # the only class of S_0 is the empty cycle type
+    assert pleth_coefficient((), (), (2,)) == 1
+    assert pleth_coefficient((), (2,), ()) == 1
+    assert pleth_coefficient((), (), ()) == 1
+
+
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 2), (5, 2), (4, 3)])
 def test_foulkes_instances(d, n):
     assert foulkes_violations(d, n) == []
+
+
+@pytest.mark.parametrize("d,n,cap", [(6, 4, 24), (7, 4, 28), (6, 5, 30)])
+def test_foulkes_instances_past_the_degree_cap(d, n, cap):
+    # h_d[h_n] >= h_n[h_d] holds for every d >= n when n = 4 (McKay) and
+    # n = 5 (Cheung-Ikenmeyer-Mkrtchyan); the cap is raised explicitly
+    assert foulkes_violations(d, n, cap=cap) == []
 
 
 def test_foulkes_violations_lists_every_failure_in_order(monkeypatch):

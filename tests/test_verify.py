@@ -3,7 +3,7 @@ import json
 import pytest
 
 from artifact import verify
-from artifact.characters import char_kernel, clear_memo
+from artifact.characters import ClassSum, char_kernel, clear_memo
 from artifact.cli import main
 from artifact.kronecker import kron_char
 from artifact.partitions import enumerate_partitions
@@ -45,8 +45,8 @@ def test_param_guards():
         run_property("orthogonality", {"n": 0})
     with pytest.raises(ValueError, match="^n=23 exceeds the cap of 22$"):
         run_property("orthogonality", {"n": 23})  # above the table cap
-    with pytest.raises(ValueError, match="^k=8 exceeds the cap of 7$"):
-        run_property("saxl", {"k": 8})
+    with pytest.raises(ValueError, match="^k=9 exceeds the cap of 8$"):
+        run_property("saxl", {"k": 9})
 
 
 @pytest.mark.parametrize(
@@ -231,24 +231,54 @@ def test_matrix_count_small():
     assert _matrix_count((2,), (1, 2)) == 0
 
 
+@pytest.mark.parametrize(
+    "n,corrupt,witness,checked",
+    [
+        # chi^(3,1,1) one too big on the class (3, 2): the first failing
+        # column pair is ((5,), (3, 2))
+        (5, "row", ("col", (5,), (3, 2), 1, 0), 98),
+        # |C_(7)| one too big breaks no column pair, only the row pairs
+        (7, "size", ("row", (7,), (7,), 5041, 5040), 450),
+    ],
+)
+def test_orthogonality_reports_the_first_failing_pair(
+    monkeypatch, n, corrupt, witness, checked
+):
+    kern = char_kernel(n)
+    if corrupt == "row":
+        row = list(kern.row((3, 1, 1)))
+        row[kern.classes.index((3, 2))] += 1
+        monkeypatch.setitem(kern.rows, (3, 1, 1), tuple(row))
+    else:
+        monkeypatch.setattr(kern, "sizes", (kern.sizes[0] + 1,) + kern.sizes[1:])
+    report = run_property("orthogonality", {"n": n})
+    assert report.status == "fail"
+    keys = ("kind", "first", "second", "sum", "expected")
+    assert report.witness == dict(zip(keys, witness))
+    assert report.checked_count == checked
+
+
 def test_saxl_contraction_matches_kron_char():
-    # the staircase support contraction against the dense route, k <= 6;
-    # each contract runs before kron_char builds the row of mu
+    # the staircase trie contraction against the dense route, k <= 6; the
+    # supports are rebuilt and then the MN memo is cleared, so contract
+    # computes every value it reads, and each contract runs before
+    # kron_char builds the row of mu
+    verify._staircase_support.cache_clear()
+    deltas = [tuple(range(k, 0, -1)) for k in range(1, 7)]
+    supports = list(map(verify._staircase_support, deltas))
     clear_memo()
-    for k in range(1, 7):
-        delta = tuple(range(k, 0, -1))
+    for delta, support in zip(deltas, supports):
         n = sum(delta)
-        classes, weights = verify._staircase_support(delta)
-        assert all(part % 2 for alpha in classes for part in alpha)
+        assert all(part % 2 for alpha in support.classes for part in alpha)
         kern = char_kernel(n)
         for mu in enumerate_partitions(n):
-            total = kern.contract(mu, classes, weights)
+            total = support.contract(mu)
             assert total == kron_char(delta, delta, mu) * kern.order
 
 
 def test_corrupted_saxl_weight_exits_3(monkeypatch, capsys):
-    classes, weights = verify._staircase_support((3, 2, 1))
-    corrupted = (weights[0] + 1,) + weights[1:]
-    monkeypatch.setattr(verify, "_staircase_support", lambda delta: (classes, corrupted))
+    true = verify._staircase_support((3, 2, 1))
+    corrupted = ClassSum(true.classes, (true.weights[0] + 1,) + true.weights[1:])
+    monkeypatch.setattr(verify, "_staircase_support", lambda delta: corrupted)
     assert main(["verify", "saxl", "--k", "3"]) == 3
     assert "internal consistency failure" in capsys.readouterr().err
