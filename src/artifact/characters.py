@@ -27,16 +27,6 @@ from .partitions import (
 
 _memo = {}
 _kernels = {}
-_memo_cap = None
-_inserts = 0
-
-# Per-entry byte estimate for the optional cap: a dict slot, the key pair,
-# the word and value ints and a share of the suffix tuples and kernel rows.
-# tracemalloc over whole tables puts it at 126-146 bytes for n = 12-16.
-# Eviction is wholesale; correctness never depends on the cache, only
-# speed does.
-_ENTRY_BYTES = 146
-_CHECK_EVERY = 4096
 
 # Largest n for which whole tables (character_table, kron_table and the
 # table-sized verify sweeps) run without an explicit override.
@@ -68,15 +58,13 @@ def exact_quotient(total, divisor, *what):
 
 
 def clear_memo():
-    """Drop all cached character values, kernel rows included."""
+    """Drop the shared MN memo and the kernel rows, not ClassSum node values.
+
+    A cached ClassSum keeps those until its cache (plethysm._class_vector,
+    verify._staircase_support) is cleared.
+    """
     _memo.clear()
     _kernels.clear()
-
-
-def set_memo_cap(max_bytes=None):
-    """Cap the memo table at roughly max_bytes (None = unbounded)."""
-    global _memo_cap
-    _memo_cap = max_bytes
 
 
 def _word(lam):
@@ -116,14 +104,6 @@ def _mn(w, alpha):
         else:
             total += term
     _memo[key] = total
-    global _inserts
-    _inserts += 1
-    if (
-        _memo_cap is not None
-        and _inserts % _CHECK_EVERY == 0
-        and len(_memo) * _ENTRY_BYTES > _memo_cap
-    ):
-        clear_memo()
     return total
 
 

@@ -76,27 +76,22 @@ def _contingency_sum(lam, rows, cols):
 
 
 @cache
-def _schur_weyl_table(lam, rows_mu, rows_nu):
-    """All g(lam, *, *) for shapes within the two row bounds.
+def _schur_weyl_table(lam, ell_mu, ell_nu):
+    """All g(lam, a, b) for a of at most ell_mu rows and b of at most ell_nu.
 
     Inverts the double-Kostka system C[a][b] = sum g * K_{rho a} K_{sigma b}
     by processing pairs in lexicographically decreasing order (dominance
     refines it, so every dominating pair is handled first).
     """
     n = sum(lam)
-    parts_mu = sorted(
-        (p for p in enumerate_partitions(n) if len(p) <= rows_mu), reverse=True
-    )
-    parts_nu = sorted(
-        (p for p in enumerate_partitions(n) if len(p) <= rows_nu), reverse=True
-    )
+    parts_nu = enumerate_partitions(n, max_len=ell_nu)
     g = {}
-    for a in parts_mu:
+    for a in enumerate_partitions(n, max_len=ell_mu):
         for b in parts_nu:
             val = _contingency_sum(
                 lam,
-                a + (0,) * (rows_mu - len(a)),
-                b + (0,) * (rows_nu - len(b)),
+                a + (0,) * (ell_mu - len(a)),
+                b + (0,) * (ell_nu - len(b)),
             )
             for (rho, sigma), known in g.items():
                 if not known:
@@ -111,11 +106,11 @@ def _schur_weyl_table(lam, rows_mu, rows_nu):
     return g
 
 
-def kron_schur_oracle(lam, mu, nu, rows_mu=None, rows_nu=None, size_cap=6):
+def kron_schur_oracle(lam, mu, nu, size_cap=6):
     """g(lam, mu, nu) from the product-variable Schur expansion.
 
     Exists for cross-validation of kron_char; the variable count is
-    rows_mu * rows_nu, so sizes beyond the cap are refused by default.
+    len(mu) * len(nu), so sizes beyond the cap are refused by default.
     """
     check_partition(lam)
     check_partition(mu)
@@ -128,13 +123,7 @@ def kron_schur_oracle(lam, mu, nu, rows_mu=None, rows_nu=None, size_cap=6):
             "Schur-Weyl oracle capped at size %d (got %d); raise size_cap "
             "to override" % (size_cap, n)
         )
-    if rows_mu is None:
-        rows_mu = max(len(mu), 1)
-    if rows_nu is None:
-        rows_nu = max(len(nu), 1)
-    if rows_mu < len(mu) or rows_nu < len(nu):
-        raise ValueError("row bounds smaller than the target partitions")
-    table = _schur_weyl_table(lam, rows_mu, rows_nu)
+    table = _schur_weyl_table(lam, max(len(mu), 1), max(len(nu), 1))
     return table[(mu, nu)]
 
 

@@ -100,9 +100,10 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     ballot sequence.  Returns 0 when mu is not contained in lam.
 
     Raises:
+        ValueError: if lam, mu or nu is not a partition.
         SizeMismatchError: if |lam| != |mu| + |nu|.
     """
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     if sum(lam) != sum(mu) + sum(nu):
         raise SizeMismatchError(f"|{lam}| != |{mu}| + |{nu}|")
     if not contains(mu, lam):

@@ -234,7 +234,7 @@ def test_criterion_14_saxl_staircase_k7():
     report = run_property("saxl", {"k": 7})
     assert report.status == "pass"
     assert report.checked_count == 3718
-    # the sweep leaves about 41,000 MN memo entries and about 16,000 node
+    # the sweep leaves about 22,000 MN memo entries and about 16,000 node
     # values in the staircase's ClassSum
     clear_memo()
     verify._staircase_support.cache_clear()
@@ -243,7 +243,7 @@ def test_criterion_14_saxl_staircase_k7():
 
 def test_criterion_14_saxl_staircase_k8():
     # 17,977 targets at n = 36, each contracted on the 474 classes where
-    # |C_a| chi^delta(a)^2 is nonzero; about 2 s and 110 MB
+    # |C_a| chi^delta(a)^2 is nonzero; about 2 s and 85 MB
     started = time.perf_counter()
     report = run_property("saxl", {"k": 8})
     assert report.status == "pass"

@@ -13,7 +13,6 @@ from artifact.characters import (
     character_table,
     clear_memo,
     rim_hook_heights,
-    set_memo_cap,
 )
 from artifact.partitions import (
     SizeMismatchError,
@@ -294,39 +293,9 @@ def test_table_jsonl_export():
         assert all(v == str(int(v)) for v in rec["values"])
 
 
-def test_memo_cap_does_not_change_values():
-    clear_memo()
-    set_memo_cap(20_000)
-    try:
-        want = {
-            (lam, a): character(lam, a)
-            for lam in enumerate_partitions(9)
-            for a in enumerate_partitions(9)
-        }
-    finally:
-        set_memo_cap(None)
-    clear_memo()
-    for (lam, a), v in want.items():
-        assert character(lam, a) == v
-
-
 def test_clear_memo_empties_the_kernel():
     char_kernel(6).row((3, 2, 1))
     assert char_kernel(6).rows
     clear_memo()
     assert characters._kernels == {}
     assert char_kernel(6).rows == {}
-
-
-def test_memo_cap_eviction_drops_kernel_rows():
-    clear_memo()
-    set_memo_cap(1)
-    try:
-        # a cold n = 12 table inserts over 4096 memo entries, so the cap is
-        # checked, and trips, at least once while its rows are built
-        table = character_table(12)
-        assert characters._kernels == {}
-    finally:
-        set_memo_cap(None)
-    clear_memo()
-    assert character_table(12).rows == table.rows

@@ -148,8 +148,6 @@ def test_oracle_sign_identity_size_6():
 def test_oracle_guards():
     with pytest.raises(ValueError):
         kron_schur_oracle((4, 3), (4, 3), (4, 3))  # size cap
-    with pytest.raises(ValueError):
-        kron_schur_oracle((2, 1), (2, 1), (2, 1), rows_mu=1)
     with pytest.raises(SizeMismatchError):
         kron_schur_oracle((2,), (1, 1), (1,))
 

@@ -273,6 +273,23 @@ def test_lr_size_mismatch():
         lr_coefficient((3, 1), (1,), (1,))
 
 
+@pytest.mark.parametrize(
+    "lam, mu, nu",
+    [
+        ((2, 1), (1,), (3, -1)),
+        ((3, 1), (2, -1), (3,)),
+        ((1, 2), (1,), (2,)),
+        ((3, 1), (1,), (1, 2)),
+        ((2, 0), (1,), (1,)),
+    ],
+)
+def test_lr_rejects_invalid_input(lam, mu, nu):
+    # each has matching sizes, so only the partition check can refuse it
+    with pytest.raises(ValueError) as err:
+        lr_coefficient(lam, mu, nu)
+    assert not isinstance(err.value, SizeMismatchError)
+
+
 def test_lr_against_bruteforce_small():
     for total in range(1, 6):
         for lam in enumerate_partitions(total):
