@@ -13,7 +13,7 @@ import sys
 
 from .characters import TABLE_LIMIT, character
 from .kronecker import kron_char, kron_schur_oracle, kron_table, reduced_kron
-from .partitions import enumerate_partitions, format_partition, parse_partition
+from .partitions import format_partition, parse_partition
 from .plethysm import DEGREE_CAP, pleth_coefficient, pleth_hn_expansion
 from .tableaux import kostka, lr_coefficient
 from .verify import FAIL, n_key, run_property, search_saturation_counterexample
@@ -63,8 +63,7 @@ def _value(help, args, value_key, call, *options):
 
 
 def _pleth_hn(d, n, cap, as_json, out):
-    coeffs = pleth_hn_expansion(d, n, cap=cap).coeffs
-    terms = [(lam, coeffs[lam]) for lam in enumerate_partitions(d * n) if lam in coeffs]
+    terms = pleth_hn_expansion(d, n, cap=cap).coeffs.items()
     if as_json:
         rows = [{"lambda": _parts(lam), "a": str(a)} for lam, a in terms]
         _emit(json.dumps({"d": str(d), "n": str(n), "coeffs": rows}), out)

@@ -148,14 +148,12 @@ def reduced_kron(alpha, beta, gamma):
 
     gbar is the value g(alpha[n], beta[n], gamma[n]) takes for all large n,
     where p[n] = (n - |p|, p) pads p with a first row.  It is computed by
-    the vertical-strip inversion of _stable_engine, which never pads, so the
+    the vertical-strip inversion of _engine_value, which never pads, so the
     cost does not grow with the padding size; its exact division and
     nonnegativity checks are hard failures.
     """
-    check_partition(alpha)
-    check_partition(beta)
-    check_partition(gamma)
-    return _stable_engine(alpha, beta, gamma)
+    trio = map(check_partition, (alpha, beta, gamma))
+    return _engine_value(*sorted(trio, key=lambda p: (sum(p), p)))
 
 
 @cache
@@ -179,8 +177,9 @@ def _phi(big, delta, t):
     return [sum(map(mul, coeffs, col)) for col in zip(*(v for _, v in terms))]
 
 
-def _stable_engine(alpha, beta, gamma):
-    """gbar by exact inversion over vertical strips of the smallest argument.
+@cache
+def _engine_value(alpha, beta, gamma):
+    """gbar by exact inversion over vertical strips of alpha, the smallest argument.
 
     The level L(U) of a shape U, the sum of gbar over its horizontal-strip
     predecessors, is an ordinary class sum at size |U| whose class function
@@ -191,13 +190,6 @@ def _stable_engine(alpha, beta, gamma):
     |V|! and is a sum of reduced coefficients, and the result is one, so
     exact division and nonnegativity are asserted, not assumed.
     """
-    trio = sorted((alpha, beta, gamma), key=lambda p: (sum(p), p))
-    small, big1, big2 = trio
-    return _engine_value(small, big1, big2)
-
-
-@cache
-def _engine_value(alpha, beta, gamma):
     nb, ng = sum(beta), sum(gamma)
     meet = tuple(min(x, y) for x, y in zip(beta, gamma))
     deltas = subdiagrams(meet)

@@ -3,11 +3,12 @@
 Kostka numbers follow the branching rule: an SSYT is a chain of horizontal
 strips, one per letter, so K(lam, alpha) sums K(nu, alpha without its last
 part) over the nu with lam/nu a horizontal strip of that size, memoized per
-(nu, weight prefix).  LR coefficients and skew Schur expansions come from
-direct depth-first generation of skew semistandard tableaux — rows weakly
+(nu, weight prefix).  LR coefficients and skew Schur expansions share one
+depth-first generation of skew semistandard tableaux — rows weakly
 increase, columns strictly increase — with the ballot condition enforced
-incrementally.  The reading word of a skew tableau scans rows right-to-left,
-top-to-bottom.
+incrementally and a per-letter budget: the weight nu for c^lam_{mu,nu}, a
+budget that never binds for the full expansion.  The reading word of a skew
+tableau scans rows right-to-left, top-to-bottom.
 """
 
 from functools import cache
@@ -92,12 +93,12 @@ def _skew_cells(outer: Partition, inner: Partition) -> list[tuple[int, int]]:
     return cells
 
 
-@cache
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^lam_{mu,nu}.
 
     Counts skew SSYT of shape lam/mu and weight nu whose reading word is a
-    ballot sequence.  Returns 0 when mu is not contained in lam.
+    ballot sequence.  Returns 0 when mu is not contained in lam.  The
+    arguments are validated on every call; the memo lives on the core below.
 
     Raises:
         ValueError: if lam, mu or nu is not a partition.
@@ -106,39 +107,13 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     if sum(lam) != sum(mu) + sum(nu):
         raise SizeMismatchError(f"|{lam}| != |{mu}| + |{nu}|")
-    if not contains(mu, lam):
-        return 0
-    if not nu:
-        return 1
-    cells = _skew_cells(lam, mu)
-    budget = list(nu)
-    letters = len(nu)
-    entry: dict[tuple[int, int], int] = {}
-    ballot = [0] * (letters + 1)
-    ballot[0] = len(cells) + 1  # sentinel so letter 1 is always placeable
-    total = 0
+    return _lr_core(lam, mu, nu)
 
-    def place(k: int) -> None:
-        nonlocal total
-        if k == len(cells):
-            total += 1
-            return
-        i, j = cells[k]
-        hi = entry.get((i, j + 1), letters)  # row weakly increases rightward
-        lo = entry.get((i - 1, j), 0) + 1  # column strictly increases down
-        for v in range(lo, hi + 1):
-            if budget[v - 1] == 0 or ballot[v] + 1 > ballot[v - 1]:
-                continue
-            budget[v - 1] -= 1
-            ballot[v] += 1
-            entry[(i, j)] = v
-            place(k + 1)
-            del entry[(i, j)]
-            ballot[v] -= 1
-            budget[v - 1] += 1
 
-    place(0)
-    return total
+@cache
+def _lr_core(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """c^lam_{mu,nu} for validated arguments of matching size."""
+    return _lr_tableaux(lam, mu, nu).get(nu, 0)
 
 
 @cache
@@ -150,15 +125,23 @@ def skew_schur_expansion(outer: Partition, inner: Partition) -> dict:
         Empty dict when inner is not contained in outer.
     """
     outer, inner = tuple(outer), tuple(inner)
+    n = sum(outer) - sum(inner)
+    return _lr_tableaux(outer, inner, (n,) * n)
+
+
+def _lr_tableaux(outer: Partition, inner: Partition, weight: tuple[int, ...]) -> dict:
+    """Count the LR tableaux of outer/inner by content, at most weight[v-1]
+    copies of the letter v; empty dict when inner is not contained in outer.
+    """
     if not contains(inner, outer):
         return {}
     cells = _skew_cells(outer, inner)
     n = len(cells)
-    if n == 0:
-        return {(): 1}
+    budget = list(weight)
+    letters = len(budget)
     entry: dict[tuple[int, int], int] = {}
-    ballot = [0] * (n + 1)
-    ballot[0] = n + 1
+    ballot = [0] * (letters + 1)
+    ballot[0] = n + 1  # sentinel so letter 1 is always placeable
     out: dict[Partition, int] = {}
 
     def place(k: int, maxletter: int) -> None:
@@ -167,16 +150,18 @@ def skew_schur_expansion(outer: Partition, inner: Partition) -> dict:
             out[content] = out.get(content, 0) + 1
             return
         i, j = cells[k]
-        hi = entry.get((i, j + 1), min(maxletter + 1, n))
-        lo = entry.get((i - 1, j), 0) + 1
+        hi = entry.get((i, j + 1), min(maxletter + 1, letters))  # row weakly increases
+        lo = entry.get((i - 1, j), 0) + 1  # column strictly increases down
         for v in range(lo, hi + 1):
-            if ballot[v] + 1 > ballot[v - 1]:
+            if budget[v - 1] == 0 or ballot[v] + 1 > ballot[v - 1]:
                 continue
+            budget[v - 1] -= 1
             ballot[v] += 1
             entry[(i, j)] = v
             place(k + 1, max(maxletter, v))
             del entry[(i, j)]
             ballot[v] -= 1
+            budget[v - 1] += 1
 
     place(0, 0)
     return out

@@ -47,6 +47,7 @@ from .partitions import (
     enumerate_partitions,
     is_self_conjugate,
     pad,
+    partition_count,
     principal_hooks,
     stretch,
 )
@@ -396,7 +397,7 @@ def _check_pp20(item):
 
 def _run_foulkes(d, n, cap):
     violations = foulkes_violations(d, n, cap=cap)
-    checked = sum(1 for _ in enumerate_partitions(d * n))
+    checked = partition_count(d * n)
     if violations:
         lam, big, small = violations[0]
         witness = {

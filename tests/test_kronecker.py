@@ -9,7 +9,6 @@ from artifact.characters import char_kernel, character, clear_memo
 from artifact.cli import main
 from artifact.kronecker import (
     InternalConsistencyError,
-    _stable_engine,
     kron_char,
     kron_schur_oracle,
     kron_table,
@@ -183,6 +182,7 @@ def test_tworow_matches_characters():
 def test_reduced_knowns():
     assert reduced_kron((), (), ()) == 1
     assert reduced_kron((2, 1), (1,), (1, 1)) == 1
+    assert reduced_kron([2, 1], [1], [1, 1]) == 1  # validated into tuples
     assert reduced_kron((4, 3), (4, 3), (2, 2, 2, 2, 2, 1)) == 1
 
 
@@ -235,7 +235,7 @@ def test_engine_s3_symmetry():
     ):
         want = padded_oracle(*trip)
         for p in permutations(trip):
-            assert _stable_engine(*p) == want
+            assert reduced_kron(*p) == want
 
 
 def test_murnaghan_stability_hits_lr():

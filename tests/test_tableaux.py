@@ -290,14 +290,27 @@ def test_lr_rejects_invalid_input(lam, mu, nu):
     assert not isinstance(err.value, SizeMismatchError)
 
 
+def test_lr_validates_after_an_equal_valid_call():
+    # (2.0, 1) hashes and compares equal to (2, 1), so a memo in front of
+    # the validation would answer it from the valid call
+    assert lr_coefficient((2, 1), (1,), (2,)) == 1
+    with pytest.raises(ValueError, match="positive integers, got 2.0"):
+        lr_coefficient((2.0, 1), (1,), (2,))
+
+
+def test_lr_accepts_lists():
+    assert lr_coefficient([2, 1], [1], [2]) == 1
+
+
 def test_lr_against_bruteforce_small():
     for total in range(1, 6):
         for lam in enumerate_partitions(total):
             for k in range(total + 1):
                 for mu in enumerate_partitions(k):
                     for nu in enumerate_partitions(total - k):
-                        got = lr_coefficient(lam, mu, nu)
-                        assert got == len(brute_skew_ballot(lam, mu, nu))
+                        want = len(brute_skew_ballot(lam, mu, nu))
+                        assert lr_coefficient(lam, mu, nu) == want
+                        assert skew_schur_expansion(lam, mu).get(nu, 0) == want
 
 
 def test_lr_symmetric_in_lower_arguments():
