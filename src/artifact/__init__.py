@@ -21,7 +21,6 @@ from .kronecker import (
 )
 from .partitions import centralizer_order, dimension_hlf, enumerate_partitions
 from .plethysm import pleth_coefficient, pleth_hn_expansion
-from .symfunc import schur_in_monomials, to_schur_basis
 from .tableaux import is_ballot, lr_coefficient
 from .verify import property_names, run_property, search_saturation_counterexample
 
@@ -48,3 +47,12 @@ __all__ = [
     "search_saturation_counterexample",
     "to_schur_basis",
 ]
+
+
+def __getattr__(name):
+    # symfunc, the SymPoly cross-check, is imported only when asked for
+    if name in ("schur_in_monomials", "to_schur_basis"):
+        from . import symfunc
+
+        return getattr(symfunc, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

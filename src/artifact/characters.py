@@ -8,15 +8,24 @@ by t, and its height is the number of set bits strictly between.  Zero
 parts are trailing one bits, which are shifted out, so every shape has one
 word.  Cycle-type parts are consumed largest-first, so the remaining type
 is always a suffix of the sorted input and memo entries, keyed (word,
-suffix), are shared across every query made in a process (a whole-table
-sweep re-uses almost all of them).  A sparse weighted sum over classes
-(ClassSum) runs the same recursion over a prefix trie of its cycle types,
-so a rim hook shared by many classes comes off once.
+suffix), are shared across every query made in a process.  That point route
+serves single values (character) and the tails of a ClassSum, a sparse
+weighted sum over classes that runs the same recursion over a prefix trie of
+its cycle types, so a rim hook shared by many classes comes off once.
+
+Dense rows (CharKernel.row) come a block at a time instead.  In
+enumerate_partitions order the classes of S_m with first part t are one
+block, and their rests are the classes of S_{m-t} with parts <= t, a suffix
+of that size's class list.  So the block of chi^lam is the signed sum, over
+the t-hooks of lam, of the child's row bounded by t: one tuple map per hook,
+and zeros where lam has no t-hook.  Bounded rows are memoized per (word,
+bound) and shared by every kernel.
 """
 
 import json
+from functools import cache
 from math import factorial
-from operator import mul
+from operator import add, mul, neg, sub
 
 from .partitions import (
     SizeMismatchError,
@@ -26,6 +35,7 @@ from .partitions import (
 )
 
 _memo = {}
+_rows = {}
 _kernels = {}
 
 # Largest n for which whole tables (character_table, kron_table and the
@@ -58,12 +68,13 @@ def exact_quotient(total, divisor, *what):
 
 
 def clear_memo():
-    """Drop the shared MN memo and the kernel rows, not ClassSum node values.
+    """Drop the MN memo, the bounded rows and the kernels, not ClassSum values.
 
     A cached ClassSum keeps those until its cache (plethysm._class_vector,
     verify._staircase_support) is cleared.
     """
     _memo.clear()
+    _rows.clear()
     _kernels.clear()
 
 
@@ -107,6 +118,46 @@ def _mn(w, alpha):
     return total
 
 
+@cache
+def _class_count(m, q):
+    """The number of partitions of m with parts <= q (q <= m)."""
+    # one term per block: the classes with first part t
+    return sum(_class_count(m - t, min(t, m - t)) for t in range(1, q + 1)) if m else 1
+
+
+def _row(w, m, q):
+    """chi^w, w of size m, on the classes of S_m with parts <= q (q <= m).
+
+    The classes run in enumerate_partitions order; the row is stored in
+    _rows under (w, q).
+    """
+    if not m:
+        return (1,)
+    row = []
+    for t in range(q, 0, -1):
+        r = m - t
+        bound = t if t < r else r
+        block = None
+        # the rim-hook walk of _mn, once for the whole block of first part t
+        hooks = w & ~(w << t) & -(1 << t)
+        while hooks:
+            top = hooks & -hooks
+            hooks ^= top
+            child = w ^ top ^ (top >> t)
+            child >>= (child ^ (child + 1)).bit_length() - 1
+            rest = _rows.get((child, bound))
+            if rest is None:
+                rest = _row(child, r, bound)
+            odd = (w & (top - (top >> (t - 1)))).bit_count() & 1
+            if block is None:
+                block = tuple(map(neg, rest)) if odd else rest
+            else:
+                block = tuple(map(sub if odd else add, block, rest))
+        row.extend(block or (0,) * _class_count(r, bound))
+    row = _rows[w, q] = tuple(row)
+    return row
+
+
 def character(lam, alpha):
     """Character value chi^lam(alpha), exact.
 
@@ -126,12 +177,14 @@ class CharKernel:
     """Classes of S_n in enumerate_partitions order, their sizes, and n!.
 
     Rows chi^lam (lam validated by the caller) are int tuples built on first
-    request, so one Kronecker query costs three rows, never the whole table.
-    A weight vector that is zero on most classes (plethysm, the Saxl
-    staircase) is a ClassSum instead, which builds no row.
+    request a class block at a time (see the module docstring), so one
+    Kronecker query costs three rows, never the whole table.  A weight
+    vector that is zero on most classes (plethysm, the Saxl staircase) is a
+    ClassSum instead, which builds no row.
     """
 
     def __init__(self, n):
+        self.n = n
         self.classes = tuple(enumerate_partitions(n))
         self.sizes = tuple(map(class_size, self.classes))
         self.order = factorial(n)
@@ -140,8 +193,8 @@ class CharKernel:
     def row(self, lam):
         cached = self.rows.get(lam)
         if cached is None:
-            w = _word(lam)
-            cached = self.rows[lam] = tuple(_mn(w, a) for a in self.classes)
+            n, w = self.n, _word(lam)
+            cached = self.rows[lam] = _rows.get((w, n)) or _row(w, n, n)
         return cached
 
     def weighted(self, lam, mu):

@@ -33,9 +33,16 @@ from .partitions import (
     enumerate_partitions,
     hook_lengths,
 )
-from .symfunc import SchurVector
 
 DEGREE_CAP = 16
+
+
+class SchurVector:
+    """Coefficients of a symmetric function on a named basis."""
+
+    def __init__(self, basis, coeffs):
+        self.basis = basis
+        self.coeffs = coeffs
 
 
 @cache

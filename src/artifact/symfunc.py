@@ -11,6 +11,7 @@ oracle for the character route of plethysm.
 """
 
 from .partitions import check_partition, enumerate_partitions
+from .plethysm import SchurVector
 from .tableaux import _strip_chains
 
 
@@ -196,14 +197,6 @@ def complete_homogeneous(k, nvars):
             if len(mu) <= nvars
         },
     )
-
-
-class SchurVector:
-    """Coefficients of a symmetric function on a named basis."""
-
-    def __init__(self, basis, coeffs):
-        self.basis = basis
-        self.coeffs = coeffs
 
 
 def to_schur_basis(f):

@@ -193,20 +193,33 @@ def test_kernel_rows_match_smallest_first_recursion():
             )
 
 
-def test_memo_holds_one_entry_per_shape_and_suffix():
-    # Every shape mu |- |s| is reached under every nonempty suffix s of a
-    # class of S_12 (add the removed parts back along the first row), so one
-    # entry per (shape, suffix) means sum over distinct suffixes of p(|s|).
-    n = 12
-    suffixes = {
-        alpha[i:] for alpha in enumerate_partitions(n) for i in range(len(alpha))
-    }
-    expected = sum(len(enumerate_partitions(sum(s))) for s in suffixes)
+def test_kernel_rows_match_point_route():
+    # rows come a class block at a time; single values come from _mn
+    for n in range(1, 17):
+        clear_memo()
+        kern = char_kernel(n)
+        for lam in kern.classes:
+            assert kern.row(lam) == tuple(character(lam, a) for a in kern.classes)
+
+
+def _shape(w):
+    """The partition whose beta-set word is w."""
+    betas = [b for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1]
+    return tuple(b - (len(betas) - 1 - i) for i, b in enumerate(betas))
+
+
+def test_row_store_holds_bounded_rows():
+    # every stored (word, q) row of shape mu runs over the classes of |mu|
+    # with parts <= q, in enumerate_partitions order
     clear_memo()
-    kern = char_kernel(n)
-    for lam in kern.classes:
-        kern.row(lam)
-    assert len(characters._memo) == expected == 7331
+    character_table(12)
+    assert characters._rows
+    for (w, q), row in characters._rows.items():
+        mu = _shape(w)
+        assert 1 <= q <= sum(mu)
+        classes = enumerate_partitions(sum(mu), max_part=q)
+        assert len(row) == len(classes)
+        assert row == tuple(character(mu, a) for a in classes)
 
 
 # -- orthogonality and symmetries ------------------------------------------------
@@ -296,6 +309,8 @@ def test_table_jsonl_export():
 def test_clear_memo_empties_the_kernel():
     char_kernel(6).row((3, 2, 1))
     assert char_kernel(6).rows
+    assert characters._rows
     clear_memo()
     assert characters._kernels == {}
+    assert characters._rows == {}
     assert char_kernel(6).rows == {}

@@ -310,7 +310,8 @@ def test_help_wins_over_missing_arguments(capsys):
 
 def test_cli_runs_without_click_or_dataclasses():
     # the library and its CLI need only the standard library, and starting
-    # a query imports neither click nor dataclasses (nor inspect behind it)
+    # a query imports neither click nor dataclasses (nor inspect behind it),
+    # nor the SymPoly cross-check module
     src = Path(__file__).resolve().parent.parent / "src"
     script = (
         "import sys\n"
@@ -318,7 +319,8 @@ def test_cli_runs_without_click_or_dataclasses():
         "from artifact.cli import main\n"
         "code = main(['kron', '2,1', '2,1', '2,1'])\n"
         "assert code == 0, code\n"
-        "print([m for m in ('click', 'dataclasses', 'inspect') if sys.modules.get(m)])\n"
+        "unwanted = ('click', 'dataclasses', 'inspect', 'artifact.symfunc')\n"
+        "print([m for m in unwanted if sys.modules.get(m)])\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import artifact
 from artifact.partitions import enumerate_partitions
+from artifact.plethysm import pleth_hn_expansion
 from artifact.symfunc import (
+    SchurVector,
     SymPoly,
     complete_homogeneous,
     compose_schur,
@@ -301,3 +304,11 @@ def orbit_size(mu, nvars):
 
     padded = tuple(mu) + (0,) * (nvars - len(mu))
     return len(set(perms(padded)))
+
+
+def test_package_exports_reach_symfunc_on_demand():
+    assert artifact.to_schur_basis is to_schur_basis
+    assert artifact.schur_in_monomials is schur_in_monomials
+    assert isinstance(pleth_hn_expansion(2, 2), SchurVector)
+    with pytest.raises(AttributeError):
+        artifact.no_such_name
