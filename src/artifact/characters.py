@@ -13,13 +13,17 @@ serves single values (character) and the tails of a ClassSum, a sparse
 weighted sum over classes that runs the same recursion over a prefix trie of
 its cycle types, so a rim hook shared by many classes comes off once.
 
-Dense rows (CharKernel.row) come a block at a time instead.  In
-enumerate_partitions order the classes of S_m with first part t are one
-block, and their rests are the classes of S_{m-t} with parts <= t, a suffix
-of that size's class list.  So the block of chi^lam is the signed sum, over
-the t-hooks of lam, of the child's row bounded by t: one tuple map per hook,
-and zeros where lam has no t-hook.  Bounded rows are memoized per (word,
-bound) and shared by every kernel.
+Dense rows come a block at a time instead.  A row is the character of
+s_lam * h_r: chi^lam when r = 0 (CharKernel.row), and by Pieri's rule the
+sum of chi^eps over the eps with eps/lam a horizontal strip of r cells
+(strip_row).  In enumerate_partitions order the classes of S_m with first
+part t are one block, and their rests are the classes of S_{m-t} with parts
+<= t, a suffix of that size's class list.  The adjoint p_t^perp is a
+derivation with p_t^perp h_r = h_{r-t}, so the block is the signed sum, over
+the t-hooks of lam, of the child's row bounded by t, plus the row of
+s_lam * h_{r-t} when t <= r: one tuple map per term, and zeros where there
+is none.  Bounded rows are memoized per (word, r, bound) and shared by every
+kernel and strip closure.
 """
 
 import json
@@ -68,10 +72,10 @@ def exact_quotient(total, divisor, *what):
 
 
 def clear_memo():
-    """Drop the MN memo, the bounded rows and the kernels, not ClassSum values.
+    """Drop the MN memo, the bounded rows and strip closures, and the kernels.
 
-    A cached ClassSum keeps those until its cache (plethysm._class_vector,
-    verify._staircase_support) is cleared.
+    ClassSum values stay: a cached ClassSum keeps them until its cache
+    (plethysm._class_vector, verify._staircase_support) is cleared.
     """
     _memo.clear()
     _rows.clear()
@@ -125,19 +129,22 @@ def _class_count(m, q):
     return sum(_class_count(m - t, min(t, m - t)) for t in range(1, q + 1)) if m else 1
 
 
-def _row(w, m, q):
-    """chi^w, w of size m, on the classes of S_m with parts <= q (q <= m).
+def _row(w, r, m, q):
+    """The character of s_w * h_r, of size m, on the classes of S_m with parts <= q.
 
-    The classes run in enumerate_partitions order; the row is stored in
-    _rows under (w, q).
+    The classes run in enumerate_partitions order (q <= m); the row is
+    stored in _rows under (w, r, q).  With r = 0 it is chi^w.
     """
     if not m:
         return (1,)
     row = []
     for t in range(q, 0, -1):
-        r = m - t
-        bound = t if t < r else r
+        left = m - t
+        bound = t if t < left else left
+        # p_t^perp h_r = h_{r-t}, the term of the derivation that keeps w
         block = None
+        if t <= r:
+            block = _rows.get((w, r - t, bound)) or _row(w, r - t, left, bound)
         # the rim-hook walk of _mn, once for the whole block of first part t
         hooks = w & ~(w << t) & -(1 << t)
         while hooks:
@@ -145,17 +152,28 @@ def _row(w, m, q):
             hooks ^= top
             child = w ^ top ^ (top >> t)
             child >>= (child ^ (child + 1)).bit_length() - 1
-            rest = _rows.get((child, bound))
+            rest = _rows.get((child, r, bound))
             if rest is None:
-                rest = _row(child, r, bound)
+                rest = _row(child, r, left, bound)
             odd = (w & (top - (top >> (t - 1)))).bit_count() & 1
             if block is None:
                 block = tuple(map(neg, rest)) if odd else rest
             else:
                 block = tuple(map(sub if odd else add, block, rest))
-        row.extend(block or (0,) * _class_count(r, bound))
-    row = _rows[w, q] = tuple(row)
+        row.extend(block or (0,) * _class_count(left, bound))
+    row = _rows[w, r, q] = tuple(row)
     return row
+
+
+def strip_row(rho, t):
+    """The sum of chi^eps over the eps |- t with eps/rho a horizontal strip.
+
+    By Pieri's rule that is the character of s_rho * h_r, r = t - |rho|, as a
+    tuple over the classes of S_t in enumerate_partitions order; rho = eps
+    gives the row chi^eps itself.
+    """
+    w, r = _word(rho), t - sum(rho)
+    return _rows.get((w, r, t)) or _row(w, r, t, t)
 
 
 def character(lam, alpha):
@@ -193,8 +211,7 @@ class CharKernel:
     def row(self, lam):
         cached = self.rows.get(lam)
         if cached is None:
-            n, w = self.n, _word(lam)
-            cached = self.rows[lam] = _rows.get((w, n)) or _row(w, n, n)
+            cached = self.rows[lam] = strip_row(lam, self.n)
         return cached
 
     def weighted(self, lam, mu):

@@ -27,11 +27,6 @@ OUTPUT = (("--json", bool, False, "Emit a JSON record."),
 HELP = ("--help", bool, False, "Show this message and exit.")
 
 
-def _partition(text):
-    """Accepts '5,4,2', exponent form '2^3,1', and '-' or '' for the empty one."""
-    return parse_partition(text)
-
-
 def _emit(text, out):
     if out is None:
         return print(text)
@@ -59,7 +54,8 @@ def _value(help, args, value_key, call, *options):
             record = {"lambda" if a == "lam" else a: _parts(p) for a, p in zip(args, parts)}
             text = json.dumps({**record, value_key: text})
         _emit(text, out)
-    return help, tuple((arg.upper(), _partition) for arg in args), options + OUTPUT, handler
+    params = tuple((arg.upper(), parse_partition) for arg in args)
+    return help, params, options + OUTPUT, handler
 
 
 def _pleth_hn(d, n, cap, as_json, out):

@@ -18,8 +18,11 @@ horizontal strips is multiplication by H(1) = sum h_r, whose inverse is
 E(-1) = sum (-1)^r e_r (Macdonald I.(2.6) and the two Pieri rules), so
 gbar(A) = sum over V with A/V a vertical strip of (-1)^|A/V| L(V): one
 level per such V, prod (multiplicity + 1) over the distinct parts of A.
-The padded definition (kron_char at a large padding size) is not called
-here; the tests keep it as the independent oracle for this route.
+A level's class function is built from strip closures, the characters of
+s_rho * h_r, which characters.strip_row takes from the row recursion and
+row store of the kernel rows.  The padded definition (kron_char at a large
+padding size) is not called here; the tests keep it as the independent
+oracle for this route.
 """
 
 from functools import cache
@@ -31,10 +34,10 @@ from .characters import (
     char_kernel,
     check_table_size,
     exact_quotient,
+    strip_row,
 )
 from .partitions import (
     SizeMismatchError,
-    add_horizontal_strips,
     check_partition,
     conjugate,
     contingency_tables,
@@ -53,9 +56,7 @@ def kron_char(lam, mu, nu):
     n! once.  A nonzero remainder or a negative result is not a user error
     but a broken character table, hence the hard failure.
     """
-    check_partition(lam)
-    check_partition(mu)
-    check_partition(nu)
+    lam, mu, nu = map(check_partition, (lam, mu, nu))
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise SizeMismatchError(
@@ -112,9 +113,7 @@ def kron_schur_oracle(lam, mu, nu, size_cap=6):
     Exists for cross-validation of kron_char; the variable count is
     len(mu) * len(nu), so sizes beyond the cap are refused by default.
     """
-    check_partition(lam)
-    check_partition(mu)
-    check_partition(nu)
+    lam, mu, nu = map(check_partition, (lam, mu, nu))
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise SizeMismatchError("Kronecker arguments must share a size")
@@ -156,20 +155,15 @@ def reduced_kron(alpha, beta, gamma):
     return _engine_value(*sorted(trio, key=lambda p: (sum(p), p)))
 
 
-@cache
-def _hstrip_closure(shape, t):
-    """Class vector over S_t of the sum of chi^eps, eps = shape + a strip."""
-    grown = add_horizontal_strips(shape, t - sum(shape))
-    return tuple(map(sum, zip(*map(char_kernel(t).row, grown))))
-
-
 def _phi(big, delta, t):
-    """Class vector: sum over constituents rho of big/delta of c * closure.
+    """Class vector over S_t of s_{big/delta} * h_r, r = t - |big/delta|.
 
-    Empty when no constituent fits in size t.
+    The sum over the constituents rho of big/delta of their coefficient
+    times the strip closure strip_row(rho, t).  Empty when no constituent
+    fits in size t.
     """
     terms = [
-        (c, _hstrip_closure(rho, t))
+        (c, strip_row(rho, t))
         for rho, c in skew_schur_expansion(big, delta).items()
         if sum(rho) <= t
     ]

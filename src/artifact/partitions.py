@@ -262,29 +262,6 @@ def remove_horizontal_strips(p, size=None):
     return results
 
 
-def add_horizontal_strips(p, size):
-    """Partitions q of |p|+size with q/p a horizontal strip."""
-    p = tuple(p)
-    results = []
-    rows = len(p) + 1
-
-    def rec(i, prefix, left):
-        if i == rows:
-            if left == 0:
-                results.append(tuple(x for x in prefix if x > 0))
-            return
-        cur = p[i] if i < len(p) else 0
-        # at most one new cell per column: q_i <= p_{i-1}
-        hi = min(cur + left, p[i - 1]) if i else cur + left
-        for q in range(hi, cur - 1, -1):
-            prefix.append(q)
-            rec(i + 1, prefix, left - (q - cur))
-            prefix.pop()
-
-    rec(0, [], size)
-    return results
-
-
 def subdiagrams(p):
     """All partitions whose diagram fits inside p, in increasing size order."""
     p = tuple(p)

@@ -13,6 +13,7 @@ from artifact.characters import (
     character_table,
     clear_memo,
     rim_hook_heights,
+    strip_row,
 )
 from artifact.partitions import (
     SizeMismatchError,
@@ -21,6 +22,7 @@ from artifact.partitions import (
     conjugate,
     dimension_hlf,
     enumerate_partitions,
+    remove_horizontal_strips,
 )
 
 
@@ -209,17 +211,48 @@ def _shape(w):
 
 
 def test_row_store_holds_bounded_rows():
-    # every stored (word, q) row of shape mu runs over the classes of |mu|
-    # with parts <= q, in enumerate_partitions order
+    # every stored (word, r, q) row of shape mu runs over the classes of
+    # |mu| + r with parts <= q, in enumerate_partitions order, and holds
+    # the sum of chi^eps over eps = mu plus a horizontal strip of r cells
     clear_memo()
     character_table(12)
+    for rho, t in (((2, 1), 7), ((3, 3), 9), ((), 5), ((4, 2, 1), 12)):
+        strip_row(rho, t)
     assert characters._rows
-    for (w, q), row in characters._rows.items():
+    assert any(r for _, r, _ in characters._rows)
+    for (w, r, q), row in characters._rows.items():
         mu = _shape(w)
-        assert 1 <= q <= sum(mu)
-        classes = enumerate_partitions(sum(mu), max_part=q)
+        m = sum(mu) + r
+        assert 1 <= q <= m
+        classes = enumerate_partitions(m, max_part=q)
         assert len(row) == len(classes)
-        assert row == tuple(character(mu, a) for a in classes)
+        if r:
+            grown = [
+                e for e in enumerate_partitions(m) if mu in remove_horizontal_strips(e, r)
+            ]
+            assert row == tuple(sum(character(e, a) for e in grown) for a in classes)
+        else:
+            assert row == tuple(character(mu, a) for a in classes)
+
+
+def test_strip_rows_match_kernel_row_sums():
+    # Pieri: strip_row(rho, t) is the sum of the kernel rows chi^eps over
+    # the eps |- t with eps/rho a horizontal strip; strip rows are built
+    # first in an empty store, kernel rows after it is emptied again
+    clear_memo()
+    strips = {
+        (rho, t): strip_row(rho, t)
+        for t in range(13)
+        for s in range(t + 1)
+        for rho in enumerate_partitions(s)
+    }
+    clear_memo()
+    for (rho, t), row in strips.items():
+        kern = char_kernel(t)
+        r = t - sum(rho)
+        grown = [e for e in kern.classes if rho in remove_horizontal_strips(e, r)]
+        assert grown
+        assert row == tuple(map(sum, zip(*map(kern.row, grown))))
 
 
 # -- orthogonality and symmetries ------------------------------------------------

@@ -596,7 +596,8 @@ def _engine_level(row):
     """Corrupt the weights of the top level of gbar((2,1), (2,1), (2,1)) = 9."""
 
     def corrupt(monkeypatch):
-        # warm the strip closures, so that only the level weights read the row
+        # the strip closures come from the row store, never from kern.rows,
+        # so only the level weights read the corrupted row
         kronecker._engine_value.cache_clear()
         assert reduced_kron((2, 1), (2, 1), (2, 1)) == 9
         _s3_row(row)(monkeypatch)

@@ -144,6 +144,14 @@ def test_oracle_sign_identity_size_6():
             assert kron_schur_oracle(lam, mu, (1,) * n) == want
 
 
+def test_both_routes_accept_list_arguments():
+    # the tuples check_partition returns are what the caches and rows key on
+    assert kron_char([2, 1], [2, 1], [2, 1]) == 1
+    assert kron_schur_oracle([2, 1], [2, 1], [2, 1]) == 1
+    assert kron_char([3, 1], [2, 2], [2, 1, 1]) == 1
+    assert kron_schur_oracle([3, 1], [2, 1, 1], [2, 2]) == 1
+
+
 def test_oracle_guards():
     with pytest.raises(ValueError):
         kron_schur_oracle((4, 3), (4, 3), (4, 3))  # size cap
@@ -366,8 +374,10 @@ def test_corrupted_level_is_a_hard_failure(monkeypatch, capsys, corrupted, check
     # gbar((2,1), (2,1), (2,1)) = 9; its top level at u = (2,1) dots the
     # weights (4, 9, 59) on the classes of S_3 with chi^(2,1) = (-1, 0, 2),
     # and the three lower levels add up to -10
+    # the strip closures come from the row store, never from kern.rows, so
+    # only the level weights read the corrupted row
     kronecker._engine_value.cache_clear()
-    assert reduced_kron((2, 1), (2, 1), (2, 1)) == 9  # warms the closures
+    assert reduced_kron((2, 1), (2, 1), (2, 1)) == 9
     kern = char_kernel(3)
     assert kern.row((2, 1)) == (-1, 0, 2)
     monkeypatch.setitem(kern.rows, (2, 1), corrupted)

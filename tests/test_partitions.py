@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from artifact.partitions import (
     SizeMismatchError,
     add,
-    add_horizontal_strips,
     centralizer_order,
     class_size,
     conjugate,
@@ -306,16 +305,24 @@ def test_add_and_stretch():
     assert stretch((2, 2), 0) == ()
 
 
-def test_horizontal_strip_helpers_agree():
-    for p in enumerate_partitions(5) + enumerate_partitions(4):
-        for s in range(4):
-            ups = add_horizontal_strips(p, s)
-            assert len(set(ups)) == len(ups)
-            for q in ups:
-                assert p in remove_horizontal_strips(q, s)
-            for q in enumerate_partitions(sum(p) + s):
-                if p in remove_horizontal_strips(q, s):
-                    assert q in ups
+def test_remove_horizontal_strips_matches_interlacing_filter():
+    # q is p minus a horizontal strip of s cells exactly when the rows
+    # interlace: p_{i+1} <= q_i <= p_i
+    for n in range(10):
+        for p in enumerate_partitions(n):
+            for s in range(min(n, 4) + 1):
+                downs = remove_horizontal_strips(p, s)
+                assert len(set(downs)) == len(downs)
+                want = {
+                    q
+                    for q in enumerate_partitions(n - s)
+                    if len(q) <= len(p)
+                    and all(
+                        (p[i + 1] if i + 1 < len(p) else 0) <= qi <= p[i]
+                        for i, qi in enumerate(q + (0,) * (len(p) - len(q)))
+                    )
+                }
+                assert set(downs) == want
 
 
 def test_remove_horizontal_strips_known():
