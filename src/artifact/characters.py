@@ -75,7 +75,7 @@ def clear_memo():
     """Drop the MN memo, the bounded rows and strip closures, and the kernels.
 
     ClassSum values stay: a cached ClassSum keeps them until its cache
-    (plethysm._class_vector, verify._staircase_support) is cleared.
+    (plethysm._class_vector, verify._square_support) is cleared.
     """
     _memo.clear()
     _rows.clear()

@@ -45,6 +45,7 @@ from .partitions import (
     contingency_tables,
     dimension_hlf,
     enumerate_partitions,
+    hook_lengths,
     is_self_conjugate,
     pad,
     partition_count,
@@ -289,28 +290,32 @@ def _tworow_items(max_cells):
     ]
 
 
-# -- Saxl staircase ----------------------------------------------------------------------
+# -- squares g(lam, lam, mu): Saxl, tensor squares, character bound ----------------------------
 
 
 @cache
-def _staircase_support(delta):
-    """The ClassSum of |C_a| chi^delta(a)^2 over the classes where it is nonzero.
+def _square_support(lam):
+    """The ClassSum of |C_a| chi^lam(a)^2 over the classes where it is nonzero.
 
-    delta is a 2-core (every hook length is odd), so by the MN rule
-    chi^delta vanishes on every class with an even part.  Only the
-    odd-part classes are evaluated (76 of the 792 at k = 6), and the 59 of
-    them where chi^delta is nonzero make up the sum.
+    By the MN rule chi^lam vanishes on every class with a part that is not a
+    hook length of lam, so only the classes of hook-length parts are
+    evaluated: 62 of the 792 at k = 6 for a staircase, 59 of them nonzero.
     """
-    odd = [a for a in enumerate_partitions(sum(delta)) if all(p & 1 for p in a)]
-    weights = [class_size(a) * character(delta, a) ** 2 for a in odd]
-    return ClassSum(compress(odd, weights), filter(None, weights))
+    hooks = {h for row in hook_lengths(lam) for h in row}
+    classes = [a for a in enumerate_partitions(sum(lam)) if hooks.issuperset(a)]
+    weights = [class_size(a) * character(lam, a) ** 2 for a in classes]
+    return ClassSum(compress(classes, weights), filter(None, weights))
+
+
+def _square(lam, mu):
+    """g(lam, lam, mu): one contraction of lam's support, divided by n! exactly."""
+    total = _square_support(lam).contract(mu)
+    return exact_quotient(total, factorial(sum(lam)), "g(%r, %r, %r)", lam, lam, mu)
 
 
 def _check_saxl(item):
     delta, mu = item
-    total = _staircase_support(delta).contract(mu)
-    order = factorial(sum(delta))
-    value = exact_quotient(total, order, "g(%r, %r, %r)", delta, delta, mu)
+    value = _square(delta, mu)
     if value <= 0:
         return {"staircase": delta, "mu": mu, "value": value}
     return None
@@ -321,40 +326,30 @@ def _saxl_items(k):
     return [(delta, mu) for mu in enumerate_partitions(k * (k + 1) // 2)]
 
 
-# -- tensor squares covering every irreducible ----------------------------------------------
-
-
-def _check_tensor_square(item):
-    n, lam = item
-    if not is_self_conjugate(lam):
-        return (lam, False, None)
-    missing = [
-        mu for mu in enumerate_partitions(n) if kron_char(lam, lam, mu) <= 0
-    ]
-    return (lam, True, missing)
-
-
 def _run_tensor_square(n):
-    items = [(n, lam) for lam in enumerate_partitions(n)]
-    results = [_check_tensor_square(item) for item in items]
-    working = [lam for lam, selfconj, missing in results if selfconj and not missing]
-    candidates = [lam for lam, selfconj, _ in results if selfconj]
+    """The self-conjugate lam of n whose tensor square contains every chi^mu.
+
+    Searching only self-conjugate lam loses nothing: g(lam, lam, 1^n) is
+    <chi^lam, chi^lam'>, which is 1 when lam = lam' and 0 otherwise, so no
+    other lam covers the sign character.  checked_count is p(n), every lam.
+    """
+    shapes = enumerate_partitions(n)
+    candidates = [lam for lam in shapes if is_self_conjugate(lam)]
+    working = [
+        lam for lam in candidates if all(_square(lam, mu) > 0 for mu in shapes)
+    ]
     witness = {
         "note": "conjectured for n >= 9; smaller n reported for the record",
         "self_conjugate": candidates,
         "covering": working,
     }
-    if n >= 9 and not working:
-        return FAIL, witness, len(results)
-    return PASS, witness, len(results)
-
-
-# -- character lower bound -------------------------------------------------------------------
+    status = FAIL if n >= 9 and not working else PASS
+    return status, witness, len(shapes)
 
 
 def _check_char_bound(item):
     lam, hooks, mu = item
-    g = kron_char(lam, lam, mu)
+    g = _square(lam, mu)
     bound = abs(character(mu, hooks))
     if g < bound:
         return {

@@ -237,7 +237,7 @@ def test_criterion_14_saxl_staircase_k7():
     # the sweep leaves about 22,000 MN memo entries and about 16,000 node
     # values in the staircase's ClassSum
     clear_memo()
-    verify._staircase_support.cache_clear()
+    verify._square_support.cache_clear()
     _budget(14, 60, started)
 
 
@@ -249,5 +249,5 @@ def test_criterion_14_saxl_staircase_k8():
     assert report.status == "pass"
     assert report.checked_count == 17977
     clear_memo()
-    verify._staircase_support.cache_clear()
+    verify._square_support.cache_clear()
     _budget(14, 60, started)

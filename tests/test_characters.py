@@ -22,6 +22,7 @@ from artifact.partitions import (
     conjugate,
     dimension_hlf,
     enumerate_partitions,
+    hook_lengths,
     remove_horizontal_strips,
 )
 
@@ -157,6 +158,19 @@ def test_character_on_full_cycle_hook_formula():
             if lam[0] + len(lam) - 1 == n:
                 expected = (-1) ** (len(lam) - 1)
             assert character(lam, (n,)) == expected
+
+
+def test_character_vanishes_off_hook_lengths():
+    # MN: a part that is not a hook length of lam leaves no rim hook to remove
+    pairs = 0
+    for n in range(1, 13):
+        for lam in enumerate_partitions(n):
+            hooks = {h for row in hook_lengths(lam) for h in row}
+            for alpha in enumerate_partitions(n):
+                if not hooks.issuperset(alpha):
+                    assert character(lam, alpha) == 0
+                    pairs += 1
+    assert pairs == 2651
 
 
 def test_character_size_mismatch():

@@ -607,13 +607,17 @@ def _engine_level(row):
 
 
 def _saxl_weights(weights):
-    """Replace the staircase weights of delta_2 = (2, 1), truly (2, 4)."""
+    """Replace the square weights of delta_2 = (2, 1), truly (2, 4).
+
+    (2, 1) is the one self-conjugate shape of 3, so saxl, tensor-square and
+    char-bound at size 3 all contract this support.
+    """
 
     def corrupt(monkeypatch):
-        true = verify._staircase_support((2, 1))
+        true = verify._square_support((2, 1))
         assert (true.classes, true.weights) == (((3,), (1, 1, 1)), (2, 4))
         support = ClassSum(true.classes, weights)
-        monkeypatch.setattr(verify, "_staircase_support", lambda delta: support)
+        monkeypatch.setattr(verify, "_square_support", lambda lam: support)
 
     return corrupt
 
@@ -634,6 +638,7 @@ def _h2h2_weights(weights):
 
 
 KRON = "g((3,), (3,), (2, 1)): "
+SQUARE = "g((2, 1), (2, 1), (3,)): "
 PLETH = "coefficient of (3, 1) in s_(2,)[s_(2,)]: "
 HARD_FAILURES = {
     "kron_char": (
@@ -657,8 +662,20 @@ HARD_FAILURES = {
     "saxl": (
         lambda: run_property("saxl", {"k": 2}),
         "verify saxl --k 2",
-        (_saxl_weights((3, 4)), "g((2, 1), (2, 1), (3,)): 7 / 6 leaves remainder 1"),
-        (_saxl_weights((-10, 4)), "g((2, 1), (2, 1), (3,)): -6 / 6 is negative"),
+        (_saxl_weights((3, 4)), SQUARE + "7 / 6 leaves remainder 1"),
+        (_saxl_weights((-10, 4)), SQUARE + "-6 / 6 is negative"),
+    ),
+    "char-bound": (
+        lambda: run_property("char-bound", {"n": 3}),
+        "verify char-bound --n 3",
+        (_saxl_weights((3, 4)), SQUARE + "7 / 6 leaves remainder 1"),
+        (_saxl_weights((-10, 4)), SQUARE + "-6 / 6 is negative"),
+    ),
+    "tensor-square": (
+        lambda: run_property("tensor-square", {"n": 3}),
+        "verify tensor-square --n 3",
+        (_saxl_weights((3, 4)), SQUARE + "7 / 6 leaves remainder 1"),
+        (_saxl_weights((-10, 4)), SQUARE + "-6 / 6 is negative"),
     ),
     "engine-level": (
         lambda: reduced_kron((2, 1), (2, 1), (2, 1)),

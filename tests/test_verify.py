@@ -6,7 +6,7 @@ from artifact import verify
 from artifact.characters import ClassSum, char_kernel, clear_memo
 from artifact.cli import main
 from artifact.kronecker import kron_char
-from artifact.partitions import enumerate_partitions
+from artifact.partitions import conjugate, enumerate_partitions
 from artifact.verify import (
     Report,
     _matrix_count,
@@ -124,6 +124,11 @@ def test_tensor_square_recovers_at_ten():
     report = run_property("tensor-square", {"n": 10})
     assert report.status == "pass"
     assert report.witness["covering"] == [(5, 2, 1, 1, 1), (4, 3, 2, 1)]
+    # only a self-conjugate lam can cover 1^n: g(lam, lam, 1^n) is
+    # <chi^lam, chi^lam'>, 1 when lam = lam' and 0 otherwise
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n):
+            assert verify._square(lam, (1,) * n) == int(lam == conjugate(lam))
 
 
 def test_reports_identical_across_workers():
@@ -259,26 +264,31 @@ def test_orthogonality_reports_the_first_failing_pair(
 
 
 def test_saxl_contraction_matches_kron_char():
-    # the staircase trie contraction against the dense route, k <= 6; the
-    # supports are rebuilt and then the MN memo is cleared, so contract
-    # computes every value it reads, and each contract runs before
-    # kron_char builds the row of mu
-    verify._staircase_support.cache_clear()
-    deltas = [tuple(range(k, 0, -1)) for k in range(1, 7)]
-    supports = list(map(verify._staircase_support, deltas))
+    # the square contraction against the dense route on every lam, mu of
+    # n <= 12; the supports and the MN memo are cleared before each n, so
+    # contract computes every value it reads
+    for n in range(13):
+        verify._square_support.cache_clear()
+        clear_memo()
+        shapes = enumerate_partitions(n)
+        for lam in shapes:
+            for mu in shapes:
+                assert verify._square(lam, mu) == kron_char(lam, lam, mu)
+    # the staircases up to k = 6 (n = 21) too; every hook length of a
+    # staircase is odd, so its support has odd parts only
+    verify._square_support.cache_clear()
     clear_memo()
-    for delta, support in zip(deltas, supports):
-        n = sum(delta)
+    for k in range(1, 7):
+        delta = tuple(range(k, 0, -1))
+        support = verify._square_support(delta)
         assert all(part % 2 for alpha in support.classes for part in alpha)
-        kern = char_kernel(n)
-        for mu in enumerate_partitions(n):
-            total = support.contract(mu)
-            assert total == kron_char(delta, delta, mu) * kern.order
+        for mu in enumerate_partitions(sum(delta)):
+            assert verify._square(delta, mu) == kron_char(delta, delta, mu)
 
 
 def test_corrupted_saxl_weight_exits_3(monkeypatch, capsys):
-    true = verify._staircase_support((3, 2, 1))
+    true = verify._square_support((3, 2, 1))
     corrupted = ClassSum(true.classes, (true.weights[0] + 1,) + true.weights[1:])
-    monkeypatch.setattr(verify, "_staircase_support", lambda delta: corrupted)
+    monkeypatch.setattr(verify, "_square_support", lambda delta: corrupted)
     assert main(["verify", "saxl", "--k", "3"]) == 3
     assert "internal consistency failure" in capsys.readouterr().err
