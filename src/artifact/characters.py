@@ -13,23 +13,22 @@ serves single values (character) and the tails of a ClassSum, a sparse
 weighted sum over classes that runs the same recursion over a prefix trie of
 its cycle types, so a rim hook shared by many classes comes off once.
 
-Dense rows come a block at a time instead.  A row is the character of
-s_lam * h_r: chi^lam when r = 0 (CharKernel.row), and by Pieri's rule the
-sum of chi^eps over the eps with eps/lam a horizontal strip of r cells
-(strip_row).  In enumerate_partitions order the classes of S_m with first
-part t are one block, and their rests are the classes of S_{m-t} with parts
-<= t, a suffix of that size's class list.  The adjoint p_t^perp is a
-derivation with p_t^perp h_r = h_{r-t}, so the block is the signed sum, over
-the t-hooks of lam, of the child's row bounded by t, plus the row of
-s_lam * h_{r-t} when t <= r: one tuple map per term, and zeros where there
-is none.  Bounded rows are memoized per (word, r, bound) and shared by every
-kernel and strip closure.
+Dense rows (strip_row) come a block at a time instead, over the classes of
+conjugacy_classes(n).  A row is the character of s_lam * h_r: chi^lam when
+r = 0, and by Pieri's rule the sum of chi^eps over the eps with eps/lam a
+horizontal strip of r cells.  In enumerate_partitions order the classes of
+S_m with first part t are one block, and their rests are the classes of
+S_{m-t} with parts <= t, a suffix of that size's class list.  The adjoint
+p_t^perp is a derivation with p_t^perp h_r = h_{r-t}, so the block is the
+signed sum, over the t-hooks of lam, of the child's row bounded by t, plus
+the row of s_lam * h_{r-t} when t <= r: one tuple map per term, and zeros
+where there is none.  Bounded rows are memoized in _rows, keyed (word, size,
+bound): the one store of dense rows, read by every dense contraction.
 """
 
 import json
 from functools import cache
-from math import factorial
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 
 from .partitions import (
     SizeMismatchError,
@@ -40,7 +39,7 @@ from .partitions import (
 
 _memo = {}
 _rows = {}
-_kernels = {}
+_classes = {}
 
 # Largest n for which whole tables (character_table, kron_table and the
 # table-sized verify sweeps) run without an explicit override.
@@ -72,16 +71,17 @@ def exact_quotient(total, divisor, *what):
 
 
 def clear_memo():
-    """Drop the MN memo, the bounded rows and strip closures, and the kernels.
+    """Drop the MN memo, the bounded rows and the class lists with their sizes.
 
     ClassSum values stay: a cached ClassSum keeps them until its cache
     (plethysm._class_vector, verify._square_support) is cleared.
     """
     _memo.clear()
     _rows.clear()
-    _kernels.clear()
+    _classes.clear()
 
 
+@cache
 def _word(lam):
     """The beta-set of lam as one int: bit lam_i + len(lam) - 1 - i per part."""
     ell = len(lam)
@@ -133,7 +133,7 @@ def _row(w, r, m, q):
     """The character of s_w * h_r, of size m, on the classes of S_m with parts <= q.
 
     The classes run in enumerate_partitions order (q <= m); the row is
-    stored in _rows under (w, r, q).  With r = 0 it is chi^w.
+    stored in _rows under (w, m, q).  With r = 0 it is chi^w.
     """
     if not m:
         return (1,)
@@ -144,7 +144,7 @@ def _row(w, r, m, q):
         # p_t^perp h_r = h_{r-t}, the term of the derivation that keeps w
         block = None
         if t <= r:
-            block = _rows.get((w, r - t, bound)) or _row(w, r - t, left, bound)
+            block = _rows.get((w, left, bound)) or _row(w, r - t, left, bound)
         # the rim-hook walk of _mn, once for the whole block of first part t
         hooks = w & ~(w << t) & -(1 << t)
         while hooks:
@@ -152,7 +152,7 @@ def _row(w, r, m, q):
             hooks ^= top
             child = w ^ top ^ (top >> t)
             child >>= (child ^ (child + 1)).bit_length() - 1
-            rest = _rows.get((child, r, bound))
+            rest = _rows.get((child, left, bound))
             if rest is None:
                 rest = _row(child, r, left, bound)
             odd = (w & (top - (top >> (t - 1)))).bit_count() & 1
@@ -161,7 +161,7 @@ def _row(w, r, m, q):
             else:
                 block = tuple(map(sub if odd else add, block, rest))
         row.extend(block or (0,) * _class_count(left, bound))
-    row = _rows[w, r, q] = tuple(row)
+    row = _rows[w, m, q] = tuple(row)
     return row
 
 
@@ -172,8 +172,8 @@ def strip_row(rho, t):
     tuple over the classes of S_t in enumerate_partitions order; rho = eps
     gives the row chi^eps itself.
     """
-    w, r = _word(rho), t - sum(rho)
-    return _rows.get((w, r, t)) or _row(w, r, t, t)
+    w = _word(rho)
+    return _rows.get((w, t, t)) or _row(w, t - sum(rho), t, t)
 
 
 def character(lam, alpha):
@@ -182,8 +182,8 @@ def character(lam, alpha):
     Both arguments are partitions of the same integer; alpha is the cycle
     type.  Raises SizeMismatchError when the sizes differ.
     """
-    check_partition(lam)
-    check_partition(alpha)
+    lam = check_partition(lam)
+    alpha = check_partition(alpha)
     if sum(lam) != sum(alpha):
         raise SizeMismatchError(
             "cycle type %r does not match |shape| = %d" % (alpha, sum(lam))
@@ -191,37 +191,13 @@ def character(lam, alpha):
     return _mn(_word(lam), tuple(sorted(alpha, reverse=True)))
 
 
-class CharKernel:
-    """Classes of S_n in enumerate_partitions order, their sizes, and n!.
-
-    Rows chi^lam (lam validated by the caller) are int tuples built on first
-    request a class block at a time (see the module docstring), so one
-    Kronecker query costs three rows, never the whole table.  A weight
-    vector that is zero on most classes (plethysm, the Saxl staircase) is a
-    ClassSum instead, which builds no row.
-    """
-
-    def __init__(self, n):
-        self.n = n
-        self.classes = tuple(enumerate_partitions(n))
-        self.sizes = tuple(map(class_size, self.classes))
-        self.order = factorial(n)
-        self.rows = {}
-
-    def row(self, lam):
-        cached = self.rows.get(lam)
-        if cached is None:
-            cached = self.rows[lam] = strip_row(lam, self.n)
-        return cached
-
-    def weighted(self, lam, mu):
-        """The tuple |C_a| * chi^lam(a) * chi^mu(a) over the classes a."""
-        return tuple(map(mul, self.sizes, map(mul, self.row(lam), self.row(mu))))
-
-
-def char_kernel(n):
-    """The shared CharKernel of S_n (dropped by clear_memo)."""
-    return _kernels.get(n) or _kernels.setdefault(n, CharKernel(n))
+def conjugacy_classes(n):
+    """The cycle types of S_n in enumerate_partitions order, and their class sizes."""
+    got = _classes.get(n)
+    if got is None:
+        classes = tuple(enumerate_partitions(n))
+        got = _classes[n] = classes, tuple(map(class_size, classes))
+    return got
 
 
 class ClassSum:
@@ -337,9 +313,9 @@ def character_table(n, limit=TABLE_LIMIT):
     explicitly for bigger sweeps.
     """
     check_table_size(n, limit)
-    kern = char_kernel(n)
-    rows = {lam: dict(zip(kern.classes, kern.row(lam))) for lam in kern.classes}
-    return CharTable(n, kern.classes, rows)
+    classes, _ = conjugacy_classes(n)
+    rows = {lam: dict(zip(classes, strip_row(lam, n))) for lam in classes}
+    return CharTable(n, classes, rows)
 
 
 def rim_hook_heights(filling, cycle_type):

@@ -7,8 +7,8 @@ and strips the Kostka unitriangularity from both alphabets.  They share no
 algorithmic machinery, so their agreement on a corpus is a real check.
 
 Every contraction (kron_char, kron_table, the engine's level sums) reads its
-classes, class sizes, n! and int-tuple rows from the per-n CharKernel, which
-builds a row only on first request: a query costs three rows, a table p(n).
+class sizes from characters.conjugacy_classes and its int-tuple rows from
+strip_row, which builds a row on first request: a query costs three rows.
 
 Reduced (stable) coefficients have one route, an exact inversion that
 never pads.  The level L(U), the sum of gbar over the V with U/V a
@@ -19,20 +19,21 @@ E(-1) = sum (-1)^r e_r (Macdonald I.(2.6) and the two Pieri rules), so
 gbar(A) = sum over V with A/V a vertical strip of (-1)^|A/V| L(V): one
 level per such V, prod (multiplicity + 1) over the distinct parts of A.
 A level's class function is built from strip closures, the characters of
-s_rho * h_r, which characters.strip_row takes from the row recursion and
-row store of the kernel rows.  The padded definition (kron_char at a large
+s_rho * h_r, which strip_row builds by the same recursion, in the same
+store, as the rows chi^lam.  The padded definition (kron_char at a large
 padding size) is not called here; the tests keep it as the independent
 oracle for this route.
 """
 
 from functools import cache
+from math import factorial
 from operator import mul
 
 from .characters import (
     TABLE_LIMIT,
     InternalConsistencyError,
-    char_kernel,
     check_table_size,
+    conjugacy_classes,
     exact_quotient,
     strip_row,
 )
@@ -63,9 +64,10 @@ def kron_char(lam, mu, nu):
             "Kronecker arguments must share a size, got %d, %d, %d"
             % (n, sum(mu), sum(nu))
         )
-    kern = char_kernel(n)
-    total = sum(map(mul, kern.weighted(lam, mu), kern.row(nu)))
-    return exact_quotient(total, kern.order, "g(%r, %r, %r)", lam, mu, nu)
+    _, sizes = conjugacy_classes(n)
+    pair = map(mul, sizes, map(mul, strip_row(lam, n), strip_row(mu, n)))
+    total = sum(map(mul, pair, strip_row(nu, n)))
+    return exact_quotient(total, factorial(n), "g(%r, %r, %r)", lam, mu, nu)
 
 
 def _contingency_sum(lam, rows, cols):
@@ -206,14 +208,13 @@ def _level_sum(u, t, beta, gamma, deltas, nb, ng):
     window = [d for d in deltas if sum(d) >= lo]
     if not window:
         return 0
-    kern = char_kernel(t)
-    weights = tuple(map(mul, kern.sizes, kern.row(u)))
+    weights = tuple(map(mul, conjugacy_classes(t)[1], strip_row(u, t)))
     total = 0
     for d in window:
         fb = _phi(beta, d, t)
         fg = fb if beta == gamma else _phi(gamma, d, t)
         total += sum(map(mul, weights, map(mul, fb, fg)))
-    return exact_quotient(total, kern.order, "level sum at %r", u)
+    return exact_quotient(total, factorial(t), "level sum at %r", u)
 
 
 # -- batch export -----------------------------------------------------------------
@@ -223,21 +224,21 @@ def kron_table(n, limit=TABLE_LIMIT):
     """All g on canonical triples lam <= mu <= nu (enumeration order).
 
     Returns a list of (lam, mu, nu, value); by the full S3 symmetry this
-    determines every ordered triple at size n.  The weighted pair product
-    classSize * chi^lam * chi^mu is formed once per (lam, mu) and dotted
-    with every chi^nu.
+    determines every ordered triple at size n.  classSize * chi^lam is
+    formed once per lam, the pair product with chi^mu once per (lam, mu),
+    and that is dotted with every chi^nu.
     """
     check_table_size(n, limit)
-    kern = char_kernel(n)
-    parts = kern.classes
-    rows = [kern.row(p) for p in parts]
+    parts, sizes = conjugacy_classes(n)
+    order = factorial(n)
+    rows = [strip_row(p, n) for p in parts]
     out = []
     for i, lam in enumerate(parts):
-        for j in range(i, len(parts)):
-            mu = parts[j]
-            pair = kern.weighted(lam, mu)
+        weighted = tuple(map(mul, sizes, rows[i]))
+        for j, mu in enumerate(parts[i:], i):
+            pair = tuple(map(mul, weighted, rows[j]))
             for nu, row in zip(parts[j:], rows[j:]):
                 total = sum(map(mul, pair, row))
-                value = exact_quotient(total, kern.order, "g(%r, %r, %r)", lam, mu, nu)
+                value = exact_quotient(total, order, "g(%r, %r, %r)", lam, mu, nu)
                 out.append((lam, mu, nu, value))
     return out

@@ -1,4 +1,4 @@
-"""Plethysm coefficients through the power sums and the character kernel.
+"""Plethysm coefficients through the power sums and the character rows.
 
 The coefficient a^lam_{nu,mu} is the multiplicity of s_lam in the
 composition s_nu[s_mu].  With m = |mu| and d = |nu| (Macdonald, Symmetric
@@ -26,7 +26,7 @@ from itertools import compress
 from math import comb, factorial
 from operator import mul
 
-from .characters import ClassSum, char_kernel, exact_quotient
+from .characters import ClassSum, conjugacy_classes, exact_quotient, strip_row
 from .partitions import (
     SizeMismatchError,
     check_partition,
@@ -54,10 +54,10 @@ def _class_vector(outer, inner):
     coefficient, weighted by those coefficients.
     """
     d, m = sum(outer), sum(inner)
-    kern = char_kernel(m)
+    classes, sizes = conjugacy_classes(m)
     weights = [
         (sig, c)
-        for sig, c in zip(kern.classes, map(mul, kern.sizes, kern.row(inner)))
+        for sig, c in zip(classes, map(mul, sizes, strip_row(inner, m)))
         if c
     ]
     # m! p_k[s_inner] = sum_sig |C_sig| chi^inner(sig) p_{k sig}
@@ -80,8 +80,8 @@ def _class_vector(outer, inner):
 
     mfact = factorial(m)
     total = {}
-    kern = char_kernel(d)
-    for rho, size, chi in zip(kern.classes, kern.sizes, kern.row(outer)):
+    classes, sizes = conjugacy_classes(d)
+    for rho, size, chi in zip(classes, sizes, strip_row(outer, d)):
         if chi:
             w = size * chi * mfact ** (d - len(rho))
             for tau, c in product(rho).items():

@@ -30,7 +30,14 @@ from itertools import compress
 from math import factorial
 from operator import mul
 
-from .characters import TABLE_LIMIT, ClassSum, char_kernel, character, exact_quotient
+from .characters import (
+    TABLE_LIMIT,
+    ClassSum,
+    character,
+    conjugacy_classes,
+    exact_quotient,
+    strip_row,
+)
 from .kronecker import (
     kron_char,
     kron_tworow,
@@ -138,24 +145,24 @@ def _orthogonality_items(n):
     The rows are transposed once and |C_a| * chi^lam(a) is formed once per
     shape, so each of the 2 p(n)^2 checks is one dot product.
     """
-    kern = char_kernel(n)
-    rows = list(map(kern.row, kern.classes))
+    classes, sizes = conjugacy_classes(n)
+    rows = [strip_row(lam, n) for lam in classes]
     columns = list(zip(*rows))
-    weighted = [tuple(map(mul, kern.sizes, row)) for row in rows]
+    weighted = [tuple(map(mul, sizes, row)) for row in rows]
     halves = (
         ("col", columns, columns, centralizer_order),
-        ("row", weighted, rows, lambda lam: kern.order),
+        ("row", weighted, rows, lambda lam: factorial(n)),
     )
     for kind, left, right, diagonal in halves:
-        for p, x in zip(kern.classes, left):
-            for q, y in zip(kern.classes, right):
+        for p, x in zip(classes, left):
+            for q, y in zip(classes, right):
                 yield kind, p, q, x, y, diagonal(p) if p == q else 0
 
 
 # -- Kronecker symmetries ------------------------------------------------------------
 #
 # kron-symmetry is a smoke test, not an independent check: all six argument
-# orders dot the same three kernel rows, so they agree by construction.
+# orders dot the same three character rows, so they agree by construction.
 
 
 def _check_symmetry(item):
@@ -197,13 +204,12 @@ def _pair_triples(n):
 
 
 def _check_dimension_sum(item):
-    n, lam, mu = item
-    kern = char_kernel(n)
-    pair = kern.weighted(lam, mu)
+    n, lam, mu, rows = item
+    pair = tuple(map(mul, conjugacy_classes(n)[1], map(mul, rows[lam], rows[mu])))
     total = 0
-    for nu in kern.classes:
-        dot = sum(map(mul, pair, kern.row(nu)))
-        g = exact_quotient(dot, kern.order, "g(%r, %r, %r)", lam, mu, nu)
+    for nu, row in rows.items():
+        dot = sum(map(mul, pair, row))
+        g = exact_quotient(dot, factorial(n), "g(%r, %r, %r)", lam, mu, nu)
         total += dimension_hlf(nu) * g
     want = dimension_hlf(lam) * dimension_hlf(mu)
     if total != want:
@@ -212,7 +218,9 @@ def _check_dimension_sum(item):
 
 
 def _dimension_sum_items(n):
-    return [(n, lam, mu) for lam, mu in multisets(enumerate_partitions(n), 2)]
+    """Shape pairs, each with the rows chi^nu of S_n in class order, read once."""
+    rows = {nu: strip_row(nu, n) for nu in enumerate_partitions(n)}
+    return [(n, lam, mu, rows) for lam, mu in multisets(rows, 2)]
 
 
 # -- semigroup spot checks ------------------------------------------------------------

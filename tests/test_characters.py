@@ -8,10 +8,10 @@ import pytest
 
 from artifact import characters
 from artifact.characters import (
-    char_kernel,
     character,
     character_table,
     clear_memo,
+    conjugacy_classes,
     rim_hook_heights,
     strip_row,
 )
@@ -198,14 +198,14 @@ def test_character_order_independence():
 
 
 def test_kernel_rows_match_smallest_first_recursion():
-    # the bit-word recursion behind every kernel row, against removals of
+    # the bit-word recursion behind every dense row, against removals of
     # rim hooks found cell by cell, consuming the cycle type the other way
     clear_memo()
     for n in range(1, 12):
-        kern = char_kernel(n)
-        for lam in kern.classes:
-            assert kern.row(lam) == tuple(
-                char_smallest_first(lam, a) for a in kern.classes
+        classes, _ = conjugacy_classes(n)
+        for lam in classes:
+            assert strip_row(lam, n) == tuple(
+                char_smallest_first(lam, a) for a in classes
             )
 
 
@@ -213,9 +213,18 @@ def test_kernel_rows_match_point_route():
     # rows come a class block at a time; single values come from _mn
     for n in range(1, 17):
         clear_memo()
-        kern = char_kernel(n)
-        for lam in kern.classes:
-            assert kern.row(lam) == tuple(character(lam, a) for a in kern.classes)
+        classes, _ = conjugacy_classes(n)
+        for lam in classes:
+            assert strip_row(lam, n) == tuple(character(lam, a) for a in classes)
+
+
+def test_conjugacy_classes_and_their_sizes():
+    for n in range(9):
+        classes, sizes = conjugacy_classes(n)
+        assert classes == tuple(enumerate_partitions(n))
+        assert sizes == tuple(map(class_size, classes))
+        assert sum(sizes) == math.factorial(n)
+        assert conjugacy_classes(n)[1] is sizes
 
 
 def _shape(w):
@@ -225,19 +234,19 @@ def _shape(w):
 
 
 def test_row_store_holds_bounded_rows():
-    # every stored (word, r, q) row of shape mu runs over the classes of
-    # |mu| + r with parts <= q, in enumerate_partitions order, and holds
-    # the sum of chi^eps over eps = mu plus a horizontal strip of r cells
+    # every stored (word, m, q) row of shape mu runs over the classes of m
+    # with parts <= q, in enumerate_partitions order, and holds the sum of
+    # chi^eps over eps = mu plus a horizontal strip of r = m - |mu| cells
     clear_memo()
     character_table(12)
     for rho, t in (((2, 1), 7), ((3, 3), 9), ((), 5), ((4, 2, 1), 12)):
         strip_row(rho, t)
     assert characters._rows
-    assert any(r for _, r, _ in characters._rows)
-    for (w, r, q), row in characters._rows.items():
+    assert any(m > sum(_shape(w)) for w, m, _ in characters._rows)
+    for (w, m, q), row in characters._rows.items():
         mu = _shape(w)
-        m = sum(mu) + r
-        assert 1 <= q <= m
+        r = m - sum(mu)
+        assert r >= 0 and 1 <= q <= m
         classes = enumerate_partitions(m, max_part=q)
         assert len(row) == len(classes)
         if r:
@@ -250,9 +259,9 @@ def test_row_store_holds_bounded_rows():
 
 
 def test_strip_rows_match_kernel_row_sums():
-    # Pieri: strip_row(rho, t) is the sum of the kernel rows chi^eps over
-    # the eps |- t with eps/rho a horizontal strip; strip rows are built
-    # first in an empty store, kernel rows after it is emptied again
+    # Pieri: strip_row(rho, t) is the sum of the rows chi^eps over the
+    # eps |- t with eps/rho a horizontal strip; strip rows are built first
+    # in an empty store, the rows chi^eps after it is emptied again
     clear_memo()
     strips = {
         (rho, t): strip_row(rho, t)
@@ -262,11 +271,12 @@ def test_strip_rows_match_kernel_row_sums():
     }
     clear_memo()
     for (rho, t), row in strips.items():
-        kern = char_kernel(t)
         r = t - sum(rho)
-        grown = [e for e in kern.classes if rho in remove_horizontal_strips(e, r)]
+        grown = [
+            e for e in enumerate_partitions(t) if rho in remove_horizontal_strips(e, r)
+        ]
         assert grown
-        assert row == tuple(map(sum, zip(*map(kern.row, grown))))
+        assert row == tuple(map(sum, zip(*(strip_row(e, t) for e in grown))))
 
 
 # -- orthogonality and symmetries ------------------------------------------------
@@ -354,10 +364,11 @@ def test_table_jsonl_export():
 
 
 def test_clear_memo_empties_the_kernel():
-    char_kernel(6).row((3, 2, 1))
-    assert char_kernel(6).rows
+    # the row store and the class lists with their sizes
+    strip_row((3, 2, 1), 6)
+    conjugacy_classes(6)
     assert characters._rows
+    assert characters._classes
     clear_memo()
-    assert characters._kernels == {}
+    assert characters._classes == {}
     assert characters._rows == {}
-    assert char_kernel(6).rows == {}

@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from artifact import kronecker, plethysm, verify
+from artifact import characters, kronecker, plethysm, verify
 from artifact.characters import (
     TABLE_LIMIT,
     ClassSum,
     InternalConsistencyError,
-    char_kernel,
     character_table,
+    strip_row,
 )
 from artifact.cli import main
 from artifact.kronecker import kron_char, kron_table, reduced_kron
@@ -582,12 +582,11 @@ def test_out_flag_writes_file(capsys, tmp_path):
 
 
 def _s3_row(row):
-    """Replace chi^(2,1) of S_3, truly (-1, 0, 2), in the kernel rows."""
+    """Replace chi^(2,1) of S_3, truly (-1, 0, 2), in the row store."""
 
     def corrupt(monkeypatch):
-        kern = char_kernel(3)
-        assert kern.row((2, 1)) == (-1, 0, 2)
-        monkeypatch.setitem(kern.rows, (2, 1), row)
+        assert strip_row((2, 1), 3) == (-1, 0, 2)
+        monkeypatch.setitem(characters._rows, (characters._word((2, 1)), 3, 3), row)
 
     return corrupt
 
@@ -596,8 +595,6 @@ def _engine_level(row):
     """Corrupt the weights of the top level of gbar((2,1), (2,1), (2,1)) = 9."""
 
     def corrupt(monkeypatch):
-        # the strip closures come from the row store, never from kern.rows,
-        # so only the level weights read the corrupted row
         kronecker._engine_value.cache_clear()
         assert reduced_kron((2, 1), (2, 1), (2, 1)) == 9
         _s3_row(row)(monkeypatch)
@@ -680,8 +677,8 @@ HARD_FAILURES = {
     "engine-level": (
         lambda: reduced_kron((2, 1), (2, 1), (2, 1)),
         "rkron 2,1 2,1 2,1",
-        (_engine_level((-1, 0, 3)), "level sum at (2, 1): 173 / 6 leaves remainder 5"),
-        (_engine_level((-1, 0, -4)), "level sum at (2, 1): -240 / 6 is negative"),
+        (_engine_level((-1, 0, 3)), "level sum at (2, 1): 188 / 6 leaves remainder 2"),
+        (_engine_level((-1, 0, -4)), "level sum at (2, 1): -288 / 6 is negative"),
     ),
     "pleth_coefficient": (
         lambda: pleth_coefficient((3, 1), (2,), (2,)),
@@ -705,3 +702,28 @@ def test_every_exact_division_fails_hard(monkeypatch, capsys, route, check):
     assert run(capsys, *command.split()) == (
         3, "", "internal consistency failure: %s\n" % caught.value
     )
+
+
+def test_one_corrupted_row_reaches_every_dense_reader(monkeypatch):
+    # every dense contraction reads chi^(2,1) of S_3 from the one row store
+    kronecker._engine_value.cache_clear()
+    plethysm._class_vector.cache_clear()
+    _s3_row((-1, 0, 3))(monkeypatch)
+    try:
+        for call in (
+            lambda: kron_char((2, 1), (2, 1), (2, 1)),
+            lambda: kron_table(3),
+            lambda: run_property("dimension-sum", {"n": 3}),
+            lambda: reduced_kron((2, 1), (2, 1), (2, 1)),
+        ):
+            with pytest.raises(InternalConsistencyError):
+                call()
+        assert run_property("orthogonality", {"n": 3}).status == "fail"
+        # the class vector of s_(1)[s_(2,1)] becomes 3 p_111 - 2 p_3 over 3!,
+        # which the true chi^(2,1) = (-1, 0, 2) contracts to 8
+        with pytest.raises(InternalConsistencyError, match="8 / 6 leaves remainder 2"):
+            pleth_coefficient((2, 1), (2, 1), (1,))
+        assert character_table(3).rows[(2, 1)] == {(3,): -1, (2, 1): 0, (1, 1, 1): 3}
+    finally:
+        # the class vector of s_(1)[s_(2,1)] was cached from the corrupted row
+        plethysm._class_vector.cache_clear()

@@ -4,8 +4,8 @@ from math import factorial
 
 import pytest
 
-from artifact import kronecker
-from artifact.characters import char_kernel, character, clear_memo
+from artifact import characters, kronecker
+from artifact.characters import character, clear_memo, strip_row
 from artifact.cli import main
 from artifact.kronecker import (
     InternalConsistencyError,
@@ -145,11 +145,13 @@ def test_oracle_sign_identity_size_6():
 
 
 def test_both_routes_accept_list_arguments():
-    # the tuples check_partition returns are what the caches and rows key on
+    # the tuples check_partition returns are what the caches and rows key on,
+    # the shape words of characters._word among them
     assert kron_char([2, 1], [2, 1], [2, 1]) == 1
     assert kron_schur_oracle([2, 1], [2, 1], [2, 1]) == 1
     assert kron_char([3, 1], [2, 2], [2, 1, 1]) == 1
     assert kron_schur_oracle([3, 1], [2, 1, 1], [2, 2]) == 1
+    assert character([2, 1], [3]) == -1
 
 
 def test_oracle_guards():
@@ -351,9 +353,8 @@ def test_kernel_matches_per_call_contraction(n):
     ],
 )
 def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, corrupted):
-    kern = char_kernel(3)
-    assert kern.row((2, 1)) == (-1, 0, 2)
-    monkeypatch.setitem(kern.rows, (2, 1), corrupted)
+    assert strip_row((2, 1), 3) == (-1, 0, 2)
+    monkeypatch.setitem(characters._rows, (characters._word((2, 1)), 3, 3), corrupted)
     with pytest.raises(InternalConsistencyError):
         kron_char((2, 1), (2, 1), (2, 1))
     with pytest.raises(InternalConsistencyError):
@@ -365,22 +366,19 @@ def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, corrupted):
 @pytest.mark.parametrize(
     "corrupted,check",
     [
-        ((-1, 0, 3), "173 / 6 leaves remainder 5"),  # level total 173 = 28 * 6 + 5
-        ((-1, 0, -4), "-240 / 6 is negative"),  # level total -240
-        ((1, -1, 1), "negative reduced coefficient -1"),  # the sign row: 9 - 10
+        ((-1, 0, 3), "188 / 6 leaves remainder 2"),  # level total 188 = 31 * 6 + 2
+        ((-1, 0, -4), "-288 / 6 is negative"),  # level total -288
+        ((1, -1, 1), "negative reduced coefficient -2"),  # the sign row: 8 - 10
     ],
 )
 def test_corrupted_level_is_a_hard_failure(monkeypatch, capsys, corrupted, check):
-    # gbar((2,1), (2,1), (2,1)) = 9; its top level at u = (2,1) dots the
-    # weights (4, 9, 59) on the classes of S_3 with chi^(2,1) = (-1, 0, 2),
-    # and the three lower levels add up to -10
-    # the strip closures come from the row store, never from kern.rows, so
-    # only the level weights read the corrupted row
+    # gbar((2,1), (2,1), (2,1)) = 9: its top level at u = (2,1) is 19 and
+    # the three lower levels add up to -10.  The top level reads chi^(2,1)
+    # of S_3 twice, as its class weights and as the strip closure of (2,1)
     kronecker._engine_value.cache_clear()
     assert reduced_kron((2, 1), (2, 1), (2, 1)) == 9
-    kern = char_kernel(3)
-    assert kern.row((2, 1)) == (-1, 0, 2)
-    monkeypatch.setitem(kern.rows, (2, 1), corrupted)
+    assert strip_row((2, 1), 3) == (-1, 0, 2)
+    monkeypatch.setitem(characters._rows, (characters._word((2, 1)), 3, 3), corrupted)
     kronecker._engine_value.cache_clear()
     with pytest.raises(InternalConsistencyError, match=check):
         reduced_kron((2, 1), (2, 1), (2, 1))
@@ -394,5 +392,6 @@ def test_single_query_builds_only_its_rows():
     trio = (10, 5, 1), (9, 7), (8, 8)
     clear_memo()
     assert kron_char(*trio) == per_call_contraction(*trio)
-    assert len(char_kernel(16).classes) == 231
-    assert sorted(char_kernel(16).rows, reverse=True) == list(trio)
+    assert len(characters.conjugacy_classes(16)[0]) == 231
+    size_16 = [w for w, m, _ in characters._rows if m == 16]
+    assert sorted(size_16) == sorted(map(characters._word, trio))

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from artifact import verify
-from artifact.characters import ClassSum, char_kernel, clear_memo
+from artifact import characters, verify
+from artifact.characters import ClassSum, clear_memo, conjugacy_classes, strip_row
 from artifact.cli import main
 from artifact.kronecker import kron_char
 from artifact.partitions import conjugate, enumerate_partitions
@@ -249,13 +249,15 @@ def test_matrix_count_small():
 def test_orthogonality_reports_the_first_failing_pair(
     monkeypatch, n, corrupt, witness, checked
 ):
-    kern = char_kernel(n)
+    classes, sizes = conjugacy_classes(n)
     if corrupt == "row":
-        row = list(kern.row((3, 1, 1)))
-        row[kern.classes.index((3, 2))] += 1
-        monkeypatch.setitem(kern.rows, (3, 1, 1), tuple(row))
+        row = list(strip_row((3, 1, 1), n))
+        row[classes.index((3, 2))] += 1
+        key = characters._word((3, 1, 1)), n, n
+        monkeypatch.setitem(characters._rows, key, tuple(row))
     else:
-        monkeypatch.setattr(kern, "sizes", (kern.sizes[0] + 1,) + kern.sizes[1:])
+        corrupted = classes, (sizes[0] + 1,) + sizes[1:]
+        monkeypatch.setitem(characters._classes, n, corrupted)
     report = run_property("orthogonality", {"n": n})
     assert report.status == "fail"
     keys = ("kind", "first", "second", "sum", "expected")
