@@ -117,19 +117,6 @@ def conjugate(p):
     return tuple(sum(1 for a in p if a > j) for j in range(p[0]))
 
 
-def dominance_leq(p, q):
-    """True iff p is dominated by q (every prefix sum of p <= that of q)."""
-    if sum(p) != sum(q):
-        raise SizeMismatchError(f"|{p}| != |{q}|")
-    sp = sq = 0
-    for i in range(max(len(p), len(q))):
-        sp += p[i] if i < len(p) else 0
-        sq += q[i] if i < len(q) else 0
-        if sp > sq:
-            return False
-    return True
-
-
 def durfee(p):
     """Largest i with p_i >= i (side of the Durfee square)."""
     d = 0

@@ -20,6 +20,10 @@ of their own.
 
 Sweeps run serially over their items in canonical order, so status, witness
 and checked_count are identical for every run; only elapsed time varies.
+A sweep that reads g on every triple of one size (transpose, dimension-sum,
+pp20-bound, ip23, semigroup's positive triples) reads one kron_table; the
+checks that need a few given triples call kron_char, and so does
+kron-symmetry, its smoke test.
 """
 
 import random
@@ -40,6 +44,7 @@ from .characters import (
 )
 from .kronecker import (
     kron_char,
+    kron_table,
     kron_tworow,
     padding_threshold,
     reduced_kron,
@@ -159,10 +164,24 @@ def _orthogonality_items(n):
                 yield kind, p, q, x, y, diagonal(p) if p == q else 0
 
 
+# -- every g of one size -------------------------------------------------------------
+#
+# kron_table(n) divides each g by n! exactly and lists the canonical triples in
+# multisets(range(p(n)), 3) order.  The sweep's own range bounds n, so limit=n.
+
+
+def _kron_lookup(n):
+    """The shapes of n, and g on their indices in any order, from one kron_table."""
+    parts = enumerate_partitions(n)
+    table = kron_table(n, limit=n)
+    values = dict(zip(multisets(range(len(parts)), 3), (row[3] for row in table)))
+    return parts, lambda *ids: values[tuple(sorted(ids))]
+
+
 # -- Kronecker symmetries ------------------------------------------------------------
 #
-# kron-symmetry is a smoke test, not an independent check: all six argument
-# orders dot the same three character rows, so they agree by construction.
+# kron-symmetry is kron_char's smoke test, not an independent check: all six
+# argument orders dot the same three character rows, so they agree by construction.
 
 
 def _check_symmetry(item):
@@ -182,45 +201,39 @@ def _check_symmetry(item):
 
 
 def _check_transpose(item):
-    lam, mu, nu = item
-    lhs = kron_char(lam, mu, nu)
-    rhs = kron_char(conjugate(lam), conjugate(mu), nu)
+    lam, mu, nu, lhs, rhs = item
     if lhs != rhs:
         return {"lambda": lam, "mu": mu, "nu": nu, "plain": lhs, "transposed": rhs}
     return None
 
 
-def _canonical_triples(n):
-    return multisets(enumerate_partitions(n), 3)
-
-
-def _pair_triples(n):
-    """(lam, mu, nu) with lam <= mu canonical and nu free."""
-    parts = enumerate_partitions(n)
-    return [(lam, mu, nu) for lam, mu in multisets(parts, 2) for nu in parts]
+def _pair_items(n):
+    """Pair triples lam <= mu, nu free, with g(lam, mu, nu) and g(lam', mu', nu)."""
+    parts, g = _kron_lookup(n)
+    index = {p: i for i, p in enumerate(parts)}
+    bar = [index[conjugate(p)] for p in parts]
+    for i, j in multisets(range(len(parts)), 2):
+        for k, nu in enumerate(parts):
+            yield parts[i], parts[j], nu, g(i, j, k), g(bar[i], bar[j], k)
 
 
 # -- dimension sum -------------------------------------------------------------------
 
 
 def _check_dimension_sum(item):
-    n, lam, mu, rows = item
-    pair = tuple(map(mul, conjugacy_classes(n)[1], map(mul, rows[lam], rows[mu])))
-    total = 0
-    for nu, row in rows.items():
-        dot = sum(map(mul, pair, row))
-        g = exact_quotient(dot, factorial(n), "g(%r, %r, %r)", lam, mu, nu)
-        total += dimension_hlf(nu) * g
-    want = dimension_hlf(lam) * dimension_hlf(mu)
+    lam, mu, total, want = item
     if total != want:
         return {"lambda": lam, "mu": mu, "sum": total, "expected": want}
     return None
 
 
 def _dimension_sum_items(n):
-    """Shape pairs, each with the rows chi^nu of S_n in class order, read once."""
-    rows = {nu: strip_row(nu, n) for nu in enumerate_partitions(n)}
-    return [(n, lam, mu, rows) for lam, mu in multisets(rows, 2)]
+    """Shape pairs with sum over nu of dim(nu) g(lam, mu, nu) and dim(lam) dim(mu)."""
+    parts, g = _kron_lookup(n)
+    dims = [dimension_hlf(p) for p in parts]
+    for i, j in multisets(range(len(parts)), 2):
+        total = sum(d * g(i, j, k) for k, d in enumerate(dims))
+        yield parts[i], parts[j], total, dims[i] * dims[j]
 
 
 # -- semigroup spot checks ------------------------------------------------------------
@@ -243,11 +256,8 @@ def _check_semigroup(item):
 
 
 def _semigroup_items(samples, max_size):
-    positives = []
-    for n in range(1, max_size + 1):
-        for trip in _canonical_triples(n):
-            if kron_char(*trip) > 0:
-                positives.append(trip)
+    tables = (kron_table(n, limit=n) for n in range(1, max_size + 1))
+    positives = [(lam, mu, nu) for t in tables for lam, mu, nu, g in t if g > 0]
     rng = random.Random(SEMIGROUP_SEED)
     return [(rng.choice(positives), rng.choice(positives)) for _ in range(samples)]
 
@@ -386,10 +396,9 @@ def _char_bound_items(n):
 
 
 def _check_pp20(item):
-    lam, mu, nu = item
+    lam, mu, nu, g = item
     n = sum(lam)
     lmr = len(lam) * len(mu) * len(nu)
-    g = kron_char(lam, mu, nu)
     if g * n**n * lmr**lmr > (n + lmr) ** (n + lmr):
         return {"lambda": lam, "mu": mu, "nu": nu, "value": g}
     return None
@@ -417,12 +426,11 @@ def _run_foulkes(d, n, cap):
 
 
 def _check_ip23(item):
-    lam, mu, nu = item
+    lam, mu, nu, g, _ = item
     head = nu[0]
     first = tuple(part + head for part in lam)
     second = tuple(part + head for part in mu)
     third = (head,) * (len(lam) + len(mu)) + nu
-    g = kron_char(lam, mu, nu)
     gbar = reduced_kron(first, second, third)
     if g != gbar:
         return {
@@ -497,8 +505,10 @@ class Spec:
 
 _PROPERTIES = {
     "orthogonality": Spec(_orthogonality_items, _check_orthogonality, n=(8, 1, CAP)),
-    "kron-symmetry": Spec(_canonical_triples, _check_symmetry, n=(5, 1, CAP)),
-    "transpose": Spec(_pair_triples, _check_transpose, n=(5, 1, CAP)),
+    "kron-symmetry": Spec(
+        lambda n: multisets(enumerate_partitions(n), 3), _check_symmetry, n=(5, 1, CAP)
+    ),
+    "transpose": Spec(_pair_items, _check_transpose, n=(5, 1, CAP)),
     "dimension-sum": Spec(_dimension_sum_items, _check_dimension_sum, n=(6, 1, CAP)),
     "semigroup": Spec(
         _semigroup_items,
@@ -516,11 +526,11 @@ _PROPERTIES = {
     "saxl": Spec(_saxl_items, _check_saxl, k=(3, 1, 8)),
     "tensor-square": Spec(run=_run_tensor_square, n=(9, 1, CAP)),
     "char-bound": Spec(_char_bound_items, _check_char_bound, n=(10, 1, CAP)),
-    "pp20-bound": Spec(_canonical_triples, _check_pp20, n=(6, 1, CAP)),
+    "pp20-bound": Spec(lambda n: kron_table(n, limit=n), _check_pp20, n=(6, 1, CAP)),
     "foulkes": Spec(
         run=_run_foulkes, d=(3, 1, None), n=(2, 1, None), cap=(DEGREE_CAP, 1, None)
     ),
-    "ip23": Spec(_pair_triples, _check_ip23, n=(4, 1, 6)),
+    "ip23": Spec(_pair_items, _check_ip23, n=(4, 1, 6)),
     "cauchy": Spec(
         _cauchy_items,
         _check_cauchy,

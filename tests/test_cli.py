@@ -656,6 +656,24 @@ HARD_FAILURES = {
         (_s3_row((-1, 0, 3)), KRON + "1 / 6 leaves remainder 1"),
         (_s3_row((-1, 0, -4)), KRON + "-6 / 6 is negative"),
     ),
+    "transpose": (
+        lambda: run_property("transpose", {"n": 3}),
+        "verify transpose --n 3",
+        (_s3_row((-1, 0, 3)), KRON + "1 / 6 leaves remainder 1"),
+        (_s3_row((-1, 0, -4)), KRON + "-6 / 6 is negative"),
+    ),
+    "pp20-bound": (
+        lambda: run_property("pp20-bound", {"n": 3}),
+        "verify pp20-bound --n 3",
+        (_s3_row((-1, 0, 3)), KRON + "1 / 6 leaves remainder 1"),
+        (_s3_row((-1, 0, -4)), KRON + "-6 / 6 is negative"),
+    ),
+    "ip23": (
+        lambda: run_property("ip23", {"n": 3}),
+        "verify ip23 --n 3",
+        (_s3_row((-1, 0, 3)), KRON + "1 / 6 leaves remainder 1"),
+        (_s3_row((-1, 0, -4)), KRON + "-6 / 6 is negative"),
+    ),
     "saxl": (
         lambda: run_property("saxl", {"k": 2}),
         "verify saxl --k 2",
@@ -714,6 +732,9 @@ def test_one_corrupted_row_reaches_every_dense_reader(monkeypatch):
             lambda: kron_char((2, 1), (2, 1), (2, 1)),
             lambda: kron_table(3),
             lambda: run_property("dimension-sum", {"n": 3}),
+            lambda: run_property("transpose", {"n": 3}),
+            lambda: run_property("pp20-bound", {"n": 3}),
+            lambda: run_property("ip23", {"n": 3}),
             lambda: reduced_kron((2, 1), (2, 1), (2, 1)),
         ):
             with pytest.raises(InternalConsistencyError):

@@ -14,7 +14,6 @@ from artifact.partitions import (
     contains,
     count_bounded,
     dimension_hlf,
-    dominance_leq,
     durfee,
     enumerate_partitions,
     format_partition,
@@ -27,6 +26,19 @@ from artifact.partitions import (
     stretch,
     subdiagrams,
 )
+
+
+def dominance_leq(p, q):
+    """True iff p is dominated by q (every prefix sum of p <= that of q)."""
+    if sum(p) != sum(q):
+        raise SizeMismatchError(f"|{p}| != |{q}|")
+    sp = sq = 0
+    for i in range(max(len(p), len(q))):
+        sp += p[i] if i < len(p) else 0
+        sq += q[i] if i < len(q) else 0
+        if sp > sq:
+            return False
+    return True
 
 
 @st.composite

@@ -9,7 +9,6 @@ from artifact.partitions import (
     conjugate,
     contains,
     dimension_hlf,
-    dominance_leq,
     enumerate_partitions,
 )
 from artifact.tableaux import (
@@ -18,6 +17,7 @@ from artifact.tableaux import (
     lr_coefficient,
     skew_schur_expansion,
 )
+from test_partitions import dominance_leq
 
 
 def brute_ssyt(shape, weight):

@@ -1,12 +1,15 @@
 import json
+import random
+from itertools import combinations_with_replacement as multisets
+from itertools import product
 
 import pytest
 
 from artifact import characters, verify
 from artifact.characters import ClassSum, clear_memo, conjugacy_classes, strip_row
 from artifact.cli import main
-from artifact.kronecker import kron_char
-from artifact.partitions import conjugate, enumerate_partitions
+from artifact.kronecker import kron_char, kron_table, reduced_kron
+from artifact.partitions import add, conjugate, dimension_hlf, enumerate_partitions
 from artifact.verify import (
     Report,
     _matrix_count,
@@ -294,3 +297,170 @@ def test_corrupted_saxl_weight_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_square_support", lambda delta: corrupted)
     assert main(["verify", "saxl", "--k", "3"]) == 3
     assert "internal consistency failure" in capsys.readouterr().err
+
+
+def test_kron_lookup_matches_kron_char_on_every_ordered_triple():
+    for n in range(1, 8):
+        parts, g = verify._kron_lookup(n)
+        assert parts == enumerate_partitions(n)
+        for i, j, k in product(range(len(parts)), repeat=3):
+            assert g(i, j, k) == kron_char(parts[i], parts[j], parts[k])
+
+
+# Per-triple references: each sweep as it read g from kron_char, one triple
+# at a time.  Each yields the witness or None of every item in sweep order.
+
+
+def _reference_transpose(n, kron=kron_char):
+    parts = enumerate_partitions(n)
+    for lam, mu in multisets(parts, 2):
+        for nu in parts:
+            lhs = kron(lam, mu, nu)
+            rhs = kron(conjugate(lam), conjugate(mu), nu)
+            yield None if lhs == rhs else {
+                "lambda": lam, "mu": mu, "nu": nu, "plain": lhs, "transposed": rhs
+            }
+
+
+def _reference_dimension_sum(n, kron=kron_char):
+    parts = enumerate_partitions(n)
+    for lam, mu in multisets(parts, 2):
+        total = sum(dimension_hlf(nu) * kron(lam, mu, nu) for nu in parts)
+        want = dimension_hlf(lam) * dimension_hlf(mu)
+        yield None if total == want else {
+            "lambda": lam, "mu": mu, "sum": total, "expected": want
+        }
+
+
+def _reference_pp20(n, kron=kron_char):
+    for lam, mu, nu in multisets(enumerate_partitions(n), 3):
+        lmr = len(lam) * len(mu) * len(nu)
+        g = kron(lam, mu, nu)
+        bound = g * n**n * lmr**lmr <= (n + lmr) ** (n + lmr)
+        yield None if bound else {"lambda": lam, "mu": mu, "nu": nu, "value": g}
+
+
+def _reference_ip23(n, kron=kron_char):
+    parts = enumerate_partitions(n)
+    for lam, mu in multisets(parts, 2):
+        for nu in parts:
+            head = nu[0]
+            first = tuple(part + head for part in lam)
+            second = tuple(part + head for part in mu)
+            third = (head,) * (len(lam) + len(mu)) + nu
+            g = kron(lam, mu, nu)
+            gbar = reduced_kron(first, second, third)
+            yield None if g == gbar else {
+                "lambda": lam,
+                "mu": mu,
+                "nu": nu,
+                "ordinary": g,
+                "reduced_arguments": [first, second, third],
+                "reduced": gbar,
+            }
+
+
+def _reference_semigroup(kron=kron_char, samples=40, max_size=5):
+    positives = [
+        trip
+        for n in range(1, max_size + 1)
+        for trip in multisets(enumerate_partitions(n), 3)
+        if kron(*trip) > 0
+    ]
+    rng = random.Random(verify.SEMIGROUP_SEED)
+    for _ in range(samples):
+        first, second = rng.choice(positives), rng.choice(positives)
+        summed = tuple(add(p, q) for p, q in zip(first, second))
+        got = kron(*summed)
+        lower = max(kron(*first), kron(*second))
+        yield None if got >= lower else {
+            "first": first,
+            "second": second,
+            "summed": summed,
+            "value": got,
+            "lower_bound": lower,
+        }
+
+
+def _without_elapsed(report):
+    out = report.to_json()
+    del out["elapsed_ms"]
+    return out
+
+
+def _reference_report(name, params, witnesses):
+    witnesses = list(witnesses)
+    first = next((w for w in witnesses if w is not None), None)
+    status = "pass" if first is None else "fail"
+    return Report(name, params, status, first, len(witnesses), 0.0)
+
+
+TABLE_SWEEPS = {
+    "transpose": _reference_transpose,
+    "dimension-sum": _reference_dimension_sum,
+    "pp20-bound": _reference_pp20,
+}
+
+
+@pytest.mark.parametrize("name", TABLE_SWEEPS)
+@pytest.mark.parametrize("n", [*range(1, 9), 10])
+def test_table_sweeps_match_the_per_triple_reference(name, n):
+    params = {"n": n}
+    reference = _reference_report(name, params, TABLE_SWEEPS[name](n))
+    got = run_property(name, params)
+    assert _without_elapsed(got) == _without_elapsed(reference)
+
+
+def test_ip23_and_semigroup_match_the_per_triple_reference():
+    for n in range(1, 6):
+        reference = _reference_report("ip23", {"n": n}, _reference_ip23(n))
+        got = run_property("ip23", {"n": n})
+        assert _without_elapsed(got) == _without_elapsed(reference)
+    reference = _reference_report("semigroup", {}, _reference_semigroup())
+    assert _without_elapsed(run_property("semigroup")) == _without_elapsed(reference)
+
+
+def test_a_bumped_g_gives_the_reference_witness(monkeypatch):
+    # one g of size 5 is raised by 10^9 in kron_char and kron_table alike, so
+    # each sweep fails and must name the reference's first witness
+    bumped = ((4, 1), (3, 2), (3, 1, 1))
+
+    def kron(*trip):
+        return kron_char(*trip) + 10**9 * (sorted(trip) == sorted(bumped))
+
+    def table(n, limit):
+        return [
+            (lam, mu, nu, g + 10**9 * ((lam, mu, nu) == bumped))
+            for lam, mu, nu, g in kron_table(n, limit=limit)
+        ]
+
+    monkeypatch.setattr(verify, "kron_char", kron)
+    monkeypatch.setattr(verify, "kron_table", table)
+    sweeps = {**TABLE_SWEEPS, "ip23": _reference_ip23}
+    for name, reference in sweeps.items():
+        want = _reference_report(name, {"n": 5}, reference(5, kron))
+        assert want.status == "fail"
+        assert _without_elapsed(run_property(name, {"n": 5})) == _without_elapsed(want)
+    want = _reference_report("semigroup", {}, _reference_semigroup(kron))
+    assert _without_elapsed(run_property("semigroup")) == _without_elapsed(want)
+
+
+@pytest.mark.parametrize(
+    "name, n", [("transpose", 6), ("dimension-sum", 6), ("pp20-bound", 7)]
+)
+def test_table_sweeps_read_one_kron_table(monkeypatch, name, n):
+    calls = {"kron_char": 0, "kron_table": 0}
+
+    def counted(fn_name):
+        fn = getattr(verify, fn_name)
+
+        def wrapper(*args, **kwargs):
+            calls[fn_name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn_name in calls:
+        monkeypatch.setattr(verify, fn_name, counted(fn_name))
+    assert run_property(name, {"n": n}).status == "pass"
+    assert calls == {"kron_char": 0, "kron_table": 1}
