@@ -27,7 +27,7 @@ oracle for this route.
 
 from functools import cache
 from math import factorial
-from operator import mul
+from operator import add, mul
 
 from .characters import (
     TABLE_LIMIT,
@@ -161,16 +161,17 @@ def _phi(big, delta, t):
     """Class vector over S_t of s_{big/delta} * h_r, r = t - |big/delta|.
 
     The sum over the constituents rho of big/delta of their coefficient
-    times the strip closure strip_row(rho, t).  Empty when no constituent
-    fits in size t.
+    times the strip closure strip_row(rho, t), added a whole row at a time:
+    a lone constituent with coefficient 1 is the stored row itself.  Empty
+    when big/delta does not fit in size t.
     """
-    terms = [
-        (c, strip_row(rho, t))
-        for rho, c in skew_schur_expansion(big, delta).items()
-        if sum(rho) <= t
-    ]
-    coeffs = [c for c, _ in terms]
-    return [sum(map(mul, coeffs, col)) for col in zip(*(v for _, v in terms))]
+    if sum(big) - sum(delta) > t:
+        return ()
+    out = ()
+    for rho, c in skew_schur_expansion(big, delta).items():
+        row = strip_row(rho, t) if c == 1 else [c * x for x in strip_row(rho, t)]
+        out = tuple(map(add, out, row)) if out else row
+    return out
 
 
 @cache

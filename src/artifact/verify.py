@@ -21,9 +21,9 @@ of their own.
 Sweeps run serially over their items in canonical order, so status, witness
 and checked_count are identical for every run; only elapsed time varies.
 A sweep that reads g on every triple of one size (transpose, dimension-sum,
-pp20-bound, ip23, semigroup's positive triples) reads one kron_table; the
-checks that need a few given triples call kron_char, and so does
-kron-symmetry, its smoke test.
+pp20-bound, ip23, semigroup's positive triples) reads one kron_table;
+murnaghan and tworow dot one pair product per (lam, mu) with each chi^nu.
+Only semigroup's summed triples and kron-symmetry call kron_char.
 """
 
 import random
@@ -240,10 +240,10 @@ def _dimension_sum_items(n):
 
 
 def _check_semigroup(item):
-    first, second = item
+    (first, g_first), (second, g_second) = item
     summed = tuple(add(p, q) for p, q in zip(first, second))
     got = kron_char(*summed)
-    lower = max(kron_char(*first), kron_char(*second))
+    lower = max(g_first, g_second)
     if got < lower:
         return {
             "first": first,
@@ -257,17 +257,24 @@ def _check_semigroup(item):
 
 def _semigroup_items(samples, max_size):
     tables = (kron_table(n, limit=n) for n in range(1, max_size + 1))
-    positives = [(lam, mu, nu) for t in tables for lam, mu, nu, g in t if g > 0]
+    positives = [((lam, mu, nu), g) for t in tables for lam, mu, nu, g in t if g > 0]
     rng = random.Random(SEMIGROUP_SEED)
     return [(rng.choice(positives), rng.choice(positives)) for _ in range(samples)]
 
 
-# -- Murnaghan stability ---------------------------------------------------------------
+# -- padded triples: Murnaghan stability and the two-row closed form ----------------------
+#
+# |C| chi^lam chi^mu is formed once per pair and dotted with each chi^nu.
+
+
+def _contract(pair, nu, *trip):
+    """g(*trip), pair being |C| times the two rows of trip that are not chi^nu."""
+    total = sum(map(mul, pair, strip_row(nu, sum(nu))))
+    return exact_quotient(total, factorial(sum(nu)), "g(%r, %r, %r)", *trip)
 
 
 def _check_murnaghan(item):
-    lam, mu, nu, n = item
-    g = kron_char(pad(lam, n), pad(mu, n), pad(nu, n))
+    lam, mu, nu, n, g = item
     c = lr_coefficient(lam, mu, nu)
     if g != c:
         return {"lambda": lam, "mu": mu, "nu": nu, "n": n, "padded": g, "lr": c}
@@ -275,24 +282,23 @@ def _check_murnaghan(item):
 
 
 def _murnaghan_items(max_size):
-    items = []
+    """(lam, mu, nu, n, g(lam[n], mu[n], nu[n])), |mu| + |nu| = |lam| = (n - 1) / 2."""
+    shapes = [enumerate_partitions(k) for k in range(max_size + 1)]
     for total in range(1, max_size + 1):
         n = 2 * total + 1
-        for lam in enumerate_partitions(total):
+        sizes = conjugacy_classes(n)[1]
+        for lam in shapes[total]:
+            weighted = tuple(map(mul, sizes, strip_row(pad(lam, n), n)))
             for k in range(total + 1):
-                for mu in enumerate_partitions(k):
-                    for nu in enumerate_partitions(total - k):
-                        items.append((lam, mu, nu, n))
-    return items
-
-
-# -- two-row closed form ----------------------------------------------------------------
+                for mu in shapes[k]:
+                    pair = tuple(map(mul, weighted, strip_row(pad(mu, n), n)))
+                    for nu in shapes[total - k]:
+                        big = pad(lam, n), pad(mu, n), pad(nu, n)
+                        yield lam, mu, nu, n, _contract(pair, big[2], *big)
 
 
 def _check_tworow(item):
-    n, d, k = item
-    lam = (n * d - k, k) if k else ((n * d,) if n * d else ())
-    direct = kron_char(lam, (n,) * d, (n,) * d)
+    n, d, k, direct = item
     closed = kron_tworow(n, d, k)
     if direct != closed:
         return {"n": n, "d": d, "k": k, "character": direct, "closed_form": closed}
@@ -300,12 +306,15 @@ def _check_tworow(item):
 
 
 def _tworow_items(max_cells):
-    return [
-        (n, d, k)
-        for n in range(1, max_cells + 1)
-        for d in range(1, max_cells // n + 1)
-        for k in range(n * d // 2 + 1)
-    ]
+    """(n, d, k, g((nd - k, k), n^d, n^d)): one pair product per rectangle n^d."""
+    for n in range(1, max_cells + 1):
+        for d in range(1, max_cells // n + 1):
+            rect, size = (n,) * d, n * d
+            row = strip_row(rect, size)
+            pair = tuple(map(mul, conjugacy_classes(size)[1], map(mul, row, row)))
+            for k in range(size // 2 + 1):
+                lam = (size - k, k) if k else (size,)
+                yield n, d, k, _contract(pair, lam, lam, rect, rect)
 
 
 # -- squares g(lam, lam, mu): Saxl, tensor squares, character bound ----------------------------

@@ -581,12 +581,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
 # InternalConsistencyError, exit 3 and name the check that tripped.
 
 
-def _s3_row(row):
-    """Replace chi^(2,1) of S_3, truly (-1, 0, 2), in the row store."""
+S3_ROWS = {(3,): (1, 1, 1), (2, 1): (-1, 0, 2)}
+
+
+def _s3_row(row, shape=(2, 1)):
+    """Replace chi^shape of S_3, truly S3_ROWS[shape], in the row store."""
 
     def corrupt(monkeypatch):
-        assert strip_row((2, 1), 3) == (-1, 0, 2)
-        monkeypatch.setitem(characters._rows, (characters._word((2, 1)), 3, 3), row)
+        assert strip_row(shape, 3) == S3_ROWS[shape]
+        monkeypatch.setitem(characters._rows, (characters._word(shape), 3, 3), row)
 
     return corrupt
 
@@ -635,6 +638,11 @@ def _h2h2_weights(weights):
 
 
 KRON = "g((3,), (3,), (2, 1)): "
+# murnaghan's first padded triple is (1)[3], ()[3], (1)[3], whose total is
+# 2 chi^(3)(3) + 4 chi^(3)(1^3): a square of chi^(2,1) cannot turn it negative,
+# a corrupted chi^(3) can.  tworow's first triple of S_3 is ((2, 1), 1^3, 1^3).
+MURNAGHAN = "g((2, 1), (3,), (2, 1)): "
+TWOROW = "g((2, 1), (1, 1, 1), (1, 1, 1)): "
 SQUARE = "g((2, 1), (2, 1), (3,)): "
 PLETH = "coefficient of (3, 1) in s_(2,)[s_(2,)]: "
 HARD_FAILURES = {
@@ -673,6 +681,18 @@ HARD_FAILURES = {
         "verify ip23 --n 3",
         (_s3_row((-1, 0, 3)), KRON + "1 / 6 leaves remainder 1"),
         (_s3_row((-1, 0, -4)), KRON + "-6 / 6 is negative"),
+    ),
+    "murnaghan": (
+        lambda: run_property("murnaghan", {"max_size": 1}),
+        "verify murnaghan --n 1",
+        (_s3_row((1, 1, 2), (3,)), MURNAGHAN + "10 / 6 leaves remainder 4"),
+        (_s3_row((1, 1, -2), (3,)), MURNAGHAN + "-6 / 6 is negative"),
+    ),
+    "tworow": (
+        lambda: run_property("tworow", {"max_cells": 3}),
+        "verify tworow --n 3",
+        (_s3_row((-1, 0, 3)), TWOROW + "1 / 6 leaves remainder 1"),
+        (_s3_row((-1, 0, -4)), TWOROW + "-6 / 6 is negative"),
     ),
     "saxl": (
         lambda: run_property("saxl", {"k": 2}),
@@ -735,6 +755,8 @@ def test_one_corrupted_row_reaches_every_dense_reader(monkeypatch):
             lambda: run_property("transpose", {"n": 3}),
             lambda: run_property("pp20-bound", {"n": 3}),
             lambda: run_property("ip23", {"n": 3}),
+            lambda: run_property("murnaghan", {"max_size": 1}),
+            lambda: run_property("tworow", {"max_cells": 3}),
             lambda: reduced_kron((2, 1), (2, 1), (2, 1)),
         ):
             with pytest.raises(InternalConsistencyError):

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations_with_replacement, permutations
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -23,8 +24,9 @@ from artifact.partitions import (
     dimension_hlf,
     enumerate_partitions,
     pad,
+    subdiagrams,
 )
-from artifact.tableaux import lr_coefficient
+from artifact.tableaux import lr_coefficient, skew_schur_expansion
 from artifact.verify import run_property
 
 
@@ -281,6 +283,41 @@ def test_engine_sums_only_vertical_strip_levels(monkeypatch):
     kronecker._engine_value.cache_clear()
     assert reduced_kron((2,) * 8, (2,) * 8, (6, 6)) > 0
     assert sorted(summed, reverse=True) == [(6, 6), (6, 5), (5, 5)]
+
+
+def per_class_phi(big, delta, t):
+    """The closure of s_{big/delta} at size t, summed class by class."""
+    terms = [
+        (c, strip_row(rho, t))
+        for rho, c in skew_schur_expansion(big, delta).items()
+        if sum(rho) <= t
+    ]
+    coeffs = [c for c, _ in terms]
+    return [sum(map(mul, coeffs, col)) for col in zip(*(v for _, v in terms))]
+
+
+def test_phi_adds_whole_rows_like_the_per_class_sum():
+    # s_{(3,2,1)/(2,1)} is three separate cells, s_1^3 = s_3 + 2 s_21 + s_111:
+    # several constituents and a coefficient above 1, which no sweep reaches
+    assert skew_schur_expansion((3, 2, 1), (2, 1)) == {
+        (3,): 1, (2, 1): 2, (1, 1, 1): 1
+    }
+    clear_memo()
+    several = scaled = 0
+    for size in range(9):
+        for big in enumerate_partitions(size):
+            for delta in subdiagrams(big):
+                expansion = skew_schur_expansion(big, delta)
+                several += len(expansion) > 1
+                scaled += max(expansion.values()) > 1
+                m = size - sum(delta)
+                for t in range(m, m + 4):
+                    got = kronecker._phi(big, delta, t)
+                    assert list(got) == per_class_phi(big, delta, t)
+    assert several and scaled
+    # the one-constituent case is the stored strip row itself
+    assert kronecker._phi((2, 2), (1,), 5) is strip_row((2, 1), 5)
+    assert kronecker._phi((3, 2, 1), (2, 1), 2) == ()
 
 
 # -- batch table -------------------------------------------------------------------

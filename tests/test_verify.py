@@ -8,8 +8,15 @@ import pytest
 from artifact import characters, verify
 from artifact.characters import ClassSum, clear_memo, conjugacy_classes, strip_row
 from artifact.cli import main
-from artifact.kronecker import kron_char, kron_table, reduced_kron
-from artifact.partitions import add, conjugate, dimension_hlf, enumerate_partitions
+from artifact.kronecker import kron_char, kron_table, kron_tworow, reduced_kron
+from artifact.partitions import (
+    add,
+    conjugate,
+    dimension_hlf,
+    enumerate_partitions,
+    pad,
+)
+from artifact.tableaux import lr_coefficient
 from artifact.verify import (
     Report,
     _matrix_count,
@@ -445,11 +452,9 @@ def test_a_bumped_g_gives_the_reference_witness(monkeypatch):
     assert _without_elapsed(run_property("semigroup")) == _without_elapsed(want)
 
 
-@pytest.mark.parametrize(
-    "name, n", [("transpose", 6), ("dimension-sum", 6), ("pp20-bound", 7)]
-)
-def test_table_sweeps_read_one_kron_table(monkeypatch, name, n):
-    calls = {"kron_char": 0, "kron_table": 0}
+def count_calls(monkeypatch, *names):
+    """Count the calls verify makes to each named function, by name."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(fn_name):
         fn = getattr(verify, fn_name)
@@ -460,7 +465,101 @@ def test_table_sweeps_read_one_kron_table(monkeypatch, name, n):
 
         return wrapper
 
-    for fn_name in calls:
+    for fn_name in names:
         monkeypatch.setattr(verify, fn_name, counted(fn_name))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, n", [("transpose", 6), ("dimension-sum", 6), ("pp20-bound", 7)]
+)
+def test_table_sweeps_read_one_kron_table(monkeypatch, name, n):
+    calls = count_calls(monkeypatch, "kron_char", "kron_table")
     assert run_property(name, {"n": n}).status == "pass"
     assert calls == {"kron_char": 0, "kron_table": 1}
+
+
+def test_semigroup_asks_kron_char_only_for_summed_triples(monkeypatch):
+    # the two sampled triples carry their g from the tables, one per size
+    calls = count_calls(monkeypatch, "kron_char", "kron_table")
+    assert run_property("semigroup").status == "pass"
+    assert calls == {"kron_char": 40, "kron_table": 5}
+
+
+# -- padded triples: one pair product per (lam, mu) ---------------------------------
+
+
+def _reference_murnaghan(max_size, lr=lr_coefficient):
+    for total in range(1, max_size + 1):
+        n = 2 * total + 1
+        for lam in enumerate_partitions(total):
+            for k in range(total + 1):
+                for mu in enumerate_partitions(k):
+                    for nu in enumerate_partitions(total - k):
+                        g = kron_char(pad(lam, n), pad(mu, n), pad(nu, n))
+                        c = lr(lam, mu, nu)
+                        yield None if g == c else {
+                            "lambda": lam, "mu": mu, "nu": nu, "n": n,
+                            "padded": g, "lr": c,
+                        }
+
+
+def _reference_tworow(max_cells, closed_form=kron_tworow):
+    for n in range(1, max_cells + 1):
+        for d in range(1, max_cells // n + 1):
+            for k in range(n * d // 2 + 1):
+                lam = (n * d - k, k) if k else (n * d,)
+                direct = kron_char(lam, (n,) * d, (n,) * d)
+                closed = closed_form(n, d, k)
+                yield None if direct == closed else {
+                    "n": n, "d": d, "k": k, "character": direct,
+                    "closed_form": closed,
+                }
+
+
+PADDED_SWEEPS = {
+    "murnaghan": ("max_size", _reference_murnaghan, range(1, 7)),
+    "tworow": ("max_cells", _reference_tworow, range(1, 17)),
+}
+
+
+@pytest.mark.parametrize("name", PADDED_SWEEPS)
+def test_padded_sweeps_match_the_per_item_reference(name):
+    key, reference, sizes = PADDED_SWEEPS[name]
+    for size in sizes:
+        params = {key: size}
+        want = _reference_report(name, params, reference(size))
+        assert _without_elapsed(run_property(name, params)) == _without_elapsed(want)
+
+
+def test_padded_sweeps_name_the_reference_witness(monkeypatch):
+    # one LR number and one closed form are raised by one, so each sweep
+    # fails and must name the reference's first witness
+    def lr(lam, mu, nu):
+        return lr_coefficient(lam, mu, nu) + ((lam, mu, nu) == ((2, 1), (1,), (1, 1)))
+
+    def closed_form(n, d, k):
+        return kron_tworow(n, d, k) + ((n, d, k) == (2, 3, 2))
+
+    monkeypatch.setattr(verify, "lr_coefficient", lr)
+    monkeypatch.setattr(verify, "kron_tworow", closed_form)
+    for name, reference, size in (
+        ("murnaghan", _reference_murnaghan(5, lr), 5),
+        ("tworow", _reference_tworow(12, closed_form), 12),
+    ):
+        params = {PADDED_SWEEPS[name][0]: size}
+        want = _reference_report(name, params, reference)
+        assert want.status == "fail"
+        assert _without_elapsed(run_property(name, params)) == _without_elapsed(want)
+
+
+@pytest.mark.parametrize(
+    "name, params, shape_lists",
+    [("murnaghan", {"max_size": 5}, 6), ("tworow", {"max_cells": 12}, 0)],
+)
+def test_padded_sweeps_call_no_kron_char(monkeypatch, name, params, shape_lists):
+    # murnaghan lists the shapes of each size 0..max_size once
+    calls = count_calls(monkeypatch, "kron_char", "kron_table", "enumerate_partitions")
+    assert run_property(name, params).status == "pass"
+    want = {"kron_char": 0, "kron_table": 0, "enumerate_partitions": shape_lists}
+    assert calls == want
