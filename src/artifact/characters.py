@@ -34,6 +34,7 @@ from .partitions import (
     SizeMismatchError,
     check_partition,
     class_size,
+    count_bounded,
     enumerate_partitions,
 )
 
@@ -122,13 +123,6 @@ def _mn(w, alpha):
     return total
 
 
-@cache
-def _class_count(m, q):
-    """The number of partitions of m with parts <= q (q <= m)."""
-    # one term per block: the classes with first part t
-    return sum(_class_count(m - t, min(t, m - t)) for t in range(1, q + 1)) if m else 1
-
-
 def _row(w, r, m, q):
     """The character of s_w * h_r, of size m, on the classes of S_m with parts <= q.
 
@@ -160,7 +154,7 @@ def _row(w, r, m, q):
                 block = tuple(map(neg, rest)) if odd else rest
             else:
                 block = tuple(map(sub if odd else add, block, rest))
-        row.extend(block or (0,) * _class_count(left, bound))
+        row.extend(block or (0,) * count_bounded(left, bound, left))
     row = _rows[w, m, q] = tuple(row)
     return row
 

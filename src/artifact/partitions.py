@@ -87,29 +87,6 @@ def enumerate_partitions(n, max_part=None, max_len=None):
     return out
 
 
-@cache
-def partition_count(n):
-    """p(n) by Euler's pentagonal-number recurrence."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = -1 if k % 2 == 0 else 1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
-
-
 def conjugate(p):
     """Transpose of the Young diagram."""
     if not p:
@@ -181,7 +158,11 @@ def dimension_hlf(p):
 
 @cache
 def count_bounded(r, a, b):
-    """Partitions of r with largest part <= a and at most b parts (p_r(a,b))."""
+    """Partitions of r with largest part <= a and at most b parts (p_r(a,b)).
+
+    The library's one partition counter: p(m) is count_bounded(m, m, m),
+    and the partitions of m with parts <= q number count_bounded(m, q, m).
+    """
     if r < 0:
         return 0
     if r == 0:

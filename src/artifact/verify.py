@@ -55,12 +55,12 @@ from .partitions import (
     class_size,
     conjugate,
     contingency_tables,
+    count_bounded,
     dimension_hlf,
     enumerate_partitions,
     hook_lengths,
     is_self_conjugate,
     pad,
-    partition_count,
     principal_hooks,
     stretch,
 )
@@ -418,7 +418,7 @@ def _check_pp20(item):
 
 def _run_foulkes(d, n, cap):
     violations = foulkes_violations(d, n, cap=cap)
-    checked = partition_count(d * n)
+    checked = count_bounded(d * n, d * n, d * n)
     if violations:
         lam, big, small = violations[0]
         witness = {

@@ -20,7 +20,6 @@ from artifact.partitions import (
     hook_lengths,
     pad,
     parse_partition,
-    partition_count,
     principal_hooks,
     remove_horizontal_strips,
     stretch,
@@ -96,12 +95,11 @@ def test_enumerate_edge_cases():
     assert enumerate_partitions(3, max_part=1) == [(1, 1, 1)]
 
 
-def test_enumerate_matches_pentagonal_recurrence():
-    # counts agree with Euler's pentagonal recurrence up to n = 40
-    for n in range(20):
-        assert len(enumerate_partitions(n)) == partition_count(n)
-    assert len(enumerate_partitions(40)) == partition_count(40)
-    assert partition_count(40) == 37338
+def test_enumerate_matches_count_bounded():
+    # p(n) is the unbounded case of the bounded count
+    for n in [*range(20), 40]:
+        assert len(enumerate_partitions(n)) == count_bounded(n, n, n)
+    assert count_bounded(40, 40, 40) == 37338
 
 
 @given(partition_strategy())
@@ -256,6 +254,13 @@ def test_count_bounded_matches_enumeration():
                 assert count_bounded(r, a, b) == len(
                     enumerate_partitions(r, max_part=a, max_len=b)
                 )
+
+
+def test_count_bounded_counts_parts_at_most_q():
+    # characters._row pads each zero block with this many classes
+    for m in range(15):
+        for q in range(m + 1):
+            assert count_bounded(m, q, m) == len(enumerate_partitions(m, max_part=q))
 
 
 def test_count_bounded_box_complementation():

@@ -427,10 +427,8 @@ def test_ip23_and_semigroup_match_the_per_triple_reference():
     assert _without_elapsed(run_property("semigroup")) == _without_elapsed(reference)
 
 
-def test_a_bumped_g_gives_the_reference_witness(monkeypatch):
-    # one g of size 5 is raised by 10^9 in kron_char and kron_table alike, so
-    # each sweep fails and must name the reference's first witness
-    bumped = ((4, 1), (3, 2), (3, 1, 1))
+def _bump(monkeypatch, bumped):
+    """Raise g(bumped) by 10^9 in verify's kron_char and kron_table alike."""
 
     def kron(*trip):
         return kron_char(*trip) + 10**9 * (sorted(trip) == sorted(bumped))
@@ -443,12 +441,32 @@ def test_a_bumped_g_gives_the_reference_witness(monkeypatch):
 
     monkeypatch.setattr(verify, "kron_char", kron)
     monkeypatch.setattr(verify, "kron_table", table)
+    return kron
+
+
+def test_a_bumped_g_gives_the_reference_witness(monkeypatch):
+    # one g of size 5 is bumped, so each sweep fails and must name the
+    # reference's first witness
+    kron = _bump(monkeypatch, ((4, 1), (3, 2), (3, 1, 1)))
     sweeps = {**TABLE_SWEEPS, "ip23": _reference_ip23}
     for name, reference in sweeps.items():
         want = _reference_report(name, {"n": 5}, reference(5, kron))
         assert want.status == "fail"
         assert _without_elapsed(run_property(name, {"n": 5})) == _without_elapsed(want)
     want = _reference_report("semigroup", {}, _reference_semigroup(kron))
+    assert _without_elapsed(run_property("semigroup")) == _without_elapsed(want)
+
+
+def test_semigroup_bounds_the_sum_by_the_larger_sampled_g(monkeypatch):
+    # the bumped triple is drawn only as a `second`, so only a bound that
+    # reads the second g as well as the first sees it
+    bumped = ((3, 2), (3, 1, 1), (3, 1, 1))
+    items = verify._semigroup_items(40, 5)
+    assert bumped in [second for _, (second, _) in items]
+    assert bumped not in [first for (first, _), _ in items]
+    kron = _bump(monkeypatch, bumped)
+    want = _reference_report("semigroup", {}, _reference_semigroup(kron))
+    assert want.status == "fail" and want.witness["second"] == bumped
     assert _without_elapsed(run_property("semigroup")) == _without_elapsed(want)
 
 
