@@ -9,6 +9,9 @@ algorithmic machinery, so their agreement on a corpus is a real check.
 Every contraction (kron_char, kron_table, the engine's level sums) reads its
 class sizes from characters.conjugacy_classes and its int-tuple rows from
 strip_row, which builds a row on first request: a query costs three rows.
+kron_table packs the rows it read into one int per class column, a field
+per nu wide enough for n! M^3 (M the largest |entry|), so one dot gives the
+totals of every nu at once; each is still divided exactly per triple.
 
 Reduced (stable) coefficients have one route, an exact inversion that
 never pads.  The level L(U), the sum of gbar over the V with U/V a
@@ -226,20 +229,34 @@ def kron_table(n, limit=TABLE_LIMIT):
 
     Returns a list of (lam, mu, nu, value); by the full S3 symmetry this
     determines every ordered triple at size n.  classSize * chi^lam is
-    formed once per lam, the pair product with chi^mu once per (lam, mu),
-    and that is dotted with every chi^nu.
+    formed once per lam and the pair product with chi^mu once per (lam, mu).
+    Each class column, chi^nu at that class for every nu, is packed into
+    one int with a field of width bits per nu, so one dot of the pair with
+    the packed columns gives the total of every nu at once (Kronecker
+    substitution).  Whatever the stored rows hold, |total| <= n! M^3 with
+    M the largest |entry|; the smaller bound n! M holds only for true
+    characters.  A bias of n! M^3 per field keeps every field in
+    [0, 2 n! M^3], so no field carries into its neighbour.  Each total is
+    read back and still checked by exact_quotient one triple at a time.
     """
     check_table_size(n, limit)
     parts, sizes = conjugacy_classes(n)
     order = factorial(n)
     rows = [strip_row(p, n) for p in parts]
+    bias = order * max(max(map(abs, row)) for row in rows) ** 3
+    width = (2 * bias).bit_length()
+    mask = (1 << width) - 1
+    columns = [sum(x << width * k for k, x in enumerate(c)) for c in zip(*rows)]
+    biases = bias * sum(1 << width * k for k in range(len(parts)))
     out = []
     for i, lam in enumerate(parts):
         weighted = tuple(map(mul, sizes, rows[i]))
         for j, mu in enumerate(parts[i:], i):
-            pair = tuple(map(mul, weighted, rows[j]))
-            for nu, row in zip(parts[j:], rows[j:]):
-                total = sum(map(mul, pair, row))
+            pair = map(mul, weighted, rows[j])
+            totals = (sum(map(mul, pair, columns)) + biases) >> width * j
+            for nu in parts[j:]:
+                total = (totals & mask) - bias
+                totals >>= width
                 value = exact_quotient(total, order, "g(%r, %r, %r)", lam, mu, nu)
                 out.append((lam, mu, nu, value))
     return out

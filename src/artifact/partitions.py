@@ -162,6 +162,8 @@ def count_bounded(r, a, b):
 
     The library's one partition counter: p(m) is count_bounded(m, m, m),
     and the partitions of m with parts <= q number count_bounded(m, q, m).
+    A bound past r cannot bind, so the recursion clamps both bounds to r:
+    below the top call, counts that differ only there share one memo entry.
     """
     if r < 0:
         return 0
@@ -169,7 +171,11 @@ def count_bounded(r, a, b):
         return 1
     if a <= 0 or b <= 0:
         return 0
-    return count_bounded(r, a - 1, b) + count_bounded(r - a, a, b - 1)
+    a, b = min(a, r), min(b, r)
+    rest = r - a
+    return count_bounded(r, a - 1, b) + count_bounded(
+        rest, min(a, rest), min(b - 1, rest)
+    )
 
 
 def contains(inner, outer):

@@ -382,6 +382,40 @@ def test_kernel_matches_per_call_contraction(n):
             assert want == kron_schur_oracle(lam, mu, nu)
 
 
+@pytest.mark.parametrize("n", [9, 10])
+def test_packed_table_matches_kron_char_on_more_fields(n):
+    # kron_char dots the rows directly, so it checks kron_table's packing
+    # at 30 and 42 fields per class column
+    rows = kron_table(n)
+    canonical = combinations_with_replacement(enumerate_partitions(n), 3)
+    assert rows == [(*trio, kron_char(*trio)) for trio in canonical]
+
+
+def test_corrupted_row_does_not_overflow_a_packed_field(monkeypatch):
+    # chi^(4) with 10**30 at class (3,1): g((4,), (4,), (4,)) still divides
+    # exactly, with a 302-bit total in its field, and the first failure is
+    # g((4,), (4,), (2,2)).  A field sized for true characters (n! M bits)
+    # would carry that total into its neighbours and change the message.
+    parts, sizes = characters.conjugacy_classes(4)
+    row = strip_row((4,), 4)
+    key = (characters._word((4,)), 4, 4)
+    assert characters._rows[key] == row and parts[1] == (3, 1)
+    monkeypatch.setitem(characters._rows, key, (row[0], 10**30, *row[2:]))
+    order = factorial(4)
+    for trio in combinations_with_replacement(parts, 3):
+        factors = zip(sizes, *(strip_row(p, 4) for p in trio))
+        total = sum(size * a * b * c for size, a, b, c in factors)
+        value, rem = divmod(total, order)
+        if rem or value < 0:
+            break
+    assert trio == ((4,), (4,), (2, 2))
+    check = "leaves remainder %d" % rem if rem else "is negative"
+    message = "g(%r, %r, %r): %d / %d %s" % (*trio, total, order, check)
+    with pytest.raises(InternalConsistencyError) as failure:
+        kron_table(4)
+    assert str(failure.value) == message
+
+
 @pytest.mark.parametrize(
     "corrupted",
     [

@@ -263,6 +263,25 @@ def test_count_bounded_counts_parts_at_most_q():
             assert count_bounded(m, q, m) == len(enumerate_partitions(m, max_part=q))
 
 
+def test_count_bounded_with_bounds_past_r():
+    for r in range(13):
+        for a in range(15):
+            for b in range(15):
+                assert count_bounded(r, a, b) == len(
+                    enumerate_partitions(r, max_part=a, max_len=b)
+                )
+
+
+def test_count_bounded_memo_clamps_bounds_to_r():
+    # the (m, q, m) calls of characters._row: one entry per clamped (r, a, b);
+    # keyed on the unclamped bounds these calls leave 593 entries
+    count_bounded.cache_clear()
+    for m in range(13):
+        for q in range(m + 1):
+            count_bounded(m, q, m)
+    assert count_bounded.cache_info().currsize == 91
+
+
 def test_count_bounded_box_complementation():
     for a in range(6):
         for b in range(6):
