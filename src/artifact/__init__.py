@@ -43,16 +43,6 @@ __all__ = [
     "reduced_kron",
     "rim_hook_heights",
     "run_property",
-    "schur_in_monomials",
     "search_saturation_counterexample",
-    "to_schur_basis",
 ]
 
-
-def __getattr__(name):
-    # symfunc, the SymPoly cross-check, is imported only when asked for
-    if name in ("schur_in_monomials", "to_schur_basis"):
-        from . import symfunc
-
-        return getattr(symfunc, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

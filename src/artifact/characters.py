@@ -24,9 +24,9 @@ signed sum, over the t-hooks of lam, of the child's row bounded by t, plus
 the row of s_lam * h_{r-t} when t <= r: one tuple map per term, and zeros
 where there is none.  Bounded rows are memoized in _rows, keyed (word, size,
 bound): the one store of dense rows, read by every dense contraction.
+character_table(n) is those rows of S_n as a plain dict of dicts.
 """
 
-import json
 from functools import cache
 from operator import add, neg, sub
 
@@ -273,25 +273,6 @@ class ClassSum:
         return total
 
 
-class CharTable:
-    """Full character table of S_n with deterministic row/column order."""
-
-    def __init__(self, n, columns, rows):
-        self.n = n
-        self.columns = columns
-        self.rows = rows
-
-    def to_jsonl(self):
-        """Yield one JSON line per row; values as decimal strings."""
-        for lam in self.columns:
-            yield json.dumps(
-                {
-                    "partition": [str(p) for p in lam],
-                    "values": [str(self.rows[lam][a]) for a in self.columns],
-                }
-            )
-
-
 def check_table_size(n, limit):
     """Raise ValueError unless 1 <= n <= limit (the whole-table size guard)."""
     if n < 1:
@@ -300,16 +281,15 @@ def check_table_size(n, limit):
         raise ValueError("n=%d exceeds the table limit of %d" % (n, limit))
 
 
-def character_table(n, limit=TABLE_LIMIT):
-    """All chi^lam(alpha) for lam, alpha |- n, in enumerate_partitions order.
+def character_table(n):
+    """Every chi^lam(alpha) of S_n as a dict {lam: {alpha: value}}.
 
-    The limit is a resource guard, not a correctness bound; raise it
-    explicitly for bigger sweeps.
+    Rows and columns run in enumerate_partitions order.  n above
+    TABLE_LIMIT is refused: a resource guard, not a correctness bound.
     """
-    check_table_size(n, limit)
+    check_table_size(n, TABLE_LIMIT)
     classes, _ = conjugacy_classes(n)
-    rows = {lam: dict(zip(classes, strip_row(lam, n))) for lam in classes}
-    return CharTable(n, classes, rows)
+    return {lam: dict(zip(classes, strip_row(lam, n))) for lam in classes}
 
 
 def rim_hook_heights(filling, cycle_type):

@@ -1,25 +1,25 @@
 """Command-line front door: one row of COMMANDS per command, standard library only.
 
-Dispatches to the library, prints plain decimal values by default and
-schema-stable JSON under --json (every number a decimal string, so nothing
-ever passes through floating point).  Exit codes: 0 success or property
-pass (counterexample-confirmed and inconclusive-within-range both count as
-successful runs), 1 invalid input, 2 property failed where a pass was
-expected, 3 internal consistency failure.
+Each command calls one library route (kron is kron_char) and prints plain
+decimal values by default, or schema-stable JSON under --json (every number
+a decimal string, so nothing passes through floating point).  Exit codes:
+0 success or property pass (counterexample-confirmed and
+inconclusive-within-range both count as successful runs), 1 invalid input,
+2 property failed where a pass was expected, 3 internal consistency failure.
 """
 
 import json
 import sys
 
 from .characters import TABLE_LIMIT, character
-from .kronecker import kron_char, kron_schur_oracle, kron_table, reduced_kron
+from .kronecker import kron_char, kron_table, reduced_kron
 from .partitions import format_partition, parse_partition
 from .plethysm import DEGREE_CAP, pleth_coefficient, pleth_hn_expansion
 from .tableaux import kostka, lr_coefficient
 from .verify import FAIL, n_key, run_property, search_saturation_counterexample
 
 # An option is (flag, type, default, help line).  Its type is int, str (a
-# path), a tuple of choices, or bool for a flag, which takes no value.
+# path), or bool for a flag, which takes no value.
 REQUIRED = object()  # the default of an option that must be given
 METAVARS = {int: " INTEGER", str: " PATH", bool: ""}
 OUTPUT = (("--json", bool, False, "Emit a JSON record."),
@@ -36,14 +36,6 @@ def _emit(text, out):
 
 def _parts(p):
     return [str(x) for x in p]
-
-
-def _kron(lam, mu, nu, method, cap):
-    if method == "char":
-        if cap is not None:
-            raise ValueError("kron takes --cap only with --method schur")
-        return kron_char(lam, mu, nu)
-    return kron_schur_oracle(lam, mu, nu, **({} if cap is None else {"size_cap": cap}))
 
 
 def _value(help, args, value_key, call, *options):
@@ -110,11 +102,8 @@ COMMANDS = {
     ("lr",): _value("Littlewood-Richardson coefficient c^LAM_{MU,NU}.",
                     ("lam", "mu", "nu"), "value",
                     lambda lam, mu, nu: lr_coefficient(lam, mu, nu)),
-    ("kron",): _value(
-        "Kronecker coefficient g(LAM, MU, NU).", ("lam", "mu", "nu"), "g", _kron,
-        ("--method", ("char", "schur"), "char",
-         "char = character contraction; schur = capped cross-validation oracle."),
-        ("--cap", int, None, "Size cap for --method schur.")),
+    ("kron",): _value("Kronecker coefficient g(LAM, MU, NU).", ("lam", "mu", "nu"), "g",
+                      lambda lam, mu, nu: kron_char(lam, mu, nu)),
     ("rkron",): _value(
         "Reduced (stable) Kronecker coefficient gbar(ALPHA, BETA, GAMMA).",
         ("alpha", "beta", "gamma"), "gbar",
@@ -153,8 +142,7 @@ def _help(path):
     usage = " ".join(["artifact", *path, "[OPTIONS]", *names])
     lines = ["Usage: " + usage, "", "  " + text, "", "Options:"]
     for flag, kind, default, line in options + (HELP,):
-        metavar = " [%s]" % "|".join(kind) if isinstance(kind, tuple) else METAVARS[kind]
-        lines.append("  %-22s %s" % (flag + metavar, line))
+        lines.append("  %-22s %s" % (flag + METAVARS[kind], line))
     if handler is None:
         subs = [key for key in sorted(COMMANDS) if key[:-1] == path != key]
         lines += ["", "Commands:"] + ["  %-10s %s" % (k[-1], COMMANDS[k][0]) for k in subs]
@@ -164,9 +152,7 @@ def _help(path):
 def _convert(kind, text, name):
     """text as a value of kind, or a ValueError naming the argument NAME."""
     try:
-        if isinstance(kind, tuple) and text not in kind:
-            raise ValueError("%r is not one of %s." % (text, ", ".join(map(repr, kind))))
-        return text if isinstance(kind, tuple) else kind(text)
+        return kind(text)
     except ValueError as exc:
         reason = "%r is not a valid integer." % text if kind is int else exc
         raise ValueError("Invalid value for '%s': %s" % (name, reason)) from None

@@ -112,21 +112,18 @@ def _schur_weyl_table(lam, ell_mu, ell_nu):
     return g
 
 
-def kron_schur_oracle(lam, mu, nu, size_cap=6):
+def kron_schur_oracle(lam, mu, nu):
     """g(lam, mu, nu) from the product-variable Schur expansion.
 
     Exists for cross-validation of kron_char; the variable count is
-    len(mu) * len(nu), so sizes beyond the cap are refused by default.
+    len(mu) * len(nu), so sizes above 6 are refused.
     """
     lam, mu, nu = map(check_partition, (lam, mu, nu))
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise SizeMismatchError("Kronecker arguments must share a size")
-    if n > size_cap:
-        raise ValueError(
-            "Schur-Weyl oracle capped at size %d (got %d); raise size_cap "
-            "to override" % (size_cap, n)
-        )
+    if n > 6:
+        raise ValueError("Schur-Weyl oracle capped at size 6 (got %d)" % n)
     table = _schur_weyl_table(lam, max(len(mu), 1), max(len(nu), 1))
     return table[(mu, nu)]
 
@@ -165,11 +162,8 @@ def _phi(big, delta, t):
 
     The sum over the constituents rho of big/delta of their coefficient
     times the strip closure strip_row(rho, t), added a whole row at a time:
-    a lone constituent with coefficient 1 is the stored row itself.  Empty
-    when big/delta does not fit in size t.
+    a lone constituent with coefficient 1 is the stored row itself.
     """
-    if sum(big) - sum(delta) > t:
-        return ()
     out = ()
     for rho, c in skew_schur_expansion(big, delta).items():
         row = strip_row(rho, t) if c == 1 else [c * x for x in strip_row(rho, t)]

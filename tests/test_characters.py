@@ -1,4 +1,3 @@
-import json
 import math
 from collections import Counter
 from functools import lru_cache
@@ -321,21 +320,21 @@ def test_conjugation_twists_by_sign():
 
 def test_table_n3_row_21():
     t = character_table(3)
-    assert t.columns == ((3,), (2, 1), (1, 1, 1))
-    assert [t.rows[(2, 1)][a] for a in t.columns] == [-1, 0, 2]
+    assert list(t) == list(t[(2, 1)]) == [(3,), (2, 1), (1, 1, 1)]
+    assert t[(2, 1)] == {(3,): -1, (2, 1): 0, (1, 1, 1): 2}
 
 
 def test_table_first_row_all_ones():
     for n in range(1, 9):
         t = character_table(n)
-        assert all(t.rows[(n,)][a] == 1 for a in t.columns)
+        assert all(v == 1 for v in t[(n,)].values())
 
 
 def test_table_column_sum_of_squares():
     for n in range(1, 13):
-        t = character_table(n, limit=22)
-        for alpha in t.columns:
-            s = sum(t.rows[lam][alpha] ** 2 for lam in t.columns)
+        t = character_table(n)
+        for alpha in t:
+            s = sum(t[lam][alpha] ** 2 for lam in t)
             assert s == centralizer_order(alpha)
 
 
@@ -343,24 +342,7 @@ def test_table_limit_guard():
     with pytest.raises(ValueError):
         character_table(23)
     with pytest.raises(ValueError):
-        character_table(5, limit=4)
-    with pytest.raises(ValueError):
         character_table(0)
-    assert character_table(4, limit=4).n == 4
-
-
-def test_table_jsonl_export():
-    t = character_table(4)
-    lines = list(t.to_jsonl())
-    assert len(lines) == len(t.columns)
-    first = json.loads(lines[0])
-    assert first["partition"] == ["4"]
-    assert first["values"] == ["1"] * len(t.columns)
-    assert json.loads(lines[2])["partition"] == ["2", "2"]
-    # every value is a canonical decimal string
-    for line in lines:
-        rec = json.loads(line)
-        assert all(v == str(int(v)) for v in rec["values"])
 
 
 def test_clear_memo_empties_the_kernel():

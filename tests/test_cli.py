@@ -50,7 +50,7 @@ def run(capsys, *args):
             '"value": "2"}',
         ),
         (
-            "kron 3,1 2,2 2,1,1 --method schur",
+            "kron 3,1 2,2 2,1,1",
             "1",
             '{"lambda": ["3", "1"], "mu": ["2", "2"], "nu": ["2", "1", "1"], "g": "1"}',
         ),
@@ -190,9 +190,13 @@ KRON_JSON = '{"lambda": ["2", "1"], "mu": ["2", "1"], "nu": ["2", "1"], "g": "1"
             "error: Got unexpected extra argument (--json)\n",
         ),
         (
-            "kron 2,1 2,1 2,1 --method foo", 1, "",
-            "error: Invalid value for '--method': 'foo' is not one of "
-            "'char', 'schur'.\n",
+            "kron 2,1 2,1 2,1 --method schur", 1, "",
+            "error: No such option '--method'.\n",
+        ),
+        ("kron 2,1 2,1 2,1 --cap 3", 1, "", "error: No such option '--cap'.\n"),
+        (
+            "pleth 2,2 1,1 2 --cap=3", 1, "",
+            "error: degree 4 exceeds the cap of 3 cells\n",
         ),
         (
             "table kron --n x", 1, "",
@@ -217,9 +221,8 @@ KRON_JSON = '{"lambda": ["2", "1"], "mu": ["2", "1"], "nu": ["2", "1"], "g": "1"
             "error: Invalid value for 'ALPHA': parts must be positive integers, "
             "got -1\n",
         ),
-        ("kron 2,1 2,1 2,1 --cap=3 --method=schur", 0, "1\n", ""),
-        ("kron --method schur 2,1 2,1 2,1", 0, "1\n", ""),
-        ("kron 2,1 2,1 2,1 --cap 3 --cap 4 --method schur", 0, "1\n", ""),
+        ("pleth --cap 4 2,2 1,1 2", 0, "1\n", ""),
+        ("pleth-hn 2 2 --cap 3 --cap 4", 0, "4: 1\n2^2: 1\n", ""),
         ("kron 2,1 -- 2,1 2,1", 0, "1\n", ""),
         ("kron 2,1 2,1 2,1 --json --json", 0, KRON_JSON, ""),
         ("pleth-hn 2 2 --cap=4", 0, "4: 1\n2^2: 1\n", ""),
@@ -252,11 +255,7 @@ HELP_LINES = {
     "char": ["Character value chi^LAM(ALPHA)."],
     "kostka": ["Kostka number K_{LAM,ALPHA}."],
     "lr": ["Littlewood-Richardson coefficient c^LAM_{MU,NU}."],
-    "kron": [
-        "Kronecker coefficient g(LAM, MU, NU).",
-        "char = character contraction; schur = capped cross-validation oracle.",
-        "Size cap for --method schur.",
-    ],
+    "kron": ["Kronecker coefficient g(LAM, MU, NU)."],
     "rkron": ["Reduced (stable) Kronecker coefficient gbar(ALPHA, BETA, GAMMA)."],
     "pleth": [
         "Plethysm coefficient of s_TARGET in s_OUTER[s_INNER].",
@@ -304,7 +303,7 @@ def test_help_on_every_command(capsys, command):
 def test_help_wins_over_missing_arguments(capsys):
     code, out, _ = run(capsys, "kron", "2,1", "--help")
     assert code == 0 and "Usage:" in out
-    code, out, _ = run(capsys, "kron", "--help", "2,1", "x", "--method", "foo")
+    code, out, _ = run(capsys, "pleth", "--help", "2", "1", "x", "--cap", "x")
     assert code == 0 and "Usage:" in out
 
 
@@ -350,24 +349,6 @@ def test_char_json_schema(capsys):
     code, out, _ = run(capsys, "char", "3,1", "2,1,1", "--json")
     record = json.loads(out)
     assert record == {"lambda": ["3", "1"], "alpha": ["2", "1", "1"], "value": "1"}
-
-
-def test_schur_method_agrees_with_char(capsys):
-    for trip in (("2,1", "2,1", "2,1"), ("3,1", "2,2", "2,1,1")):
-        _, by_char, _ = run(capsys, "kron", *trip)
-        _, by_schur, _ = run(capsys, "kron", *trip, "--method", "schur")
-        assert by_char == by_schur
-
-
-def test_schur_method_cap(capsys):
-    code, out, err = run(capsys, "kron", "4,3", "4,3", "4,3", "--method", "schur")
-    assert code == 1 and out == ""
-    code, out, _ = run(
-        capsys, "kron", "4,3", "4,3", "4,3", "--method", "schur", "--cap", "7"
-    )
-    assert code == 0
-    _, by_char, _ = run(capsys, "kron", "4,3", "4,3", "4,3")
-    assert out == by_char
 
 
 def test_rkron_known_value(capsys):
@@ -538,17 +519,6 @@ def test_foulkes_cap_is_the_degree_cap():
     assert str(sweep.value) == str(library.value) == (
         "degree 18 exceeds the cap of %d cells" % DEGREE_CAP
     )
-
-
-def test_kron_cap_needs_the_schur_method(capsys):
-    trio = ("kron", "2,1", "2,1", "2,1")
-    assert run(capsys, *trio, "--cap", "1") == (
-        1, "", "error: kron takes --cap only with --method schur\n"
-    )
-    assert run(capsys, *trio, "--method", "schur", "--cap", "3") == (0, "1\n", "")
-    code, out, err = run(capsys, *trio, "--method", "schur", "--cap", "2")
-    assert (code, out) == (1, "")
-    assert "capped at size 2" in err
 
 
 def test_table_kron_rows_and_jobs_determinism(capsys):
@@ -766,7 +736,7 @@ def test_one_corrupted_row_reaches_every_dense_reader(monkeypatch):
         # which the true chi^(2,1) = (-1, 0, 2) contracts to 8
         with pytest.raises(InternalConsistencyError, match="8 / 6 leaves remainder 2"):
             pleth_coefficient((2, 1), (2, 1), (1,))
-        assert character_table(3).rows[(2, 1)] == {(3,): -1, (2, 1): 0, (1, 1, 1): 3}
+        assert character_table(3)[(2, 1)] == {(3,): -1, (2, 1): 0, (1, 1, 1): 3}
     finally:
         # the class vector of s_(1)[s_(2,1)] was cached from the corrupted row
         plethysm._class_vector.cache_clear()

@@ -317,7 +317,6 @@ def test_phi_adds_whole_rows_like_the_per_class_sum():
     assert several and scaled
     # the one-constituent case is the stored strip row itself
     assert kronecker._phi((2, 2), (1,), 5) is strip_row((2, 1), 5)
-    assert kronecker._phi((3, 2, 1), (2, 1), 2) == ()
 
 
 # -- batch table -------------------------------------------------------------------
