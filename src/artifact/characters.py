@@ -22,18 +22,20 @@ S_{m-t} with parts <= t, a suffix of that size's class list.  The adjoint
 p_t^perp is a derivation with p_t^perp h_r = h_{r-t}, so the block is the
 signed sum, over the t-hooks of lam, of the child's row bounded by t, plus
 the row of s_lam * h_{r-t} when t <= r: one tuple map per term, and zeros
-where there is none.  Bounded rows are memoized in _rows, keyed (word, size,
-bound): the one store of dense rows, read by every dense contraction.
-character_table(n) is those rows of S_n as a plain dict of dicts.
+where there is none.  A bounded row is the tail of the row of any larger
+bound, so _rows keeps one row per (word, size), over the largest bound
+built so far, and builds only the blocks a larger bound adds: the one
+store of dense rows, read by every dense contraction.  character_table(n)
+is those rows of S_n as a plain dict of dicts.
 """
 
 from functools import cache
+from math import factorial
 from operator import add, neg, sub
 
 from .partitions import (
     SizeMismatchError,
     check_partition,
-    class_size,
     count_bounded,
     enumerate_partitions,
 )
@@ -72,7 +74,7 @@ def exact_quotient(total, divisor, *what):
 
 
 def clear_memo():
-    """Drop the MN memo, the bounded rows and the class lists with their sizes.
+    """Drop the MN memo, the dense rows and the class lists with their sizes.
 
     ClassSum values stay: a cached ClassSum keeps them until its cache
     (plethysm._class_vector, verify._square_support) is cleared.
@@ -126,19 +128,27 @@ def _mn(w, alpha):
 def _row(w, r, m, q):
     """The character of s_w * h_r, of size m, on the classes of S_m with parts <= q.
 
-    The classes run in enumerate_partitions order (q <= m); the row is
-    stored in _rows under (w, m, q).  With r = 0 it is chi^w.
+    The classes run in enumerate_partitions order (q <= m), so the row is
+    the tail of the row of any larger bound.  _rows keeps one row per
+    (w, m), over the largest bound built so far: a smaller bound reads its
+    tail, and a larger one builds only the blocks of first part above the
+    stored bound and puts them in front.  With r = 0 it is chi^w.
     """
     if not m:
         return (1,)
+    size = count_bounded(m, q, m)
+    stored = _rows.get((w, m), ())
+    have = len(stored)
+    if have >= size:
+        return stored if have == size else stored[-size:]
     row = []
-    for t in range(q, 0, -1):
+    t = q
+    while len(row) + have < size:
         left = m - t
         bound = t if t < left else left
+        need = count_bounded(left, bound, left)
         # p_t^perp h_r = h_{r-t}, the term of the derivation that keeps w
-        block = None
-        if t <= r:
-            block = _rows.get((w, left, bound)) or _row(w, r - t, left, bound)
+        block = _row(w, r - t, left, bound) if t <= r else None
         # the rim-hook walk of _mn, once for the whole block of first part t
         hooks = w & ~(w << t) & -(1 << t)
         while hooks:
@@ -146,16 +156,18 @@ def _row(w, r, m, q):
             hooks ^= top
             child = w ^ top ^ (top >> t)
             child >>= (child ^ (child + 1)).bit_length() - 1
-            rest = _rows.get((child, left, bound))
-            if rest is None:
-                rest = _row(child, r, left, bound)
+            rest = _rows.get((child, left), ())
+            if len(rest) != need:
+                rest = rest[-need:] if len(rest) > need else _row(child, r, left, bound)
             odd = (w & (top - (top >> (t - 1)))).bit_count() & 1
             if block is None:
                 block = tuple(map(neg, rest)) if odd else rest
             else:
                 block = tuple(map(sub if odd else add, block, rest))
-        row.extend(block or (0,) * count_bounded(left, bound, left))
-    row = _rows[w, m, q] = tuple(row)
+        row.extend(block or (0,) * need)
+        t -= 1
+    row.extend(stored)
+    row = _rows[w, m] = tuple(row)
     return row
 
 
@@ -164,10 +176,13 @@ def strip_row(rho, t):
 
     By Pieri's rule that is the character of s_rho * h_r, r = t - |rho|, as a
     tuple over the classes of S_t in enumerate_partitions order; rho = eps
-    gives the row chi^eps itself.
+    gives the row chi^eps itself, and a full stored row is returned as is.
     """
     w = _word(rho)
-    return _rows.get((w, t, t)) or _row(w, t - sum(rho), t, t)
+    row = _rows.get((w, t), ())
+    if len(row) == count_bounded(t, t, t):
+        return row
+    return _row(w, t - sum(rho), t, t)
 
 
 def character(lam, alpha):
@@ -186,11 +201,24 @@ def character(lam, alpha):
 
 
 def conjugacy_classes(n):
-    """The cycle types of S_n in enumerate_partitions order, and their class sizes."""
+    """The cycle types of S_n in enumerate_partitions order, and their class sizes.
+
+    A size is n!/z, z = prod i^c c! over the parts i of multiplicity c,
+    taken as a running product over each run of equal parts.
+    """
     got = _classes.get(n)
     if got is None:
         classes = tuple(enumerate_partitions(n))
-        got = _classes[n] = classes, tuple(map(class_size, classes))
+        order = factorial(n)
+        sizes = []
+        for alpha in classes:
+            z, prev, run = 1, 0, 0
+            for part in alpha:
+                run = run + 1 if part == prev else 1
+                prev = part
+                z *= part * run
+            sizes.append(order // z)
+        got = _classes[n] = classes, tuple(sizes)
     return got
 
 

@@ -65,25 +65,51 @@ def format_partition(p):
 
 
 def enumerate_partitions(n, max_part=None, max_len=None):
-    """All partitions of n (optionally bounded) in reverse lexicographic order."""
+    """All partitions of n (optionally bounded) in reverse lexicographic order.
+
+    ZS1 (Zoghbi-Stojmenovic 1998), iterative: the next partition lowers the
+    rightmost part that can be lowered by one and refills the cells after it
+    greedily with parts of the new size.  A refill of s cells with parts
+    <= r takes ceil(s / r) parts, so max_len prunes a prefix before it is
+    filled instead of filtering whole partitions.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not n:
+        return [()]
     a = n if max_part is None else min(max_part, n)
-    b = n if max_len is None else max_len
-    out = []
-
-    def rec(rem, biggest, room, prefix):
-        if rem == 0:
-            out.append(tuple(prefix))
-            return
-        if room == 0:
-            return
-        for part in range(min(rem, biggest), 0, -1):
-            prefix.append(part)
-            rec(rem - part, part, room - 1, prefix)
-            prefix.pop()
-
-    rec(n, a, b, [])
+    b = n if max_len is None else min(max_len, n)
+    if a < 1 or b < 1 or a * b < n:
+        return []
+    q, rem = divmod(n, a)
+    x = [a] * q + [rem] * (rem > 0)
+    out = [tuple(x)]
+    # h indexes the last part above 1; only ones follow it
+    h = len(x) - 1 if x[-1] > 1 else q - 1 if a > 1 else -1
+    while h >= 0:
+        if x[h] == 2 and len(x) < b:
+            # the common step: a 2 becomes 1, 1
+            x[h] = 1
+            x.append(1)
+            h -= 1
+            out.append(tuple(x))
+            continue
+        # s cells from part i on; part i can fall to r if they fit in b - i parts
+        i = h
+        s = x[h] + len(x) - 1 - h
+        r = x[h] - 1
+        while s > r * (b - i):
+            i -= 1
+            if i < 0:
+                return out
+            s += x[i]
+            r = x[i] - 1
+        q, rem = divmod(s, r)
+        x[i:] = [r] * q
+        if rem:
+            x.append(rem)
+        h = len(x) - 1 if rem > 1 else i + q - 1 if r > 1 else i - 1
+        out.append(tuple(x))
     return out
 
 

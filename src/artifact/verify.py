@@ -22,8 +22,10 @@ Sweeps run serially over their items in canonical order, so status, witness
 and checked_count are identical for every run; only elapsed time varies.
 A sweep that reads g on every triple of one size (transpose, dimension-sum,
 pp20-bound, ip23, semigroup's positive triples) reads one kron_table;
-murnaghan and tworow dot one pair product per (lam, mu) with each chi^nu.
-Only semigroup's summed triples and kron-symmetry call kron_char.
+murnaghan and tworow dot one pair product per (lam, mu) with each chi^nu,
+and murnaghan reads every c^lam_{mu,nu} of a pair from one skew expansion,
+as those sweeps read one kron_table.  Only semigroup's summed triples and
+kron-symmetry call kron_char.
 """
 
 import random
@@ -65,7 +67,7 @@ from .partitions import (
     stretch,
 )
 from .plethysm import DEGREE_CAP, foulkes_violations
-from .tableaux import kostka, lr_coefficient
+from .tableaux import kostka, skew_schur_expansion
 
 SATURATION_SIZE_CAP = 35
 SEMIGROUP_SEED = 20260814
@@ -274,15 +276,19 @@ def _contract(pair, nu, *trip):
 
 
 def _check_murnaghan(item):
-    lam, mu, nu, n, g = item
-    c = lr_coefficient(lam, mu, nu)
+    lam, mu, nu, n, g, expansion = item
+    c = expansion.get(nu, 0)
     if g != c:
         return {"lambda": lam, "mu": mu, "nu": nu, "n": n, "padded": g, "lr": c}
     return None
 
 
 def _murnaghan_items(max_size):
-    """(lam, mu, nu, n, g(lam[n], mu[n], nu[n])), |mu| + |nu| = |lam| = (n - 1) / 2."""
+    """(lam, mu, nu, n, g(lam[n], mu[n], nu[n]), s_{lam/mu} in Schur terms).
+
+    |mu| + |nu| = |lam| = (n - 1) / 2.  The expansion of s_{lam/mu} holds
+    c^lam_{mu,nu} for every nu, so one LR search serves a whole (lam, mu).
+    """
     shapes = [enumerate_partitions(k) for k in range(max_size + 1)]
     for total in range(1, max_size + 1):
         n = 2 * total + 1
@@ -292,9 +298,11 @@ def _murnaghan_items(max_size):
             for k in range(total + 1):
                 for mu in shapes[k]:
                     pair = tuple(map(mul, weighted, strip_row(pad(mu, n), n)))
+                    expansion = skew_schur_expansion(lam, mu)
                     for nu in shapes[total - k]:
                         big = pad(lam, n), pad(mu, n), pad(nu, n)
-                        yield lam, mu, nu, n, _contract(pair, big[2], *big)
+                        g = _contract(pair, big[2], *big)
+                        yield lam, mu, nu, n, g, expansion
 
 
 def _check_tworow(item):

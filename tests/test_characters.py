@@ -19,6 +19,7 @@ from artifact.partitions import (
     centralizer_order,
     class_size,
     conjugate,
+    count_bounded,
     dimension_hlf,
     enumerate_partitions,
     hook_lengths,
@@ -218,7 +219,7 @@ def test_kernel_rows_match_point_route():
 
 
 def test_conjugacy_classes_and_their_sizes():
-    for n in range(9):
+    for n in range(26):
         classes, sizes = conjugacy_classes(n)
         assert classes == tuple(enumerate_partitions(n))
         assert sizes == tuple(map(class_size, classes))
@@ -233,21 +234,22 @@ def _shape(w):
 
 
 def test_row_store_holds_bounded_rows():
-    # every stored (word, m, q) row of shape mu runs over the classes of m
-    # with parts <= q, in enumerate_partitions order, and holds the sum of
-    # chi^eps over eps = mu plus a horizontal strip of r = m - |mu| cells
+    # every stored (word, m) row of shape mu runs over the classes of m
+    # with parts <= q for some bound q, in enumerate_partitions order, and
+    # holds the sum of chi^eps over eps = mu plus a horizontal strip of
+    # r = m - |mu| cells
     clear_memo()
     character_table(12)
     for rho, t in (((2, 1), 7), ((3, 3), 9), ((), 5), ((4, 2, 1), 12)):
         strip_row(rho, t)
     assert characters._rows
-    assert any(m > sum(_shape(w)) for w, m, _ in characters._rows)
-    for (w, m, q), row in characters._rows.items():
+    assert any(m > sum(_shape(w)) for w, m in characters._rows)
+    for (w, m), row in characters._rows.items():
         mu = _shape(w)
         r = m - sum(mu)
-        assert r >= 0 and 1 <= q <= m
-        classes = enumerate_partitions(m, max_part=q)
-        assert len(row) == len(classes)
+        assert r >= 0 and 1 <= len(row)
+        classes = enumerate_partitions(m)[-len(row) :]
+        assert classes == enumerate_partitions(m, max_part=classes[0][0])
         if r:
             grown = [
                 e for e in enumerate_partitions(m) if mu in remove_horizontal_strips(e, r)
@@ -255,6 +257,35 @@ def test_row_store_holds_bounded_rows():
             assert row == tuple(sum(character(e, a) for e in grown) for a in classes)
         else:
             assert row == tuple(character(mu, a) for a in classes)
+
+
+BOUND_ORDERS = {
+    "increasing": range(1, 10),
+    "decreasing": range(9, 0, -1),
+    "mixed": (4, 2, 7, 1, 9, 3, 8, 5, 6),
+}
+
+
+@pytest.mark.parametrize("order", BOUND_ORDERS)
+def test_row_store_builds_bounds_in_any_order(order):
+    # one row per (word, size) over the largest bound built so far: a
+    # smaller bound reads its tail, a larger one puts the missing blocks in
+    # front; every bound of S_9 asked for in this order reads the same
+    # values as the point route
+    m = 9
+    for mu in ((4, 3, 2), (3, 1), ()):
+        clear_memo()
+        w, r = characters._word(mu), m - sum(mu)
+        grown = [
+            e for e in enumerate_partitions(m) if mu in remove_horizontal_strips(e, r)
+        ]
+        largest = 0
+        for q in BOUND_ORDERS[order]:
+            classes = enumerate_partitions(m, max_part=q)
+            want = tuple(sum(character(e, a) for e in grown) for a in classes)
+            assert characters._row(w, r, m, q) == want
+            largest = max(largest, q)
+            assert len(characters._rows[w, m]) == count_bounded(m, largest, m)
 
 
 def test_strip_rows_match_kernel_row_sums():

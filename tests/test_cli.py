@@ -559,7 +559,7 @@ def _s3_row(row, shape=(2, 1)):
 
     def corrupt(monkeypatch):
         assert strip_row(shape, 3) == S3_ROWS[shape]
-        monkeypatch.setitem(characters._rows, (characters._word(shape), 3, 3), row)
+        monkeypatch.setitem(characters._rows, (characters._word(shape), 3), row)
 
     return corrupt
 

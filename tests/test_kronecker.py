@@ -397,7 +397,7 @@ def test_corrupted_row_does_not_overflow_a_packed_field(monkeypatch):
     # would carry that total into its neighbours and change the message.
     parts, sizes = characters.conjugacy_classes(4)
     row = strip_row((4,), 4)
-    key = (characters._word((4,)), 4, 4)
+    key = (characters._word((4,)), 4)
     assert characters._rows[key] == row and parts[1] == (3, 1)
     monkeypatch.setitem(characters._rows, key, (row[0], 10**30, *row[2:]))
     order = factorial(4)
@@ -424,7 +424,7 @@ def test_corrupted_row_does_not_overflow_a_packed_field(monkeypatch):
 )
 def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, corrupted):
     assert strip_row((2, 1), 3) == (-1, 0, 2)
-    monkeypatch.setitem(characters._rows, (characters._word((2, 1)), 3, 3), corrupted)
+    monkeypatch.setitem(characters._rows, (characters._word((2, 1)), 3), corrupted)
     with pytest.raises(InternalConsistencyError):
         kron_char((2, 1), (2, 1), (2, 1))
     with pytest.raises(InternalConsistencyError):
@@ -448,7 +448,7 @@ def test_corrupted_level_is_a_hard_failure(monkeypatch, capsys, corrupted, check
     kronecker._engine_value.cache_clear()
     assert reduced_kron((2, 1), (2, 1), (2, 1)) == 9
     assert strip_row((2, 1), 3) == (-1, 0, 2)
-    monkeypatch.setitem(characters._rows, (characters._word((2, 1)), 3, 3), corrupted)
+    monkeypatch.setitem(characters._rows, (characters._word((2, 1)), 3), corrupted)
     kronecker._engine_value.cache_clear()
     with pytest.raises(InternalConsistencyError, match=check):
         reduced_kron((2, 1), (2, 1), (2, 1))
@@ -463,5 +463,8 @@ def test_single_query_builds_only_its_rows():
     clear_memo()
     assert kron_char(*trio) == per_call_contraction(*trio)
     assert len(characters.conjugacy_classes(16)[0]) == 231
-    size_16 = [w for w, m, _ in characters._rows if m == 16]
+    size_16 = [w for w, m in characters._rows if m == 16]
     assert sorted(size_16) == sorted(map(characters._word, trio))
+    # one row per (word, size): 98 rows of 2,008 entries, not one per bound
+    assert len(characters._rows) == 98
+    assert sum(map(len, characters._rows.values())) == 2008

@@ -95,6 +95,38 @@ def test_enumerate_edge_cases():
     assert enumerate_partitions(3, max_part=1) == [(1, 1, 1)]
 
 
+def reference_partitions(n, max_part=None, max_len=None):
+    """The recursive generator: each part in turn, largest first."""
+    a = n if max_part is None else min(max_part, n)
+    b = n if max_len is None else max_len
+    out = []
+
+    def rec(rem, biggest, room, prefix):
+        if rem == 0:
+            out.append(tuple(prefix))
+            return
+        if room == 0:
+            return
+        for part in range(min(rem, biggest), 0, -1):
+            prefix.append(part)
+            rec(rem - part, part, room - 1, prefix)
+            prefix.pop()
+
+    rec(n, a, b, [])
+    return out
+
+
+def test_enumerate_matches_the_recursive_reference():
+    # the iterative generator prunes on max_len; same lists, same order
+    for n in range(21):
+        bounds = [None, *range(n + 2)]
+        for max_part in bounds:
+            for max_len in bounds:
+                assert enumerate_partitions(n, max_part, max_len) == (
+                    reference_partitions(n, max_part, max_len)
+                )
+
+
 def test_enumerate_matches_count_bounded():
     # p(n) is the unbounded case of the bounded count
     for n in [*range(20), 40]:

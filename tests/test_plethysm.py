@@ -119,7 +119,7 @@ def test_coefficients_build_no_rows_at_the_target_degree():
     for lam in enumerate_partitions(8):
         pleth_coefficient(lam, (2, 1, 1), (2,))
     pleth_hn_expansion(4, 3)
-    assert not [m for _, m, _ in characters._rows if m in (6, 8, 12)]
+    assert not [m for _, m in characters._rows if m in (6, 8, 12)]
 
 
 def test_matches_tableau_composition():

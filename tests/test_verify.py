@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from artifact import characters, verify
+from artifact import characters, tableaux, verify
 from artifact.characters import ClassSum, clear_memo, conjugacy_classes, strip_row
 from artifact.cli import main
 from artifact.kronecker import kron_char, kron_table, kron_tworow, reduced_kron
@@ -16,7 +16,7 @@ from artifact.partitions import (
     enumerate_partitions,
     pad,
 )
-from artifact.tableaux import lr_coefficient
+from artifact.tableaux import lr_coefficient, skew_schur_expansion
 from artifact.verify import (
     Report,
     _matrix_count,
@@ -263,7 +263,7 @@ def test_orthogonality_reports_the_first_failing_pair(
     if corrupt == "row":
         row = list(strip_row((3, 1, 1), n))
         row[classes.index((3, 2))] += 1
-        key = characters._word((3, 1, 1)), n, n
+        key = characters._word((3, 1, 1)), n
         monkeypatch.setitem(characters._rows, key, tuple(row))
     else:
         corrupted = classes, (sizes[0] + 1,) + sizes[1:]
@@ -552,14 +552,21 @@ def test_padded_sweeps_match_the_per_item_reference(name):
 
 def test_padded_sweeps_name_the_reference_witness(monkeypatch):
     # one LR number and one closed form are raised by one, so each sweep
-    # fails and must name the reference's first witness
+    # fails and must name the reference's first witness; murnaghan reads
+    # c^(2,1)_{(1),(1,1)} from the expansion of s_{(2,1)/(1)}
     def lr(lam, mu, nu):
         return lr_coefficient(lam, mu, nu) + ((lam, mu, nu) == ((2, 1), (1,), (1, 1)))
+
+    def expansion(lam, mu):
+        out = dict(skew_schur_expansion(lam, mu))
+        if (lam, mu) == ((2, 1), (1,)):
+            out[1, 1] = out.get((1, 1), 0) + 1
+        return out
 
     def closed_form(n, d, k):
         return kron_tworow(n, d, k) + ((n, d, k) == (2, 3, 2))
 
-    monkeypatch.setattr(verify, "lr_coefficient", lr)
+    monkeypatch.setattr(verify, "skew_schur_expansion", expansion)
     monkeypatch.setattr(verify, "kron_tworow", closed_form)
     for name, reference, size in (
         ("murnaghan", _reference_murnaghan(5, lr), 5),
@@ -576,8 +583,16 @@ def test_padded_sweeps_name_the_reference_witness(monkeypatch):
     [("murnaghan", {"max_size": 5}, 6), ("tworow", {"max_cells": 12}, 0)],
 )
 def test_padded_sweeps_call_no_kron_char(monkeypatch, name, params, shape_lists):
-    # murnaghan lists the shapes of each size 0..max_size once
-    calls = count_calls(monkeypatch, "kron_char", "kron_table", "enumerate_partitions")
+    # murnaghan lists the shapes of each size 0..max_size once and expands
+    # s_{lam/mu} once for each of its 224 pairs (lam, mu); neither sweep
+    # calls lr_coefficient, whose every call reaches the core counted here
+    names = "kron_char", "kron_table", "enumerate_partitions", "skew_schur_expansion"
+    calls = count_calls(monkeypatch, *names)
+    lr_calls = []
+    core = tableaux._lr_core
+    monkeypatch.setattr(tableaux, "_lr_core", lambda *a: lr_calls.append(a) or core(*a))
     assert run_property(name, params).status == "pass"
-    want = {"kron_char": 0, "kron_table": 0, "enumerate_partitions": shape_lists}
+    pairs = 224 if name == "murnaghan" else 0
+    want = dict(zip(names, (0, 0, shape_lists, pairs)))
     assert calls == want
+    assert lr_calls == []
