@@ -10,7 +10,7 @@ the supported API; everything else is reached through its submodule
 without notice.
 """
 
-from .characters import character, character_table, rim_hook_heights
+from .characters import character, character_table
 from .kronecker import (
     kron_char,
     kron_schur_oracle,
@@ -21,7 +21,7 @@ from .kronecker import (
 )
 from .partitions import centralizer_order, dimension_hlf, enumerate_partitions
 from .plethysm import pleth_coefficient, pleth_hn_expansion
-from .tableaux import is_ballot, lr_coefficient
+from .tableaux import lr_coefficient
 from .verify import property_names, run_property, search_saturation_counterexample
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "character_table",
     "dimension_hlf",
     "enumerate_partitions",
-    "is_ballot",
     "kron_char",
     "kron_schur_oracle",
     "kron_table",
@@ -41,7 +40,6 @@ __all__ = [
     "pleth_hn_expansion",
     "property_names",
     "reduced_kron",
-    "rim_hook_heights",
     "run_property",
     "search_saturation_counterexample",
 ]

@@ -30,7 +30,13 @@ HELP = ("--help", bool, False, "Show this message and exit.")
 def _emit(text, out):
     if out is None:
         return print(text)
-    with open(out, "w") as fh:
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        # an unwritable --out is invalid input (exit 1), not a crash
+        reason = "%r: %s" % (out, exc.strerror)
+        raise ValueError("Invalid value for '--out': " + reason) from None
+    with fh:
         fh.write(text + "\n")
 
 

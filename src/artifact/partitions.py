@@ -159,11 +159,6 @@ def centralizer_order(alpha):
     return z
 
 
-def class_size(alpha):
-    """Number of permutations of cycle type alpha: n!/z_alpha."""
-    return factorial(sum(alpha)) // centralizer_order(alpha)
-
-
 def hook_lengths(p):
     """Hook length of every cell, as a row-by-row list of lists."""
     conj = conjugate(p)

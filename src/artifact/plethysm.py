@@ -23,25 +23,19 @@ brute-force cross-check.
 
 from functools import cache
 from itertools import compress
-from math import comb, factorial
+from math import factorial
 from operator import mul
 
 from .characters import ClassSum, conjugacy_classes, exact_quotient, strip_row
-from .partitions import (
-    SizeMismatchError,
-    check_partition,
-    enumerate_partitions,
-    hook_lengths,
-)
+from .partitions import SizeMismatchError, check_partition, enumerate_partitions
 
 DEGREE_CAP = 16
 
 
 class SchurVector:
-    """Coefficients of a symmetric function on a named basis."""
+    """Coefficients of a symmetric function in the Schur basis, {lam: coeff}."""
 
-    def __init__(self, basis, coeffs):
-        self.basis = basis
+    def __init__(self, coeffs):
         self.coeffs = coeffs
 
 
@@ -153,37 +147,7 @@ def pleth_hn_expansion(d, n, cap=DEGREE_CAP):
         raise ValueError("both indices must be at least 1")
     if d * n > cap:
         raise ValueError(f"degree {d * n} exceeds the cap of {cap} cells")
-    return SchurVector("schur", dict(_hn_coeffs(d, n)))
-
-
-def sym_power_dimension(d, n):
-    """dim Sym^d(Sym^n V) for dim V = d, counted directly as multisets.
-
-    Sym^n V has binomial(n+d-1, n) monomial basis elements, and the d-th
-    symmetric power picks an unordered multiset of d of those.  This is what
-    evaluating h_d[h_n] at x_1 = ... = x_d = 1 must reproduce.
-    """
-    inner = comb(n + d - 1, n)
-    return comb(inner + d - 1, d)
-
-
-def gl_dimension(lam, nvars):
-    """Number of column-strict fillings of lam with entries at most nvars.
-
-    Evaluated by the hook-content formula; the product quotient is exact or
-    the formula has been transcribed wrong.
-    """
-    check_partition(lam)
-    if len(lam) > nvars:
-        return 0
-    num = den = 1
-    for i, row in enumerate(hook_lengths(lam)):
-        for j, hook in enumerate(row):
-            num *= nvars - i + j
-            den *= hook
-    return exact_quotient(
-        num, den, "hook-content quotient of %r in %d variables", lam, nvars
-    )
+    return SchurVector(dict(_hn_coeffs(d, n)))
 
 
 def foulkes_violations(d, n, cap=DEGREE_CAP):

@@ -224,7 +224,7 @@ def to_schur_basis(f):
                 work[mu] = v
             else:
                 work.pop(mu, None)
-    return SchurVector("schur", coeffs)
+    return SchurVector(coeffs)
 
 
 def plethysm_compose(outer, inner, nvars):

@@ -23,24 +23,6 @@ from .partitions import (
 Partition = tuple[int, ...]
 
 
-def is_ballot(word) -> bool:
-    """Check the lattice/ballot condition.
-
-    Args:
-        word: iterable of positive integers.
-
-    Returns:
-        True iff in every prefix the number of i's is at least the number
-        of (i+1)'s, for all i.
-    """
-    counts: dict[int, int] = {}
-    for letter in word:
-        counts[letter] = counts.get(letter, 0) + 1
-        if letter > 1 and counts[letter] > counts.get(letter - 1, 0):
-            return False
-    return True
-
-
 def kostka(lam: Partition, alpha: tuple[int, ...]) -> int:
     """Number of SSYT of shape ``lam`` and weight ``alpha``.
 

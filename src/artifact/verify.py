@@ -54,7 +54,6 @@ from .kronecker import (
 from .partitions import (
     add,
     centralizer_order,
-    class_size,
     conjugate,
     contingency_tables,
     count_bounded,
@@ -71,6 +70,10 @@ from .tableaux import kostka, skew_schur_expansion
 
 SATURATION_SIZE_CAP = 35
 SEMIGROUP_SEED = 20260814
+# semigroup samples positive triples of sizes 1..SEMIGROUP_MAX_SIZE, and
+# cauchy truncates to CAUCHY_NVARS variables
+SEMIGROUP_MAX_SIZE = 5
+CAUCHY_NVARS = 3
 
 PASS = "pass"
 FAIL = "fail"
@@ -257,8 +260,8 @@ def _check_semigroup(item):
     return None
 
 
-def _semigroup_items(samples, max_size):
-    tables = (kron_table(n, limit=n) for n in range(1, max_size + 1))
+def _semigroup_items(samples):
+    tables = (kron_table(n, limit=n) for n in range(1, SEMIGROUP_MAX_SIZE + 1))
     positives = [((lam, mu, nu), g) for t in tables for lam, mu, nu, g in t if g > 0]
     rng = random.Random(SEMIGROUP_SEED)
     return [(rng.choice(positives), rng.choice(positives)) for _ in range(samples)]
@@ -332,14 +335,18 @@ def _tworow_items(max_cells):
 def _square_support(lam):
     """The ClassSum of |C_a| chi^lam(a)^2 over the classes where it is nonzero.
 
-    By the MN rule chi^lam vanishes on every class with a part that is not a
-    hook length of lam, so only the classes of hook-length parts are
-    evaluated: 62 of the 792 at k = 6 for a staircase, 59 of them nonzero.
+    The classes and their sizes come from conjugacy_classes.  By the MN rule
+    chi^lam vanishes on every class with a part that is not a hook length of
+    lam, so only the classes of hook-length parts are evaluated: 62 of the
+    792 at k = 6 for a staircase, 59 of them nonzero.
     """
     hooks = {h for row in hook_lengths(lam) for h in row}
-    classes = [a for a in enumerate_partitions(sum(lam)) if hooks.issuperset(a)]
-    weights = [class_size(a) * character(lam, a) ** 2 for a in classes]
-    return ClassSum(compress(classes, weights), filter(None, weights))
+    weights = {
+        a: size * character(lam, a) ** 2
+        for a, size in zip(*conjugacy_classes(sum(lam)))
+        if hooks.issuperset(a)
+    }
+    return ClassSum(compress(weights, weights.values()), filter(None, weights.values()))
 
 
 def _square(lam, mu):
@@ -473,25 +480,25 @@ def _matrix_count(rows, cols):
 
 
 def _check_cauchy(item):
-    nvars, a, b = item
+    a, b = item
     degree = sum(a)
     lhs = sum(
         kostka(lam, a) * kostka(lam, b)
-        for lam in enumerate_partitions(degree, max_len=nvars)
+        for lam in enumerate_partitions(degree, max_len=CAUCHY_NVARS)
     )
-    rows = a + (0,) * (nvars - len(a))
-    cols = b + (0,) * (nvars - len(b))
+    rows = a + (0,) * (CAUCHY_NVARS - len(a))
+    cols = b + (0,) * (CAUCHY_NVARS - len(b))
     rhs = _matrix_count(rows, cols)
     if lhs != rhs:
         return {"row_sums": a, "column_sums": b, "schur_side": lhs, "matrix_side": rhs}
     return None
 
 
-def _cauchy_items(max_degree, nvars):
+def _cauchy_items(max_degree):
     items = []
     for degree in range(1, max_degree + 1):
-        shapes = [p for p in enumerate_partitions(degree) if len(p) <= nvars]
-        items += [(nvars, a, b) for a in shapes for b in shapes]
+        shapes = list(enumerate_partitions(degree, max_len=CAUCHY_NVARS))
+        items += [(a, b) for a in shapes for b in shapes]
     return items
 
 
@@ -532,7 +539,6 @@ _PROPERTIES = {
         _check_semigroup,
         n_key="samples",
         samples=(40, 1, None),
-        max_size=(5, 1, 6),
     ),
     "murnaghan": Spec(
         _murnaghan_items, _check_murnaghan, n_key="max_size", max_size=(4, 1, 8)
@@ -549,11 +555,7 @@ _PROPERTIES = {
     ),
     "ip23": Spec(_pair_items, _check_ip23, n=(4, 1, 6)),
     "cauchy": Spec(
-        _cauchy_items,
-        _check_cauchy,
-        n_key="max_degree",
-        max_degree=(5, 1, 8),
-        nvars=(3, 1, 4),
+        _cauchy_items, _check_cauchy, n_key="max_degree", max_degree=(5, 1, 8)
     ),
 }
 

@@ -15,7 +15,6 @@ from artifact import (
     character_table,
     dimension_hlf,
     enumerate_partitions,
-    is_ballot,
     kron_char,
     kron_schur_oracle,
     kron_table,
@@ -25,14 +24,15 @@ from artifact import (
     pleth_coefficient,
     pleth_hn_expansion,
     reduced_kron,
-    rim_hook_heights,
     run_property,
     search_saturation_counterexample,
 )
 from artifact import verify
 from artifact.characters import clear_memo
 from artifact.symfunc import multiply, schur_in_monomials, to_schur_basis
+from test_characters import rim_hook_heights
 from test_kronecker import padded_oracle
+from test_tableaux import is_ballot
 
 
 def _budget(num, limit, started):

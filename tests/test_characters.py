@@ -11,13 +11,11 @@ from artifact.characters import (
     character_table,
     clear_memo,
     conjugacy_classes,
-    rim_hook_heights,
     strip_row,
 )
 from artifact.partitions import (
     SizeMismatchError,
     centralizer_order,
-    class_size,
     conjugate,
     count_bounded,
     dimension_hlf,
@@ -25,6 +23,70 @@ from artifact.partitions import (
     hook_lengths,
     remove_horizontal_strips,
 )
+from test_partitions import class_size
+
+
+def rim_hook_heights(filling, cycle_type):
+    """Total height of a rim-hook tableau, or ValueError if inadmissible.
+
+    `filling` is a tuple of rows of letters (1-based); letter k must occupy
+    cycle_type[k-1] cells forming a rim hook (edge-connected, no 2x2 block),
+    and the cells with letters <= k must form a Young diagram for every k.
+    The height of one hook is the number of rows it spans minus one.
+    """
+    cells = {}
+    for i, row in enumerate(filling):
+        for j, v in enumerate(row):
+            cells[(i, j)] = v
+    letters = len(cycle_type)
+    if any(t < 1 for t in cycle_type):
+        raise ValueError("cycle type parts must be positive")
+    counts = [0] * (letters + 1)
+    for v in cells.values():
+        if not 1 <= v <= letters:
+            raise ValueError("letter %r out of range" % (v,))
+        counts[v] += 1
+    if counts[1:] != list(cycle_type):
+        raise ValueError(
+            "letter multiplicities %r do not match type %r"
+            % (counts[1:], tuple(cycle_type))
+        )
+    total = 0
+    for k in range(1, letters + 1):
+        region = {c for c, v in cells.items() if v == k}
+        inner = {c for c, v in cells.items() if v <= k}
+        # the union of the first k letters must be a left-justified diagram
+        rowlens = {}
+        for i, j in inner:
+            rowlens[i] = rowlens.get(i, 0) + 1
+        if sorted(rowlens) != list(range(len(rowlens))):
+            raise ValueError("letters <= %d skip a row" % k)
+        for i, ln in rowlens.items():
+            if any((i, j) not in inner for j in range(ln)):
+                raise ValueError("letters <= %d are not left-justified" % k)
+            if i and rowlens[i - 1] < ln:
+                raise ValueError("letters <= %d do not form a diagram" % k)
+        # the k-region itself must be a rim hook
+        if any(
+            {(i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1)} <= region
+            for i, j in region
+        ):
+            raise ValueError("letter %d contains a 2x2 block" % k)
+        seen = set()
+        stack = [next(iter(region))]
+        while stack:
+            c = stack.pop()
+            if c in seen:
+                continue
+            seen.add(c)
+            i, j = c
+            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                if nb in region and nb not in seen:
+                    stack.append(nb)
+        if seen != region:
+            raise ValueError("letter %d is not edge-connected" % k)
+        total += len({i for i, _ in region}) - 1
+    return total
 
 
 def char_oracle(lam, alpha):

@@ -543,6 +543,19 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert target.read_text() == "1\n"
 
 
+@pytest.mark.parametrize(
+    "args", ["kron 2,1 2,1 2,1", "verify saxl --k 3", "table kron --n 3"]
+)
+@pytest.mark.parametrize("where", ["missing parent", "directory"])
+def test_unwritable_out_is_invalid_input(capsys, tmp_path, args, where):
+    target = tmp_path / "missing" / "x" if where == "missing parent" else tmp_path
+    code, out, err = run(capsys, *args.split(), "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Invalid value for '--out': %r: " % str(target))
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 # -- hard failures -------------------------------------------------------------
 #
 # Every structure constant is an exact quotient of a contraction total.  Each

@@ -19,7 +19,6 @@ from artifact.kronecker import (
 )
 from artifact.partitions import (
     SizeMismatchError,
-    class_size,
     conjugate,
     dimension_hlf,
     enumerate_partitions,
@@ -28,6 +27,7 @@ from artifact.partitions import (
 )
 from artifact.tableaux import lr_coefficient, skew_schur_expansion
 from artifact.verify import run_property
+from test_partitions import class_size
 
 
 def triples(n):

@@ -9,7 +9,6 @@ from artifact.partitions import (
     SizeMismatchError,
     add,
     centralizer_order,
-    class_size,
     conjugate,
     contains,
     count_bounded,
@@ -38,6 +37,11 @@ def dominance_leq(p, q):
         if sp > sq:
             return False
     return True
+
+
+def class_size(alpha):
+    """Number of permutations of cycle type alpha: n!/z_alpha."""
+    return math.factorial(sum(alpha)) // centralizer_order(alpha)
 
 
 @st.composite

@@ -1,5 +1,5 @@
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 import pytest
@@ -12,23 +12,54 @@ from artifact.characters import (
     character,
     clear_memo,
     conjugacy_classes,
+    exact_quotient,
     strip_row,
 )
 from artifact.cli import main
-from artifact.partitions import SizeMismatchError, dimension_hlf, enumerate_partitions
-from artifact.plethysm import (
-    foulkes_violations,
-    gl_dimension,
-    pleth_coefficient,
-    pleth_hn_expansion,
-    sym_power_dimension,
+from artifact.partitions import (
+    SizeMismatchError,
+    check_partition,
+    dimension_hlf,
+    enumerate_partitions,
+    hook_lengths,
 )
+from artifact.plethysm import foulkes_violations, pleth_coefficient, pleth_hn_expansion
 from artifact.symfunc import (
     SchurVector,
     plethysm_compose,
     schur_in_monomials,
     to_schur_basis,
 )
+
+
+def sym_power_dimension(d, n):
+    """dim Sym^d(Sym^n V) for dim V = d, counted directly as multisets.
+
+    Sym^n V has binomial(n+d-1, n) monomial basis elements, and the d-th
+    symmetric power picks an unordered multiset of d of those.  This is what
+    evaluating h_d[h_n] at x_1 = ... = x_d = 1 must reproduce.
+    """
+    inner = comb(n + d - 1, n)
+    return comb(inner + d - 1, d)
+
+
+def gl_dimension(lam, nvars):
+    """Number of column-strict fillings of lam with entries at most nvars.
+
+    Evaluated by the hook-content formula; the product quotient is exact or
+    the formula has been transcribed wrong.
+    """
+    check_partition(lam)
+    if len(lam) > nvars:
+        return 0
+    num = den = 1
+    for i, row in enumerate(hook_lengths(lam)):
+        for j, hook in enumerate(row):
+            num *= nvars - i + j
+            den *= hook
+    return exact_quotient(
+        num, den, "hook-content quotient of %r in %d variables", lam, nvars
+    )
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +314,7 @@ def test_foulkes_violations_lists_every_failure_in_order(monkeypatch):
     monkeypatch.setattr(
         plethysm,
         "pleth_hn_expansion",
-        lambda d, n, cap=None: SchurVector("schur", table[(d, n)]),
+        lambda d, n, cap=None: SchurVector(table[(d, n)]),
     )
     want = [((6,), 1, 2), ((5, 1), 1, 2), ((3, 3), 0, 1), ((2, 2, 1, 1), 0, 1)]
     assert foulkes_violations(3, 2) == want

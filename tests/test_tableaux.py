@@ -11,13 +11,26 @@ from artifact.partitions import (
     dimension_hlf,
     enumerate_partitions,
 )
-from artifact.tableaux import (
-    is_ballot,
-    kostka,
-    lr_coefficient,
-    skew_schur_expansion,
-)
+from artifact.tableaux import kostka, lr_coefficient, skew_schur_expansion
 from test_partitions import dominance_leq
+
+
+def is_ballot(word) -> bool:
+    """Check the lattice/ballot condition.
+
+    Args:
+        word: iterable of positive integers.
+
+    Returns:
+        True iff in every prefix the number of i's is at least the number
+        of (i+1)'s, for all i.
+    """
+    counts: dict[int, int] = {}
+    for letter in word:
+        counts[letter] = counts.get(letter, 0) + 1
+        if letter > 1 and counts[letter] > counts.get(letter - 1, 0):
+            return False
+    return True
 
 
 def brute_ssyt(shape, weight):

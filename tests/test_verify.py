@@ -69,6 +69,8 @@ def test_param_guards():
         ("orthogonality", {"n": 3.7}, "n must be an int, got 3.7"),
         ("saxl", {"k": "3"}, "k must be an int, got '3'"),
         ("tworow", {"max_cells": True}, "max_cells must be an int, got True"),
+        ("semigroup", {"max_size": 5}, "semigroup takes no 'max_size'; it takes samples"),
+        ("cauchy", {"nvars": 3}, "cauchy takes no 'nvars'; it takes max_degree"),
     ],
 )
 def test_params_the_property_does_not_read_are_rejected(name, params, message):
@@ -91,7 +93,7 @@ def test_params_the_property_does_not_read_are_rejected(name, params, message):
         ("pp20-bound", {"n": 5}, 84),
         ("foulkes", {"d": 3, "n": 2}, 11),
         ("ip23", {"n": 3}, 6 * 3),
-        ("cauchy", {"max_degree": 4, "nvars": 3}, 30),
+        ("cauchy", {"max_degree": 4}, 30),
     ],
 )
 def test_properties_pass(name, params, checked):
@@ -461,7 +463,7 @@ def test_semigroup_bounds_the_sum_by_the_larger_sampled_g(monkeypatch):
     # the bumped triple is drawn only as a `second`, so only a bound that
     # reads the second g as well as the first sees it
     bumped = ((3, 2), (3, 1, 1), (3, 1, 1))
-    items = verify._semigroup_items(40, 5)
+    items = verify._semigroup_items(40)
     assert bumped in [second for _, (second, _) in items]
     assert bumped not in [first for (first, _), _ in items]
     kron = _bump(monkeypatch, bumped)
