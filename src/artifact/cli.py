@@ -8,7 +8,9 @@ inconclusive-within-range both count as successful runs), 1 invalid input,
 2 property failed where a pass was expected, 3 internal consistency failure.
 """
 
+import errno
 import json
+import os
 import sys
 
 from .characters import TABLE_LIMIT, character
@@ -27,15 +29,37 @@ OUTPUT = (("--json", bool, False, "Emit a JSON record."),
 HELP = ("--help", bool, False, "Show this message and exit.")
 
 
+def _bad_out(out, exc):
+    # an unwritable --out is invalid input (exit 1), not a crash
+    return ValueError("Invalid value for '--out': %r: %s" % (out, exc.strerror))
+
+
+def _check_out(out):
+    """Fail as open(out, "w") would, before any work; create and truncate nothing.
+
+    A command that then ends in an error (exit 1 or 3) leaves an existing
+    file as it was, since _emit opens out only once the result is ready.
+    """
+    try:
+        try:
+            os.close(os.open(out, os.O_WRONLY))  # neither O_CREAT nor O_TRUNC
+        except FileNotFoundError:
+            parent = os.path.dirname(out) or "."
+            if not os.path.basename(out) or not os.path.isdir(parent):
+                raise
+            if not os.access(parent, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES)) from None
+    except OSError as exc:
+        raise _bad_out(out, exc) from None
+
+
 def _emit(text, out):
     if out is None:
         return print(text)
     try:
         fh = open(out, "w")
     except OSError as exc:
-        # an unwritable --out is invalid input (exit 1), not a crash
-        reason = "%r: %s" % (out, exc.strerror)
-        raise ValueError("Invalid value for '--out': " + reason) from None
+        raise _bad_out(out, exc) from None
     with fh:
         fh.write(text + "\n")
 
@@ -213,6 +237,8 @@ def _parse(argv):
 def main(argv=None):
     try:
         handler, args, kwargs = _parse(sys.argv[1:] if argv is None else argv)
+        if kwargs.get("out") is not None:
+            _check_out(kwargs["out"])
         return handler(*args, **kwargs) or 0
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -9,9 +9,10 @@ algorithmic machinery, so their agreement on a corpus is a real check.
 Every contraction (kron_char, kron_table, the engine's level sums) reads its
 class sizes from characters.conjugacy_classes and its int-tuple rows from
 strip_row, which builds a row on first request: a query costs three rows.
-kron_table packs the rows it read into one int per class column, a field
-per nu wide enough for n! M^3 (M the largest |entry|), so one dot gives the
-totals of every nu at once; each is still divided exactly per triple.
+kron_table packs the rows it read into one int per class column (_pack), a
+field per nu wide enough for n! M^3 (M the largest |entry|), so one dot
+gives the totals of every nu at once; each is still divided exactly per
+triple.  verify's orthogonality sweep packs its vectors with the same _pack.
 
 Reduced (stable) coefficients have one route, an exact inversion that
 never pads.  The level L(U), the sum of gbar over the V with U/V a
@@ -218,30 +219,43 @@ def _level_sum(u, t, beta, gamma, deltas, nb, ng):
 # -- batch export -----------------------------------------------------------------
 
 
+def _pack(vectors, bound):
+    """The vectors packed one int per coordinate: (columns, width, biases).
+
+    Kronecker substitution.  Coordinate t of every vector goes into one int,
+    vectors[k][t] in the field of width bits at bit width * k, so one dot of
+    a vector x with the columns gives the dot of x with every vector at once.
+    bound is the caller's bound on |any such dot|.  Adding biases, bound in
+    every field, keeps field k in [0, 2 bound], which width bits hold, so no
+    field carries into its neighbour: (total >> width * k) & mask, less
+    bound, is exactly the k-th dot, whatever the signs.
+    """
+    width = (2 * bound).bit_length()
+    columns = [sum(x << width * k for k, x in enumerate(c)) for c in zip(*vectors)]
+    biases = bound * sum(1 << width * k for k in range(len(vectors)))
+    return columns, width, biases
+
+
 def kron_table(n, limit=TABLE_LIMIT):
     """All g on canonical triples lam <= mu <= nu (enumeration order).
 
     Returns a list of (lam, mu, nu, value); by the full S3 symmetry this
     determines every ordered triple at size n.  classSize * chi^lam is
     formed once per lam and the pair product with chi^mu once per (lam, mu).
-    Each class column, chi^nu at that class for every nu, is packed into
-    one int with a field of width bits per nu, so one dot of the pair with
-    the packed columns gives the total of every nu at once (Kronecker
-    substitution).  Whatever the stored rows hold, |total| <= n! M^3 with
-    M the largest |entry|; the smaller bound n! M holds only for true
-    characters.  A bias of n! M^3 per field keeps every field in
-    [0, 2 n! M^3], so no field carries into its neighbour.  Each total is
-    read back and still checked by exact_quotient one triple at a time.
+    The rows chi^nu are packed by _pack, one int per class column with a
+    field per nu, so one dot of the pair with the packed columns gives the
+    total of every nu at once.  Whatever the stored rows hold, |total| <=
+    n! M^3 with M the largest |entry|, and that is the bound passed; the
+    smaller bound n! M holds only for true characters.  Each total is read
+    back and still checked by exact_quotient one triple at a time.
     """
     check_table_size(n, limit)
     parts, sizes = conjugacy_classes(n)
     order = factorial(n)
     rows = [strip_row(p, n) for p in parts]
     bias = order * max(max(map(abs, row)) for row in rows) ** 3
-    width = (2 * bias).bit_length()
+    columns, width, biases = _pack(rows, bias)
     mask = (1 << width) - 1
-    columns = [sum(x << width * k for k, x in enumerate(c)) for c in zip(*rows)]
-    biases = bias * sum(1 << width * k for k in range(len(parts)))
     out = []
     for i, lam in enumerate(parts):
         weighted = tuple(map(mul, sizes, rows[i]))

@@ -26,6 +26,12 @@ murnaghan and tworow dot one pair product per (lam, mu) with each chi^nu,
 and murnaghan reads every c^lam_{mu,nu} of a pair from one skew expansion,
 as those sweeps read one kron_table.  Only semigroup's summed triples and
 kron-symmetry call kron_char.
+
+Work fixed per sweep is done once per sweep, not per item: orthogonality
+packs its right vectors with kronecker._pack, as kron_table packs its rows,
+so each left vector takes one dot; murnaghan pads each shape and fetches
+its row once per size; pp20-bound works out its bound once per length
+product.  Nothing is kept between sweeps beyond the library's own memos.
 """
 
 import random
@@ -45,6 +51,7 @@ from .characters import (
     strip_row,
 )
 from .kronecker import (
+    _pack,
     kron_char,
     kron_table,
     kron_tworow,
@@ -142,18 +149,21 @@ def _require(params, key, default, low, high):
 
 
 def _check_orthogonality(item):
-    kind, p, q, x, y, want = item
-    total = sum(map(mul, x, y))
+    kind, p, q, total, want = item
     if total != want:
         return {"kind": kind, "first": p, "second": q, "sum": total, "expected": want}
     return None
 
 
 def _orthogonality_items(n):
-    """Column pairs, then row pairs, each with the two vectors to dot.
+    """Column pairs, then row pairs, each with its dot and the expected value.
 
     The rows are transposed once and |C_a| * chi^lam(a) is formed once per
-    shape, so each of the 2 p(n)^2 checks is one dot product.
+    shape.  The right vectors of each half are packed one int per coordinate
+    (kronecker._pack), so each left vector takes one dot that gives its dot
+    with every right vector: 2 p(n) dots for the 2 p(n)^2 checks.  The bound
+    p(n) * max|left| * max|right| is read from the vectors themselves, so no
+    field carries even on a corrupted row.
     """
     classes, sizes = conjugacy_classes(n)
     rows = [strip_row(lam, n) for lam in classes]
@@ -164,9 +174,18 @@ def _orthogonality_items(n):
         ("row", weighted, rows, lambda lam: factorial(n)),
     )
     for kind, left, right, diagonal in halves:
+        bound = len(classes) * _largest(left) * _largest(right)
+        packed, width, biases = _pack(right, bound)
+        mask = (1 << width) - 1
         for p, x in zip(classes, left):
-            for q, y in zip(classes, right):
-                yield kind, p, q, x, y, diagonal(p) if p == q else 0
+            totals = sum(map(mul, x, packed)) + biases
+            for q in classes:
+                yield kind, p, q, (totals & mask) - bound, diagonal(p) if p == q else 0
+                totals >>= width
+
+
+def _largest(vectors):
+    return max(abs(x) for vector in vectors for x in vector)
 
 
 # -- every g of one size -------------------------------------------------------------
@@ -272,10 +291,10 @@ def _semigroup_items(samples):
 # |C| chi^lam chi^mu is formed once per pair and dotted with each chi^nu.
 
 
-def _contract(pair, nu, *trip):
-    """g(*trip), pair being |C| times the two rows of trip that are not chi^nu."""
-    total = sum(map(mul, pair, strip_row(nu, sum(nu))))
-    return exact_quotient(total, factorial(sum(nu)), "g(%r, %r, %r)", *trip)
+def _contract(pair, row, *trip):
+    """g(*trip), pair being |C| times the two rows of trip that are not row."""
+    total = sum(map(mul, pair, row))
+    return exact_quotient(total, factorial(sum(trip[0])), "g(%r, %r, %r)", *trip)
 
 
 def _check_murnaghan(item):
@@ -291,20 +310,24 @@ def _murnaghan_items(max_size):
 
     |mu| + |nu| = |lam| = (n - 1) / 2.  The expansion of s_{lam/mu} holds
     c^lam_{mu,nu} for every nu, so one LR search serves a whole (lam, mu).
+    Each shape of size at most (n - 1) / 2 is padded and its row fetched
+    once per n.
     """
     shapes = [enumerate_partitions(k) for k in range(max_size + 1)]
     for total in range(1, max_size + 1):
         n = 2 * total + 1
         sizes = conjugacy_classes(n)[1]
+        padded = {p: pad(p, n) for k in range(total + 1) for p in shapes[k]}
+        rows = {p: strip_row(big, n) for p, big in padded.items()}
         for lam in shapes[total]:
-            weighted = tuple(map(mul, sizes, strip_row(pad(lam, n), n)))
+            weighted = tuple(map(mul, sizes, rows[lam]))
             for k in range(total + 1):
                 for mu in shapes[k]:
-                    pair = tuple(map(mul, weighted, strip_row(pad(mu, n), n)))
+                    pair = tuple(map(mul, weighted, rows[mu]))
                     expansion = skew_schur_expansion(lam, mu)
                     for nu in shapes[total - k]:
-                        big = pad(lam, n), pad(mu, n), pad(nu, n)
-                        g = _contract(pair, big[2], *big)
+                        big = padded[lam], padded[mu], padded[nu]
+                        g = _contract(pair, rows[nu], *big)
                         yield lam, mu, nu, n, g, expansion
 
 
@@ -325,7 +348,7 @@ def _tworow_items(max_cells):
             pair = tuple(map(mul, conjugacy_classes(size)[1], map(mul, row, row)))
             for k in range(size // 2 + 1):
                 lam = (size - k, k) if k else (size,)
-                yield n, d, k, _contract(pair, lam, lam, rect, rect)
+                yield n, d, k, _contract(pair, strip_row(lam, size), lam, rect, rect)
 
 
 # -- squares g(lam, lam, mu): Saxl, tensor squares, character bound ----------------------------
@@ -405,27 +428,41 @@ def _check_char_bound(item):
 
 
 def _char_bound_items(n):
+    shapes = enumerate_partitions(n)
     return [
         (lam, principal_hooks(lam), mu)
-        for lam in enumerate_partitions(n)
+        for lam in shapes
         if is_self_conjugate(lam)
-        for mu in enumerate_partitions(n)
+        for mu in shapes
     ]
 
 
 # -- contingency upper bound -----------------------------------------------------------------
 #
 # g(lam,mu,nu) <= (1 + lmr/n)^n * (1 + n/lmr)^(lmr) with l,m,r the lengths.
-# Cross-multiplied to integers:  g * n^n * (lmr)^(lmr) <= (n + lmr)^(n + lmr).
+# Cross-multiplied to integers:  g * n^n * (lmr)^(lmr) <= (n + lmr)^(n + lmr),
+# which for an integer g is g <= (n + lmr)^(n + lmr) // (n^n * lmr^lmr).
 
 
 def _check_pp20(item):
-    lam, mu, nu, g = item
-    n = sum(lam)
-    lmr = len(lam) * len(mu) * len(nu)
-    if g * n**n * lmr**lmr > (n + lmr) ** (n + lmr):
+    lam, mu, nu, g, most = item
+    if g > most:
         return {"lambda": lam, "mu": mu, "nu": nu, "value": g}
     return None
+
+
+def _pp20_items(n):
+    """Each canonical triple with its g and the largest g the bound allows.
+
+    The bound depends on the triple only through lmr, so it is computed once
+    per length product of the sweep.
+    """
+    most = {}
+    for lam, mu, nu, g in kron_table(n, limit=n):
+        lmr = len(lam) * len(mu) * len(nu)
+        if lmr not in most:
+            most[lmr] = (n + lmr) ** (n + lmr) // (n**n * lmr**lmr)
+        yield lam, mu, nu, g, most[lmr]
 
 
 # -- Foulkes comparison ------------------------------------------------------------------------
@@ -549,7 +586,7 @@ _PROPERTIES = {
     "saxl": Spec(_saxl_items, _check_saxl, k=(3, 1, 8)),
     "tensor-square": Spec(run=_run_tensor_square, n=(9, 1, CAP)),
     "char-bound": Spec(_char_bound_items, _check_char_bound, n=(10, 1, CAP)),
-    "pp20-bound": Spec(lambda n: kron_table(n, limit=n), _check_pp20, n=(6, 1, CAP)),
+    "pp20-bound": Spec(_pp20_items, _check_pp20, n=(6, 1, CAP)),
     "foulkes": Spec(
         run=_run_foulkes, d=(3, 1, None), n=(2, 1, None), cap=(DEGREE_CAP, 1, None)
     ),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact import characters, kronecker, plethysm, verify
+from artifact import characters, cli, kronecker, plethysm, verify
 from artifact.characters import (
     TABLE_LIMIT,
     ClassSum,
@@ -556,6 +556,15 @@ def test_unwritable_out_is_invalid_input(capsys, tmp_path, args, where):
     assert not (tmp_path / "missing").exists()
 
 
+def test_unwritable_out_fails_before_the_work(monkeypatch, capsys, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "kron_table", lambda *a, **k: calls.append(a) or [])
+    target = str(tmp_path / "missing" / "x")
+    code, out, err = run(capsys, "table", "kron", "--n", "12", "--out", target)
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error: Invalid value for '--out': ")
+
+
 # -- hard failures -------------------------------------------------------------
 #
 # Every structure constant is an exact quotient of a contraction total.  Each
@@ -575,6 +584,22 @@ def _s3_row(row, shape=(2, 1)):
         monkeypatch.setitem(characters._rows, (characters._word(shape), 3), row)
 
     return corrupt
+
+
+@pytest.mark.parametrize(
+    "args", ["kron 2,1 2,1 2,1", "table kron --n 3", "verify dimension-sum --n 3"]
+)
+def test_failed_run_leaves_out_as_it_was(monkeypatch, capsys, tmp_path, args):
+    # the early --out check opens nothing for writing: an exit-3 run neither
+    # truncates an existing file nor creates a missing one
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_bytes(b"earlier output\n")
+    _s3_row((-1, 0, 3))(monkeypatch)
+    for target in (kept, fresh):
+        code, out, err = run(capsys, *args.split(), "--out", str(target))
+        assert (code, out) == (3, "") and "internal consistency failure" in err
+    assert kept.read_bytes() == b"earlier output\n"
+    assert not fresh.exists()
 
 
 def _engine_level(row):

@@ -390,16 +390,15 @@ def test_packed_table_matches_kron_char_on_more_fields(n):
     assert rows == [(*trio, kron_char(*trio)) for trio in canonical]
 
 
-def test_corrupted_row_does_not_overflow_a_packed_field(monkeypatch):
-    # chi^(4) with 10**30 at class (3,1): g((4,), (4,), (4,)) still divides
-    # exactly, with a 302-bit total in its field, and the first failure is
-    # g((4,), (4,), (2,2)).  A field sized for true characters (n! M bits)
-    # would carry that total into its neighbours and change the message.
+def _assert_table_fails_as_the_direct_contraction(monkeypatch, shape, entry):
+    """Set chi^shape of S_4 at class (3,1) to entry; kron_table(4) must raise
+    the message of the first triple whose direct contraction fails, and
+    that triple is g((4,), (4,), (2,2))."""
     parts, sizes = characters.conjugacy_classes(4)
-    row = strip_row((4,), 4)
-    key = (characters._word((4,)), 4)
+    row = strip_row(shape, 4)
+    key = (characters._word(shape), 4)
     assert characters._rows[key] == row and parts[1] == (3, 1)
-    monkeypatch.setitem(characters._rows, key, (row[0], 10**30, *row[2:]))
+    monkeypatch.setitem(characters._rows, key, (row[0], entry, *row[2:]))
     order = factorial(4)
     for trio in combinations_with_replacement(parts, 3):
         factors = zip(sizes, *(strip_row(p, 4) for p in trio))
@@ -413,6 +412,21 @@ def test_corrupted_row_does_not_overflow_a_packed_field(monkeypatch):
     with pytest.raises(InternalConsistencyError) as failure:
         kron_table(4)
     assert str(failure.value) == message
+
+
+def test_corrupted_row_does_not_overflow_a_packed_field(monkeypatch):
+    # chi^(4) with 10**30 at class (3,1): g((4,), (4,), (4,)) still divides
+    # exactly, with a 302-bit total in its field, and the first failure is
+    # g((4,), (4,), (2,2)).  A field sized for true characters (n! M bits)
+    # would carry that total into its neighbours and change the message.
+    _assert_table_fails_as_the_direct_contraction(monkeypatch, (4,), 10**30)
+
+
+def test_negative_field_past_the_first_does_not_borrow(monkeypatch):
+    # chi^(2,2) with -10**30 at class (3,1) makes field (2,2), the third of
+    # each packed column, hugely negative.  The bias keeps every field
+    # nonnegative, so it borrows nothing from the fields above it.
+    _assert_table_fails_as_the_direct_contraction(monkeypatch, (2, 2), -(10**30))
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import json
 import random
 from itertools import combinations_with_replacement as multisets
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from artifact.cli import main
 from artifact.kronecker import kron_char, kron_table, kron_tworow, reduced_kron
 from artifact.partitions import (
     add,
+    centralizer_order,
     conjugate,
     dimension_hlf,
     enumerate_partitions,
@@ -277,6 +279,46 @@ def test_orthogonality_reports_the_first_failing_pair(
     assert report.checked_count == checked
 
 
+def _reference_orthogonality(n):
+    """Every column pair, then every row pair, each dotted on its own."""
+    classes, sizes = conjugacy_classes(n)
+    rows = [strip_row(lam, n) for lam in classes]
+    for i, a in enumerate(classes):
+        for j, b in enumerate(classes):
+            total = sum(row[i] * row[j] for row in rows)
+            want = centralizer_order(a) if i == j else 0
+            yield None if total == want else {
+                "kind": "col", "first": a, "second": b, "sum": total, "expected": want
+            }
+    for i, lam in enumerate(classes):
+        for j, mu in enumerate(classes):
+            total = sum(z * x * y for z, x, y in zip(sizes, rows[i], rows[j]))
+            want = factorial(n) if i == j else 0
+            yield None if total == want else {
+                "kind": "row", "first": lam, "second": mu, "sum": total, "expected": want
+            }
+
+
+@pytest.mark.parametrize(
+    "n, entry", [*((n, None) for n in range(1, 10)), (6, 10**30), (6, -(10**30))]
+)
+def test_orthogonality_matches_the_per_pair_reference(monkeypatch, n, entry):
+    # the packed dots read every pair's sum exactly, also when one entry of
+    # chi^(3,2,1) at class (3,1,1,1), not the first of the row, is set far
+    # beyond any character value
+    if entry is not None:
+        classes = conjugacy_classes(n)[0]
+        row = list(strip_row((3, 2, 1), n))
+        row[classes.index((3, 1, 1, 1))] = entry
+        key = characters._word((3, 2, 1)), n
+        monkeypatch.setitem(characters._rows, key, tuple(row))
+    params = {"n": n}
+    want = _reference_report("orthogonality", params, _reference_orthogonality(n))
+    assert (want.status == "fail") == (entry is not None)
+    got = run_property("orthogonality", params)
+    assert _without_elapsed(got) == _without_elapsed(want)
+
+
 def test_saxl_contraction_matches_kron_char():
     # the square contraction against the dense route on every lam, mu of
     # n <= 12; the supports and the MN memo are cleared before each n, so
@@ -429,15 +471,15 @@ def test_ip23_and_semigroup_match_the_per_triple_reference():
     assert _without_elapsed(run_property("semigroup")) == _without_elapsed(reference)
 
 
-def _bump(monkeypatch, bumped):
-    """Raise g(bumped) by 10^9 in verify's kron_char and kron_table alike."""
+def _bump(monkeypatch, bumped, by=10**9):
+    """Raise g(bumped) by ``by`` in verify's kron_char and kron_table alike."""
 
     def kron(*trip):
-        return kron_char(*trip) + 10**9 * (sorted(trip) == sorted(bumped))
+        return kron_char(*trip) + by * (sorted(trip) == sorted(bumped))
 
     def table(n, limit):
         return [
-            (lam, mu, nu, g + 10**9 * ((lam, mu, nu) == bumped))
+            (lam, mu, nu, g + by * ((lam, mu, nu) == bumped))
             for lam, mu, nu, g in kron_table(n, limit=limit)
         ]
 
@@ -457,6 +499,20 @@ def test_a_bumped_g_gives_the_reference_witness(monkeypatch):
         assert _without_elapsed(run_property(name, {"n": 5})) == _without_elapsed(want)
     want = _reference_report("semigroup", {}, _reference_semigroup(kron))
     assert _without_elapsed(run_property("semigroup")) == _without_elapsed(want)
+
+
+@pytest.mark.parametrize("excess, status", [(0, "pass"), (1, "fail")])
+def test_pp20_fails_exactly_past_its_bound(monkeypatch, excess, status):
+    # g((5, 2), (4, 3), (3, 2, 2)) = 1 is raised to the largest value the
+    # bound allows at lmr = 12 and n = 7, then to one more
+    n, bumped, lmr = 7, ((5, 2), (4, 3), (3, 2, 2)), 12
+    most = (n + lmr) ** (n + lmr) // (n**n * lmr**lmr)
+    kron = _bump(monkeypatch, bumped, most + excess - kron_char(*bumped))
+    want = _reference_report("pp20-bound", {"n": n}, _reference_pp20(n, kron))
+    assert want.status == status
+    if status == "fail":
+        assert want.witness == dict(zip(("lambda", "mu", "nu"), bumped), value=most + 1)
+    assert _without_elapsed(run_property("pp20-bound", {"n": n})) == _without_elapsed(want)
 
 
 def test_semigroup_bounds_the_sum_by_the_larger_sampled_g(monkeypatch):
@@ -497,6 +553,19 @@ def test_table_sweeps_read_one_kron_table(monkeypatch, name, n):
     calls = count_calls(monkeypatch, "kron_char", "kron_table")
     assert run_property(name, {"n": n}).status == "pass"
     assert calls == {"kron_char": 0, "kron_table": 1}
+
+
+def test_char_bound_lists_the_shapes_once(monkeypatch):
+    calls = count_calls(monkeypatch, "enumerate_partitions")
+    assert run_property("char-bound", {"n": 10}).status == "pass"
+    assert calls == {"enumerate_partitions": 1}
+
+
+def test_murnaghan_pads_each_shape_once_per_size(monkeypatch):
+    # max_size 5 pads the shapes of sizes 0..t at n = 2t + 1, t = 1..5
+    calls = count_calls(monkeypatch, "pad")
+    assert run_property("murnaghan", {"max_size": 5}).status == "pass"
+    assert calls == {"pad": 2 + 4 + 7 + 12 + 19}
 
 
 def test_semigroup_asks_kron_char_only_for_summed_triples(monkeypatch):
