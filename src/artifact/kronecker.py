@@ -131,6 +131,8 @@ def kron_schur_oracle(lam, mu, nu):
 
 def kron_tworow(n, d, k):
     """g((nd-k, k), n^d, n^d) via bounded-partition counts."""
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1, got n=%d, d=%d" % (n, d))
     if k < 0 or 2 * k > n * d:
         raise ValueError("need 0 <= k <= nd/2, got k=%d" % k)
     return count_bounded(k, n, d) - count_bounded(k - 1, n, d)

@@ -11,14 +11,15 @@ reduced coefficients), and running out of budget is recorded as
 "inconclusive-within-range" rather than dressed up as a result.
 
 Each property is one Spec in the registry near the end of this module: its
-range parameters with their defaults and bounds, a generator of its items
-and a check that returns a witness or None.  run_property rejects any
-parameter the property does not read and any value that is not an int,
-bounds the rest and sweeps the items.  tensor-square and foulkes report
-something other than a first witness, so their specs carry a run function
-of their own.
+range parameters with their defaults and bounds, and a run function.  A
+sweep is one generator that yields, for each instance in canonical order,
+its witness or None; _sweep makes it a run function that counts every
+instance and reports the first witness.  tensor-square and foulkes report
+something other than a first witness, so they have run functions of their
+own.  run_property rejects any parameter the property does not read and
+any value that is not an int, bounds the rest and runs the property.
 
-Sweeps run serially over their items in canonical order, so status, witness
+Sweeps run serially over their instances in canonical order, so status, witness
 and checked_count are identical for every run; only elapsed time varies.
 A sweep that reads g on every triple of one size (transpose, dimension-sum,
 pp20-bound, ip23, semigroup's positive triples) reads one kron_table;
@@ -27,11 +28,11 @@ and murnaghan reads every c^lam_{mu,nu} of a pair from one skew expansion,
 as those sweeps read one kron_table.  Only semigroup's summed triples and
 kron-symmetry call kron_char.
 
-Work fixed per sweep is done once per sweep, not per item: orthogonality
+Work fixed per sweep is done once per sweep, not per instance: orthogonality
 packs its right vectors with kronecker._pack, as kron_table packs its rows,
 so each left vector takes one dot; murnaghan pads each shape and fetches
 its row once per size; pp20-bound works out its bound once per length
-product.  Nothing is kept between sweeps beyond the library's own memos.
+product; char-bound takes the principal hooks once per lam.  Nothing is kept between sweeps beyond the library's own memos.
 """
 
 import random
@@ -123,13 +124,15 @@ def _stringify(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _sweep(check, items):
-    """Run a witness-or-None check over all items; first witness wins."""
-    results = [check(item) for item in items]
-    for witness in results:
-        if witness is not None:
-            return FAIL, witness, len(results)
-    return PASS, None, len(results)
+def _sweep(witnesses):
+    """The run function of a witness generator: the first witness wins."""
+
+    def run(**values):
+        found = list(witnesses(**values))
+        first = next(filter(None, found), None)
+        return (PASS if first is None else FAIL), first, len(found)
+
+    return run
 
 
 def _require(params, key, default, low, high):
@@ -141,6 +144,11 @@ def _require(params, key, default, low, high):
     return value
 
 
+def _require_int(key, value):
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an int, got {value!r}")
+
+
 # -- orthogonality -----------------------------------------------------------------
 #
 # Columns: sum over shapes of chi(a)*chi(b) is the centralizer order when the
@@ -148,15 +156,8 @@ def _require(params, key, default, low, high):
 # |C_a| * chi^lam(a) * chi^mu(a) is n! exactly on the diagonal.
 
 
-def _check_orthogonality(item):
-    kind, p, q, total, want = item
-    if total != want:
-        return {"kind": kind, "first": p, "second": q, "sum": total, "expected": want}
-    return None
-
-
-def _orthogonality_items(n):
-    """Column pairs, then row pairs, each with its dot and the expected value.
+def _orthogonality(n):
+    """Every column pair, then every row pair, checked against its dot.
 
     The rows are transposed once and |C_a| * chi^lam(a) is formed once per
     shape.  The right vectors of each half are packed one int per coordinate
@@ -180,7 +181,11 @@ def _orthogonality_items(n):
         for p, x in zip(classes, left):
             totals = sum(map(mul, x, packed)) + biases
             for q in classes:
-                yield kind, p, q, (totals & mask) - bound, diagonal(p) if p == q else 0
+                total, want = (totals & mask) - bound, diagonal(p) if p == q else 0
+                yield None if total == want else {
+                    "kind": kind, "first": p, "second": q,
+                    "sum": total, "expected": want,
+                }
                 totals >>= width
 
 
@@ -208,30 +213,22 @@ def _kron_lookup(n):
 # argument orders dot the same three character rows, so they agree by construction.
 
 
-def _check_symmetry(item):
-    lam, mu, nu = item
-    base = kron_char(lam, mu, nu)
-    values = {
-        "lmn": base,
-        "lnm": kron_char(lam, nu, mu),
-        "mln": kron_char(mu, lam, nu),
-        "mnl": kron_char(mu, nu, lam),
-        "nlm": kron_char(nu, lam, mu),
-        "nml": kron_char(nu, mu, lam),
-    }
-    if len(set(values.values())) != 1:
-        return {"lambda": lam, "mu": mu, "nu": nu, "values": values}
-    return None
+def _kron_symmetry(n):
+    for lam, mu, nu in multisets(enumerate_partitions(n), 3):
+        values = {
+            "lmn": kron_char(lam, mu, nu),
+            "lnm": kron_char(lam, nu, mu),
+            "mln": kron_char(mu, lam, nu),
+            "mnl": kron_char(mu, nu, lam),
+            "nlm": kron_char(nu, lam, mu),
+            "nml": kron_char(nu, mu, lam),
+        }
+        yield None if len(set(values.values())) == 1 else {
+            "lambda": lam, "mu": mu, "nu": nu, "values": values
+        }
 
 
-def _check_transpose(item):
-    lam, mu, nu, lhs, rhs = item
-    if lhs != rhs:
-        return {"lambda": lam, "mu": mu, "nu": nu, "plain": lhs, "transposed": rhs}
-    return None
-
-
-def _pair_items(n):
+def _pair_triples(n):
     """Pair triples lam <= mu, nu free, with g(lam, mu, nu) and g(lam', mu', nu)."""
     parts, g = _kron_lookup(n)
     index = {p: i for i, p in enumerate(parts)}
@@ -241,45 +238,47 @@ def _pair_items(n):
             yield parts[i], parts[j], nu, g(i, j, k), g(bar[i], bar[j], k)
 
 
+def _transpose(n):
+    for lam, mu, nu, lhs, rhs in _pair_triples(n):
+        yield None if lhs == rhs else {
+            "lambda": lam, "mu": mu, "nu": nu, "plain": lhs, "transposed": rhs
+        }
+
+
 # -- dimension sum -------------------------------------------------------------------
 
 
-def _check_dimension_sum(item):
-    lam, mu, total, want = item
-    if total != want:
-        return {"lambda": lam, "mu": mu, "sum": total, "expected": want}
-    return None
-
-
-def _dimension_sum_items(n):
-    """Shape pairs with sum over nu of dim(nu) g(lam, mu, nu) and dim(lam) dim(mu)."""
+def _dimension_sum(n):
+    """sum over nu of dim(nu) g(lam, mu, nu) against dim(lam) dim(mu)."""
     parts, g = _kron_lookup(n)
     dims = [dimension_hlf(p) for p in parts]
     for i, j in multisets(range(len(parts)), 2):
         total = sum(d * g(i, j, k) for k, d in enumerate(dims))
-        yield parts[i], parts[j], total, dims[i] * dims[j]
+        want = dims[i] * dims[j]
+        yield None if total == want else {
+            "lambda": parts[i], "mu": parts[j], "sum": total, "expected": want
+        }
 
 
 # -- semigroup spot checks ------------------------------------------------------------
 
 
-def _check_semigroup(item):
-    (first, g_first), (second, g_second) = item
-    summed = tuple(add(p, q) for p, q in zip(first, second))
-    got = kron_char(*summed)
-    lower = max(g_first, g_second)
-    if got < lower:
-        return {
+def _semigroup(samples):
+    for (first, g_first), (second, g_second) in _semigroup_items(samples):
+        summed = tuple(add(p, q) for p, q in zip(first, second))
+        got = kron_char(*summed)
+        lower = max(g_first, g_second)
+        yield None if got >= lower else {
             "first": first,
             "second": second,
             "summed": summed,
             "value": got,
             "lower_bound": lower,
         }
-    return None
 
 
 def _semigroup_items(samples):
+    """The sampled pairs of positive triples, each triple with its g."""
     tables = (kron_table(n, limit=n) for n in range(1, SEMIGROUP_MAX_SIZE + 1))
     positives = [((lam, mu, nu), g) for t in tables for lam, mu, nu, g in t if g > 0]
     rng = random.Random(SEMIGROUP_SEED)
@@ -297,21 +296,12 @@ def _contract(pair, row, *trip):
     return exact_quotient(total, factorial(sum(trip[0])), "g(%r, %r, %r)", *trip)
 
 
-def _check_murnaghan(item):
-    lam, mu, nu, n, g, expansion = item
-    c = expansion.get(nu, 0)
-    if g != c:
-        return {"lambda": lam, "mu": mu, "nu": nu, "n": n, "padded": g, "lr": c}
-    return None
+def _murnaghan(max_size):
+    """g(lam[n], mu[n], nu[n]) against c^lam_{mu,nu}; |mu| + |nu| = |lam| = (n - 1) / 2.
 
-
-def _murnaghan_items(max_size):
-    """(lam, mu, nu, n, g(lam[n], mu[n], nu[n]), s_{lam/mu} in Schur terms).
-
-    |mu| + |nu| = |lam| = (n - 1) / 2.  The expansion of s_{lam/mu} holds
-    c^lam_{mu,nu} for every nu, so one LR search serves a whole (lam, mu).
-    Each shape of size at most (n - 1) / 2 is padded and its row fetched
-    once per n.
+    The expansion of s_{lam/mu} holds c^lam_{mu,nu} for every nu, so one LR
+    search serves a whole (lam, mu).  Each shape of size at most (n - 1) / 2
+    is padded and its row fetched once per n.
     """
     shapes = [enumerate_partitions(k) for k in range(max_size + 1)]
     for total in range(1, max_size + 1):
@@ -328,19 +318,15 @@ def _murnaghan_items(max_size):
                     for nu in shapes[total - k]:
                         big = padded[lam], padded[mu], padded[nu]
                         g = _contract(pair, rows[nu], *big)
-                        yield lam, mu, nu, n, g, expansion
+                        c = expansion.get(nu, 0)
+                        yield None if g == c else {
+                            "lambda": lam, "mu": mu, "nu": nu,
+                            "n": n, "padded": g, "lr": c,
+                        }
 
 
-def _check_tworow(item):
-    n, d, k, direct = item
-    closed = kron_tworow(n, d, k)
-    if direct != closed:
-        return {"n": n, "d": d, "k": k, "character": direct, "closed_form": closed}
-    return None
-
-
-def _tworow_items(max_cells):
-    """(n, d, k, g((nd - k, k), n^d, n^d)): one pair product per rectangle n^d."""
+def _tworow(max_cells):
+    """g((nd - k, k), n^d, n^d) against kron_tworow: one pair product per n^d."""
     for n in range(1, max_cells + 1):
         for d in range(1, max_cells // n + 1):
             rect, size = (n,) * d, n * d
@@ -348,7 +334,11 @@ def _tworow_items(max_cells):
             pair = tuple(map(mul, conjugacy_classes(size)[1], map(mul, row, row)))
             for k in range(size // 2 + 1):
                 lam = (size - k, k) if k else (size,)
-                yield n, d, k, _contract(pair, strip_row(lam, size), lam, rect, rect)
+                direct = _contract(pair, strip_row(lam, size), lam, rect, rect)
+                closed = kron_tworow(n, d, k)
+                yield None if direct == closed else {
+                    "n": n, "d": d, "k": k, "character": direct, "closed_form": closed
+                }
 
 
 # -- squares g(lam, lam, mu): Saxl, tensor squares, character bound ----------------------------
@@ -378,17 +368,11 @@ def _square(lam, mu):
     return exact_quotient(total, factorial(sum(lam)), "g(%r, %r, %r)", lam, lam, mu)
 
 
-def _check_saxl(item):
-    delta, mu = item
-    value = _square(delta, mu)
-    if value <= 0:
-        return {"staircase": delta, "mu": mu, "value": value}
-    return None
-
-
-def _saxl_items(k):
+def _saxl(k):
     delta = tuple(range(k, 0, -1))
-    return [(delta, mu) for mu in enumerate_partitions(k * (k + 1) // 2)]
+    for mu in enumerate_partitions(k * (k + 1) // 2):
+        value = _square(delta, mu)
+        yield None if value > 0 else {"staircase": delta, "mu": mu, "value": value}
 
 
 def _run_tensor_square(n):
@@ -412,29 +396,20 @@ def _run_tensor_square(n):
     return status, witness, len(shapes)
 
 
-def _check_char_bound(item):
-    lam, hooks, mu = item
-    g = _square(lam, mu)
-    bound = abs(character(mu, hooks))
-    if g < bound:
-        return {
-            "lambda": lam,
-            "principal_hooks": hooks,
-            "mu": mu,
-            "value": g,
-            "bound": bound,
-        }
-    return None
-
-
-def _char_bound_items(n):
+def _char_bound(n):
+    """g(lam, lam, mu) >= |chi^mu(principal hooks of lam)|, lam self-conjugate."""
     shapes = enumerate_partitions(n)
-    return [
-        (lam, principal_hooks(lam), mu)
-        for lam in shapes
-        if is_self_conjugate(lam)
-        for mu in shapes
-    ]
+    for lam in filter(is_self_conjugate, shapes):
+        hooks = principal_hooks(lam)
+        for mu in shapes:
+            g, bound = _square(lam, mu), abs(character(mu, hooks))
+            yield None if g >= bound else {
+                "lambda": lam,
+                "principal_hooks": hooks,
+                "mu": mu,
+                "value": g,
+                "bound": bound,
+            }
 
 
 # -- contingency upper bound -----------------------------------------------------------------
@@ -444,15 +419,8 @@ def _char_bound_items(n):
 # which for an integer g is g <= (n + lmr)^(n + lmr) // (n^n * lmr^lmr).
 
 
-def _check_pp20(item):
-    lam, mu, nu, g, most = item
-    if g > most:
-        return {"lambda": lam, "mu": mu, "nu": nu, "value": g}
-    return None
-
-
-def _pp20_items(n):
-    """Each canonical triple with its g and the largest g the bound allows.
+def _pp20(n):
+    """Each canonical triple's g against the largest g the bound allows.
 
     The bound depends on the triple only through lmr, so it is computed once
     per length product of the sweep.
@@ -462,7 +430,9 @@ def _pp20_items(n):
         lmr = len(lam) * len(mu) * len(nu)
         if lmr not in most:
             most[lmr] = (n + lmr) ** (n + lmr) // (n**n * lmr**lmr)
-        yield lam, mu, nu, g, most[lmr]
+        yield None if g <= most[lmr] else {
+            "lambda": lam, "mu": mu, "nu": nu, "value": g
+        }
 
 
 # -- Foulkes comparison ------------------------------------------------------------------------
@@ -486,15 +456,14 @@ def _run_foulkes(d, n, cap):
 # -- ordinary-to-reduced identity -----------------------------------------------------------------
 
 
-def _check_ip23(item):
-    lam, mu, nu, g, _ = item
-    head = nu[0]
-    first = tuple(part + head for part in lam)
-    second = tuple(part + head for part in mu)
-    third = (head,) * (len(lam) + len(mu)) + nu
-    gbar = reduced_kron(first, second, third)
-    if g != gbar:
-        return {
+def _ip23(n):
+    for lam, mu, nu, g, _ in _pair_triples(n):
+        head = nu[0]
+        first = tuple(part + head for part in lam)
+        second = tuple(part + head for part in mu)
+        third = (head,) * (len(lam) + len(mu)) + nu
+        gbar = reduced_kron(first, second, third)
+        yield None if g == gbar else {
             "lambda": lam,
             "mu": mu,
             "nu": nu,
@@ -502,7 +471,6 @@ def _check_ip23(item):
             "reduced_arguments": [first, second, third],
             "reduced": gbar,
         }
-    return None
 
 
 # -- truncated Cauchy identity ----------------------------------------------------------------------
@@ -516,27 +484,19 @@ def _matrix_count(rows, cols):
     return sum(1 for _ in contingency_tables(rows, cols))
 
 
-def _check_cauchy(item):
-    a, b = item
-    degree = sum(a)
-    lhs = sum(
-        kostka(lam, a) * kostka(lam, b)
-        for lam in enumerate_partitions(degree, max_len=CAUCHY_NVARS)
-    )
-    rows = a + (0,) * (CAUCHY_NVARS - len(a))
-    cols = b + (0,) * (CAUCHY_NVARS - len(b))
-    rhs = _matrix_count(rows, cols)
-    if lhs != rhs:
-        return {"row_sums": a, "column_sums": b, "schur_side": lhs, "matrix_side": rhs}
-    return None
-
-
-def _cauchy_items(max_degree):
-    items = []
+def _cauchy(max_degree):
+    """Each pair of weights a, b of one degree; the shapes lam are the weights."""
     for degree in range(1, max_degree + 1):
-        shapes = list(enumerate_partitions(degree, max_len=CAUCHY_NVARS))
-        items += [(a, b) for a in shapes for b in shapes]
-    return items
+        shapes = enumerate_partitions(degree, max_len=CAUCHY_NVARS)
+        sums = [p + (0,) * (CAUCHY_NVARS - len(p)) for p in shapes]
+        for a, rows in zip(shapes, sums):
+            for b, cols in zip(shapes, sums):
+                lhs = sum(kostka(lam, a) * kostka(lam, b) for lam in shapes)
+                rhs = _matrix_count(rows, cols)
+                yield None if lhs == rhs else {
+                    "row_sums": a, "column_sums": b,
+                    "schur_side": lhs, "matrix_side": rhs,
+                }
 
 
 # -- registry ------------------------------------------------------------------------------------------
@@ -546,54 +506,39 @@ CAP = "cap"
 
 
 class Spec:
-    """One property: its range parameters, its items and its check.
+    """One property: its run function and its range parameters.
 
-    Each keyword range is key=(default, low, high); high is a fixed cap, None
-    for no cap, or CAP for the property's "cap" parameter (default
-    TABLE_LIMIT).  items(**values) lists the instances and check(item)
-    returns a witness or None; a spec with ``run`` returns (status, witness,
-    checked) from run(**values) instead.  ``n_key`` is the range that the
-    CLI's generic --n flag sets.
+    run(**values) returns (status, witness, checked); a sweep's run is
+    _sweep of its witness generator.  Each keyword range is
+    key=(default, low, high); high is a fixed cap, None for no cap, or CAP
+    for the property's "cap" parameter (default TABLE_LIMIT).  ``n_key`` is
+    the range that the CLI's generic --n flag sets.
     """
 
-    def __init__(self, items=None, check=None, run=None, n_key="n", **ranges):
-        self.items, self.check, self.run, self.n_key = items, check, run, n_key
-        self.ranges = ranges
+    def __init__(self, run, n_key="n", **ranges):
+        self.run, self.n_key, self.ranges = run, n_key, ranges
         self.keys = list(ranges)
         if any(high == CAP for _, _, high in ranges.values()):
             self.keys.append("cap")
 
 
 _PROPERTIES = {
-    "orthogonality": Spec(_orthogonality_items, _check_orthogonality, n=(8, 1, CAP)),
-    "kron-symmetry": Spec(
-        lambda n: multisets(enumerate_partitions(n), 3), _check_symmetry, n=(5, 1, CAP)
-    ),
-    "transpose": Spec(_pair_items, _check_transpose, n=(5, 1, CAP)),
-    "dimension-sum": Spec(_dimension_sum_items, _check_dimension_sum, n=(6, 1, CAP)),
-    "semigroup": Spec(
-        _semigroup_items,
-        _check_semigroup,
-        n_key="samples",
-        samples=(40, 1, None),
-    ),
-    "murnaghan": Spec(
-        _murnaghan_items, _check_murnaghan, n_key="max_size", max_size=(4, 1, 8)
-    ),
-    "tworow": Spec(
-        _tworow_items, _check_tworow, n_key="max_cells", max_cells=(12, 1, 16)
-    ),
-    "saxl": Spec(_saxl_items, _check_saxl, k=(3, 1, 8)),
-    "tensor-square": Spec(run=_run_tensor_square, n=(9, 1, CAP)),
-    "char-bound": Spec(_char_bound_items, _check_char_bound, n=(10, 1, CAP)),
-    "pp20-bound": Spec(_pp20_items, _check_pp20, n=(6, 1, CAP)),
+    "orthogonality": Spec(_sweep(_orthogonality), n=(8, 1, CAP)),
+    "kron-symmetry": Spec(_sweep(_kron_symmetry), n=(5, 1, CAP)),
+    "transpose": Spec(_sweep(_transpose), n=(5, 1, CAP)),
+    "dimension-sum": Spec(_sweep(_dimension_sum), n=(6, 1, CAP)),
+    "semigroup": Spec(_sweep(_semigroup), n_key="samples", samples=(40, 1, None)),
+    "murnaghan": Spec(_sweep(_murnaghan), n_key="max_size", max_size=(4, 1, 8)),
+    "tworow": Spec(_sweep(_tworow), n_key="max_cells", max_cells=(12, 1, 16)),
+    "saxl": Spec(_sweep(_saxl), k=(3, 1, 8)),
+    "tensor-square": Spec(_run_tensor_square, n=(9, 1, CAP)),
+    "char-bound": Spec(_sweep(_char_bound), n=(10, 1, CAP)),
+    "pp20-bound": Spec(_sweep(_pp20), n=(6, 1, CAP)),
     "foulkes": Spec(
-        run=_run_foulkes, d=(3, 1, None), n=(2, 1, None), cap=(DEGREE_CAP, 1, None)
+        _run_foulkes, d=(3, 1, None), n=(2, 1, None), cap=(DEGREE_CAP, 1, None)
     ),
-    "ip23": Spec(_pair_items, _check_ip23, n=(4, 1, 6)),
-    "cauchy": Spec(
-        _cauchy_items, _check_cauchy, n_key="max_degree", max_degree=(5, 1, 8)
-    ),
+    "ip23": Spec(_sweep(_ip23), n=(4, 1, 6)),
+    "cauchy": Spec(_sweep(_cauchy), n_key="max_degree", max_degree=(5, 1, 8)),
 }
 
 
@@ -626,18 +571,14 @@ def run_property(name, params=None):
         if key not in spec.keys:
             keys = ", ".join(spec.keys)
             raise ValueError(f"{name} takes no {key!r}; it takes {keys}")
-        if type(value) is not int:
-            raise ValueError(f"{key} must be an int, got {value!r}")
+        _require_int(key, value)
     start = time.perf_counter()
     cap = params.get("cap", TABLE_LIMIT)
     values = {
         key: _require(params, key, default, low, cap if high == CAP else high)
         for key, (default, low, high) in spec.ranges.items()
     }
-    if spec.run is not None:
-        status, witness, checked = spec.run(**values)
-    else:
-        status, witness, checked = _sweep(spec.check, spec.items(**values))
+    status, witness, checked = spec.run(**values)
     return Report(
         property=name,
         params=params,
@@ -658,8 +599,10 @@ def search_saturation_counterexample(k, n_max, size_cap=SATURATION_SIZE_CAP):
     the next stretch would exceed size_cap — raise the cap to push further.
     The padding size (padding_threshold) serves only as a proxy for the
     size of a stretch: reduced_kron runs the vertical-strip engine, which
-    never pads.
+    never pads.  k, n_max and size_cap must be ints, as in run_property.
     """
+    for key, value in (("k", k), ("n_max", n_max), ("size_cap", size_cap)):
+        _require_int(key, value)
     if k < 3:
         raise ValueError("the family needs k >= 3")
     if n_max < 2:

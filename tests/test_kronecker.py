@@ -180,6 +180,13 @@ def test_tworow_range_guard():
         kron_tworow(2, 2, -1)
 
 
+@pytest.mark.parametrize("n, d", [(0, 3), (3, 0), (-1, 2), (0, 0)])
+def test_tworow_rejects_n_or_d_below_one(n, d):
+    # the error names n and d, not the k that is in range for them
+    with pytest.raises(ValueError, match=f"^need n >= 1 and d >= 1, got n={n}, d={d}$"):
+        kron_tworow(n, d, 0)
+
+
 def test_tworow_matches_characters():
     for n, d in ((2, 2), (3, 2), (2, 3), (4, 2), (2, 4), (3, 3), (5, 2)):
         rect = (n,) * d

@@ -1,5 +1,4 @@
 import math
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings

@@ -1,7 +1,7 @@
 import json
 import random
 from itertools import combinations_with_replacement as multisets
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -17,6 +17,7 @@ from artifact.partitions import (
     dimension_hlf,
     enumerate_partitions,
     pad,
+    principal_hooks,
 )
 from artifact.tableaux import lr_coefficient, skew_schur_expansion
 from artifact.verify import (
@@ -171,6 +172,21 @@ def test_saturation_guards():
         search_saturation_counterexample(2, 4)
     with pytest.raises(ValueError):
         search_saturation_counterexample(3, 1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3.0, 4), "k must be an int, got 3.0"),
+        ((3, 4.0), "n_max must be an int, got 4.0"),
+        ((3, 4, "x"), "size_cap must be an int, got 'x'"),
+        ((True, 4), "k must be an int, got True"),
+    ],
+)
+def test_saturation_rejects_arguments_that_are_not_ints(args, message):
+    # the same message as run_property's, before any range check
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        search_saturation_counterexample(*args)
 
 
 def test_saturation_default_cap_is_inconclusive():
@@ -433,6 +449,55 @@ def _reference_semigroup(kron=kron_char, samples=40, max_size=5):
         }
 
 
+def _reference_kron_symmetry(n, kron):
+    # permutations lists the argument orders lmn, lnm, mln, mnl, nlm, nml
+    for trip in multisets(enumerate_partitions(n), 3):
+        values = [kron(*order) for order in permutations(trip)]
+        yield None if len(set(values)) == 1 else {
+            "lambda": trip[0],
+            "mu": trip[1],
+            "nu": trip[2],
+            "values": dict(zip(("lmn", "lnm", "mln", "mnl", "nlm", "nml"), values)),
+        }
+
+
+def _reference_saxl(k, square):
+    delta = tuple(range(k, 0, -1))
+    for mu in enumerate_partitions(sum(delta)):
+        value = square(delta, mu)
+        yield None if value > 0 else {"staircase": delta, "mu": mu, "value": value}
+
+
+def _reference_char_bound(n, char):
+    shapes = enumerate_partitions(n)
+    for lam in shapes:
+        if lam != conjugate(lam):
+            continue
+        hooks = principal_hooks(lam)
+        for mu in shapes:
+            g, bound = kron_char(lam, lam, mu), abs(char(mu, hooks))
+            yield None if g >= bound else {
+                "lambda": lam,
+                "principal_hooks": hooks,
+                "mu": mu,
+                "value": g,
+                "bound": bound,
+            }
+
+
+def _reference_cauchy(max_degree, kost):
+    nvars = verify.CAUCHY_NVARS
+    for degree in range(1, max_degree + 1):
+        shapes = enumerate_partitions(degree, max_len=nvars)
+        for a, b in product(shapes, repeat=2):
+            lhs = sum(kost(lam, a) * kost(lam, b) for lam in shapes)
+            rows, cols = (p + (0,) * (nvars - len(p)) for p in (a, b))
+            rhs = _matrix_count(rows, cols)
+            yield None if lhs == rhs else {
+                "row_sums": a, "column_sums": b, "schur_side": lhs, "matrix_side": rhs
+            }
+
+
 def _without_elapsed(report):
     out = report.to_json()
     del out["elapsed_ms"]
@@ -526,6 +591,71 @@ def test_semigroup_bounds_the_sum_by_the_larger_sampled_g(monkeypatch):
     want = _reference_report("semigroup", {}, _reference_semigroup(kron))
     assert want.status == "fail" and want.witness["second"] == bumped
     assert _without_elapsed(run_property("semigroup")) == _without_elapsed(want)
+
+
+def test_kron_symmetry_names_the_first_asymmetric_triple(monkeypatch):
+    # two ordered triples of size 4 are raised by one; the multiset
+    # {(4), 1^4, 1^4} comes first in canonical order, and its two orders
+    # with (4) in the middle both read the bumped value
+    bumped = {((1, 1, 1, 1), (4,), (1, 1, 1, 1)), ((2, 1, 1), (3, 1), (2, 2))}
+
+    def kron(*trip):
+        return kron_char(*trip) + (trip in bumped)
+
+    monkeypatch.setattr(verify, "kron_char", kron)
+    reference = _reference_kron_symmetry(4, kron)
+    want = _reference_report("kron-symmetry", {"n": 4}, reference)
+    assert want.status == "fail" and want.witness["lambda"] == (4,)
+    assert want.witness["values"]["mln"] == want.witness["values"]["nlm"] == 2
+    got = run_property("kron-symmetry", {"n": 4})
+    assert _without_elapsed(got) == _without_elapsed(want)
+
+
+def test_saxl_names_the_first_vanishing_square(monkeypatch):
+    # g(delta_3, delta_3, mu) is lowered to -1 at (3, 2, 1) and to 0 at
+    # (4, 1, 1), which comes first: a zero square fails too
+    lowered = {(4, 1, 1): 0, (3, 2, 1): -1}
+
+    def square(lam, mu, true=verify._square):
+        return lowered.get(mu, true(lam, mu))
+
+    monkeypatch.setattr(verify, "_square", square)
+    want = _reference_report("saxl", {"k": 3}, _reference_saxl(3, square))
+    assert want.witness == {"staircase": (3, 2, 1), "mu": (4, 1, 1), "value": 0}
+    assert _without_elapsed(run_property("saxl", {"k": 3})) == _without_elapsed(want)
+
+
+def test_char_bound_names_the_first_broken_bound(monkeypatch):
+    # |chi^mu| at the principal hooks is raised past g for one mu of each
+    # self-conjugate lam of 9; (5, 1, 1, 1, 1), hooks (9,), comes first.  Both
+    # mu are not self-conjugate, so no square support reads a raised value
+    raised = {((4, 3, 2), (9,)), ((8, 1), (5, 3, 1))}
+
+    def char(mu, hooks, true=verify.character):
+        return true(mu, hooks) + 10**6 * ((mu, hooks) in raised)
+
+    monkeypatch.setattr(verify, "character", char)
+    want = _reference_report("char-bound", {"n": 9}, _reference_char_bound(9, char))
+    assert want.status == "fail"
+    assert (want.witness["lambda"], want.witness["mu"]) == ((5, 1, 1, 1, 1), (4, 3, 2))
+    got = run_property("char-bound", {"n": 9})
+    assert _without_elapsed(got) == _without_elapsed(want)
+
+
+def test_cauchy_names_the_first_unbalanced_pair(monkeypatch):
+    # K((2, 1), (1, 1, 1)) is raised by one, so the Schur side of every
+    # degree-3 pair with a weight 1^3 and the other weight not (3) is off;
+    # ((2, 1), (1, 1, 1)) is the first of them
+    def kost(lam, a, true=verify.kostka):
+        return true(lam, a) + ((lam, a) == ((2, 1), (1, 1, 1)))
+
+    monkeypatch.setattr(verify, "kostka", kost)
+    want = _reference_report("cauchy", {"max_degree": 4}, _reference_cauchy(4, kost))
+    assert want.status == "fail"
+    pair = want.witness["row_sums"], want.witness["column_sums"]
+    assert pair == ((2, 1), (1, 1, 1))
+    got = run_property("cauchy", {"max_degree": 4})
+    assert _without_elapsed(got) == _without_elapsed(want)
 
 
 def count_calls(monkeypatch, *names):
