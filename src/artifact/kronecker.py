@@ -2,9 +2,9 @@
 
 Two independent computation routes exist on purpose.  kron_char contracts
 three character rows against the class sizes and divides by n! exactly;
-kron_schur_oracle expands a Schur polynomial at pairwise-product variables
-and strips the Kostka unitriangularity from both alphabets.  They share no
-algorithmic machinery, so their agreement on a corpus is a real check.
+kron_schur_oracle reads g off s_lam(x_i y_j) by Jacobi's bialternant, from
+Kostka numbers over contingency tables.  They share no algorithmic
+machinery, so their agreement on a corpus is a real check.
 
 Every contraction (kron_char, kron_table, the engine's level sums) reads its
 class sizes from characters.conjugacy_classes and its int-tuple rows from
@@ -30,6 +30,7 @@ oracle for this route.
 """
 
 from functools import cache
+from itertools import combinations, permutations, product
 from math import factorial
 from operator import add, mul
 
@@ -43,11 +44,11 @@ from .characters import (
 )
 from .partitions import (
     SizeMismatchError,
+    _require_int,
     check_partition,
     conjugate,
     contingency_tables,
     count_bounded,
-    enumerate_partitions,
     remove_horizontal_strips,
     subdiagrams,
 )
@@ -74,63 +75,61 @@ def kron_char(lam, mu, nu):
     return exact_quotient(total, factorial(n), "g(%r, %r, %r)", lam, mu, nu)
 
 
-def _contingency_sum(lam, rows, cols):
-    """Sum of kostka(lam, entries) over matrices with given row/col sums."""
+@cache
+def _table_sum(lam, rows, cols):
+    """C_lam(rows, cols), the coefficient of x^rows y^cols in s_lam(x_i y_j):
+    K(lam, entries of T) summed over the tables T with these margins."""
     return sum(
-        kostka(lam, tuple(sorted((e for row in m for e in row if e), reverse=True)))
-        for m in contingency_tables(rows, cols)
+        kostka(lam, sorted((e for row in t for e in row if e), reverse=True))
+        for t in contingency_tables(rows, cols)
     )
 
 
-@cache
-def _schur_weyl_table(lam, ell_mu, ell_nu):
-    """All g(lam, a, b) for a of at most ell_mu rows and b of at most ell_nu.
-
-    Inverts the double-Kostka system C[a][b] = sum g * K_{rho a} K_{sigma b}
-    by processing pairs in lexicographically decreasing order (dominance
-    refines it, so every dominating pair is handled first).
-    """
-    n = sum(lam)
-    parts_nu = enumerate_partitions(n, max_len=ell_nu)
-    g = {}
-    for a in enumerate_partitions(n, max_len=ell_mu):
-        for b in parts_nu:
-            val = _contingency_sum(
-                lam,
-                a + (0,) * (ell_mu - len(a)),
-                b + (0,) * (ell_nu - len(b)),
-            )
-            for (rho, sigma), known in g.items():
-                if not known:
-                    continue
-                k1 = kostka(rho, a)
-                if not k1:
-                    continue
-                k2 = kostka(sigma, b)
-                if k2:
-                    val -= known * k1 * k2
-            g[(a, b)] = val
-    return g
+def _bialternant(p):
+    """(sgn s, sorted p + delta - s delta) for the s in S_len(p) with no part < 0."""
+    delta = range(len(p) - 1, -1, -1)
+    for q in permutations(delta):
+        r = sorted((x + d - y for x, d, y in zip(p, delta, q)), reverse=True)
+        if not r or r[-1] >= 0:
+            yield (-1) ** sum(y < z for y, z in combinations(q, 2)), tuple(r)
 
 
 def kron_schur_oracle(lam, mu, nu):
-    """g(lam, mu, nu) from the product-variable Schur expansion.
+    """g(lam, mu, nu) read off s_lam(x_i y_j) = sum g s_mu(x) s_nu(y).
 
-    Exists for cross-validation of kron_char; the variable count is
-    len(mu) * len(nu), so sizes above 6 are refused.
+    With a = len(mu), b = len(nu) and delta_k = (k-1, ..., 0), Jacobi's
+    bialternant (Macdonald I.3) gives g = sum over sigma in S_a, tau in S_b
+    of sgn sigma sgn tau C_lam(mu + delta_a - sigma delta_a, nu + delta_b -
+    tau delta_b), and g = 0 when len(lam) > ab: an identity the tests hold
+    against kron_char at every size up to 8 and against kron_tworow at
+    sizes 100 and 200.  The arguments are first permuted, and two of them
+    conjugated, to make ab smallest.  Refused when n > 9 and ab > 4.
     """
-    lam, mu, nu = map(check_partition, (lam, mu, nu))
-    n = sum(lam)
-    if sum(mu) != n or sum(nu) != n:
+    trio = tuple(map(check_partition, (lam, mu, nu)))
+    n = sum(trio[0])
+    if sum(trio[1]) != n or sum(trio[2]) != n:
         raise SizeMismatchError("Kronecker arguments must share a size")
-    if n > 6:
-        raise ValueError("Schur-Weyl oracle capped at size 6 (got %d)" % n)
-    table = _schur_weyl_table(lam, max(len(mu), 1), max(len(nu), 1))
-    return table[(mu, nu)]
+    # g(x, y, z) = g(y, z, x) = g(x', y', z) = g(x', y, z') = g(x, y', z')
+    flip, moves = (trio, tuple(map(conjugate, trio))), product(range(3), (0, 1), (0, 1))
+    lam, mu, nu = min(
+        ((flip[j ^ k][i], flip[j][i - 2], flip[k][i - 1]) for i, j, k in moves),
+        key=lambda t: len(t[1]) * len(t[2]),
+    )
+    ab = len(mu) * len(nu)
+    if n > 9 and ab > 4:
+        raise ValueError("Schur-Weyl oracle refuses n = %d with %d variables" % (n, ab))
+    if len(lam) > ab:
+        return 0
+    cols = list(_bialternant(nu))
+    return sum(
+        s * t * _table_sum(lam, r, c) for s, r in _bialternant(mu) for t, c in cols
+    )
 
 
 def kron_tworow(n, d, k):
     """g((nd-k, k), n^d, n^d) via bounded-partition counts."""
+    for key, value in zip("ndk", (n, d, k)):
+        _require_int(key, value)
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1, got n=%d, d=%d" % (n, d))
     if k < 0 or 2 * k > n * d:
@@ -143,6 +142,7 @@ def kron_tworow(n, d, k):
 
 def padding_threshold(alpha, beta, gamma):
     """Smallest padding size at which the stable value is certainly reached."""
+    alpha, beta, gamma = map(check_partition, (alpha, beta, gamma))
     heads = sum(p[0] for p in (alpha, beta, gamma) if p)
     return sum(map(sum, (alpha, beta, gamma))) + heads + 1
 

@@ -24,6 +24,11 @@ def check_partition(parts):
     return p
 
 
+def _require_int(key, value):
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an int, got {value!r}")
+
+
 def parse_partition(text):
     """Parse '5,4,2' or '2^3,1' into a partition tuple; '-' or '' is empty."""
     text = text.strip()
@@ -154,7 +159,7 @@ def cycle_counts(alpha):
 def centralizer_order(alpha):
     """z_alpha = prod i^{c_i} c_i! — order of the centralizer of the class."""
     z = 1
-    for i, c in cycle_counts(alpha).items():
+    for i, c in cycle_counts(check_partition(alpha)).items():
         z *= i**c * factorial(c)
     return z
 
@@ -169,6 +174,7 @@ def hook_lengths(p):
 
 def dimension_hlf(p):
     """Number of standard Young tableaux of shape p (hook-length formula)."""
+    p = check_partition(p)
     n = sum(p)
     prod = 1
     for row in hook_lengths(p):

@@ -32,7 +32,8 @@ Work fixed per sweep is done once per sweep, not per instance: orthogonality
 packs its right vectors with kronecker._pack, as kron_table packs its rows,
 so each left vector takes one dot; murnaghan pads each shape and fetches
 its row once per size; pp20-bound works out its bound once per length
-product; char-bound takes the principal hooks once per lam.  Nothing is kept between sweeps beyond the library's own memos.
+product; char-bound takes the principal hooks once per lam.  Nothing is
+kept between sweeps beyond the library's own memos.
 """
 
 import random
@@ -60,6 +61,7 @@ from .kronecker import (
     reduced_kron,
 )
 from .partitions import (
+    _require_int,
     add,
     centralizer_order,
     conjugate,
@@ -142,11 +144,6 @@ def _require(params, key, default, low, high):
     if high is not None and value > high:
         raise ValueError(f"{key}={value} exceeds the cap of {high}")
     return value
-
-
-def _require_int(key, value):
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an int, got {value!r}")
 
 
 # -- orthogonality -----------------------------------------------------------------

@@ -138,12 +138,34 @@ def test_oracle_worked_example():
     assert kron_schur_oracle((2, 1), (2, 1), (2, 1)) == 1
 
 
-def test_oracle_sign_identity_size_6():
-    n = 6
-    for lam in enumerate_partitions(n):
-        for mu in enumerate_partitions(n):
-            want = 1 if lam == conjugate(mu) else 0
-            assert kron_schur_oracle(lam, mu, (1,) * n) == want
+def test_oracle_sign_identity_to_size_9():
+    for n in range(1, 10):
+        for lam in enumerate_partitions(n):
+            for mu in enumerate_partitions(n):
+                want = 1 if lam == conjugate(mu) else 0
+                assert kron_schur_oracle(lam, mu, (1,) * n) == want
+
+
+def test_oracle_two_row_squares_match_closed_form():
+    for k in range(51):
+        lam = (100 - k, k) if k else (100,)
+        assert kron_schur_oracle(lam, (50, 50), (50, 50)) == kron_tworow(50, 2, k)
+    assert kron_schur_oracle(*[(100, 100)] * 3) == kron_tworow(100, 2, 100) == 1
+
+
+@pytest.mark.parametrize(
+    "trio, want",
+    [
+        (((12, 9, 6, 3), (15, 15), (18, 12)), 2),
+        (((10, 8, 7, 5), (16, 14), (17, 13)), 3),
+        (((16, 12, 8, 4), (20, 20), (24, 16)), 3),
+        (((13, 11, 9, 7), (20, 20), (22, 18)), 2),
+    ],
+)
+def test_oracle_matches_characters_on_four_row_triples(trio, want):
+    assert kron_char(*trio) == want
+    for order in permutations(trio):
+        assert kron_schur_oracle(*order) == want
 
 
 def test_both_routes_accept_list_arguments():
@@ -157,10 +179,15 @@ def test_both_routes_accept_list_arguments():
 
 
 def test_oracle_guards():
-    with pytest.raises(ValueError):
-        kron_schur_oracle((4, 3), (4, 3), (4, 3))  # size cap
+    # above size 9 the oracle refuses more than 4 product variables: every
+    # arrangement of (4,3,3)^3 and its conjugates needs 9
+    with pytest.raises(ValueError, match="n = 10 with 9 variables"):
+        kron_schur_oracle((4, 3, 3), (4, 3, 3), (4, 3, 3))
     with pytest.raises(SizeMismatchError):
         kron_schur_oracle((2,), (1, 1), (1,))
+    # at n <= 9 any number of variables is admitted
+    trio = [(4, 3)] * 3
+    assert kron_schur_oracle(*trio) == kron_char(*trio)
 
 
 # -- two-row closed form -----------------------------------------------------------
@@ -178,6 +205,15 @@ def test_tworow_range_guard():
         kron_tworow(2, 2, 3)
     with pytest.raises(ValueError):
         kron_tworow(2, 2, -1)
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [((2.5, 2, 2), "n"), ((3, 2.0, 1), "d"), ((3, 2, 1.5), "k"), ((3, 2, True), "k")],
+)
+def test_tworow_rejects_non_int_arguments(args, key):
+    with pytest.raises(ValueError, match=f"^{key} must be an int, got "):
+        kron_tworow(*args)
 
 
 @pytest.mark.parametrize("n, d", [(0, 3), (3, 0), (-1, 2), (0, 0)])
@@ -384,8 +420,7 @@ def test_kernel_matches_per_call_contraction(n):
         want = per_call_contraction(lam, mu, nu)
         assert value == want
         assert kron_char(lam, mu, nu) == want
-        if n <= 5:
-            assert want == kron_schur_oracle(lam, mu, nu)
+        assert want == kron_schur_oracle(lam, mu, nu)
 
 
 @pytest.mark.parametrize("n", [9, 10])

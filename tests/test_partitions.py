@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact.kronecker import padding_threshold
 from artifact.partitions import (
     SizeMismatchError,
     add,
@@ -218,6 +219,23 @@ def test_principal_hooks_distinct_odd_parts():
 
 
 # -- centralizers and dimensions ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (dimension_hlf, [(1, 2)]),
+        (dimension_hlf, [(1, 0, 1)]),
+        (centralizer_order, [(0,)]),
+        (centralizer_order, [(2.5,)]),
+        (padding_threshold, [(1, 2), (), ()]),
+        (padding_threshold, [(), (), (2, 0)]),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_public_counts_reject_non_partitions(call, args):
+    with pytest.raises(ValueError, match="^parts must be "):
+        call(*args)
 
 
 def test_centralizer_known():
