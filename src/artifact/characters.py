@@ -35,6 +35,7 @@ from operator import add, neg, sub
 
 from .partitions import (
     SizeMismatchError,
+    _require_int,
     check_partition,
     count_bounded,
     enumerate_partitions,
@@ -302,7 +303,8 @@ class ClassSum:
 
 
 def check_table_size(n, limit):
-    """Raise ValueError unless 1 <= n <= limit (the whole-table size guard)."""
+    """Raise ValueError unless n is an int with 1 <= n <= limit (the table guard)."""
+    _require_int("n", n)
     if n < 1:
         raise ValueError("a table needs n >= 1, got %d" % n)
     if n > limit:

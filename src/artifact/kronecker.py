@@ -191,10 +191,10 @@ def _engine_value(alpha, beta, gamma):
     meet = tuple(min(x, y) for x, y in zip(beta, gamma))
     deltas = subdiagrams(meet)
     value = 0
-    for v in map(conjugate, remove_horizontal_strips(conjugate(alpha))):
-        t = sum(v)
-        level = _level_sum(v, t, beta, gamma, deltas, nb, ng)
-        value += (-1) ** (sum(alpha) - t) * level
+    n, alpha_c = sum(alpha), conjugate(alpha)
+    for r in range(len(alpha) + 1):
+        for v in map(conjugate, remove_horizontal_strips(alpha_c, r)):
+            value += (-1) ** r * _level_sum(v, n - r, beta, gamma, deltas, nb, ng)
     if value < 0:
         raise InternalConsistencyError(
             "negative reduced coefficient %d for %r,%r,%r"

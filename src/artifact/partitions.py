@@ -17,7 +17,7 @@ def check_partition(parts):
     """Validate a sequence as a partition and return it as a tuple."""
     p = tuple(parts)
     for i, a in enumerate(p):
-        if not isinstance(a, int) or a < 1:
+        if type(a) is not int or a < 1:
             raise ValueError(f"parts must be positive integers, got {a!r}")
         if i and p[i - 1] < a:
             raise ValueError(f"parts must be weakly decreasing, got {p}")
@@ -78,6 +78,10 @@ def enumerate_partitions(n, max_part=None, max_len=None):
     <= r takes ceil(s / r) parts, so max_len prunes a prefix before it is
     filled instead of filtering whole partitions.
     """
+    _require_int("n", n)
+    for key, value in (("max_part", max_part), ("max_len", max_len)):
+        if value is not None:
+            _require_int(key, value)
     if n < 0:
         raise ValueError("n must be >= 0")
     if not n:
@@ -237,30 +241,23 @@ def stretch(p, n):
     return tuple(a * n for a in p)
 
 
-def remove_horizontal_strips(p, size=None):
-    """Sub-partitions T of p with p/T a horizontal strip (optionally of given size).
+def remove_horizontal_strips(p, size):
+    """Sub-partitions T of p with p/T a horizontal strip of the given size.
 
-    A horizontal strip has at most one cell per column, i.e. the rows of T
-    interlace those of p: p_{i+1} <= T_i <= p_i.
+    The rows interlace, p_{i+1} <= T_i <= p_i, so p - T is a composition of
+    size bounded by the positive gaps p_i - p_{i+1}: one walk of
+    _bounded_compositions, which also builds contingency tables.
     """
     p = tuple(p)
-    results = []
-
-    def rec(i, prefix, removed):
-        if size is not None and removed > size:
-            return
-        if i == len(p):
-            if size is None or removed == size:
-                results.append(tuple(x for x in prefix if x > 0))
-            return
-        lo = p[i + 1] if i + 1 < len(p) else 0
-        for t in range(p[i], lo - 1, -1):
-            prefix.append(t)
-            rec(i + 1, prefix, removed + p[i] - t)
-            prefix.pop()
-
-    rec(0, [], 0)
-    return results
+    low = (*p[1:], 0)
+    ends = [i for i in range(len(p)) if p[i] > low[i]]
+    out = []
+    for c in _bounded_compositions(size, tuple(p[i] - low[i] for i in ends)):
+        t = list(p)
+        for i, v in zip(ends, c):
+            t[i] -= v
+        out.append(tuple(t[:-1] if t and not t[-1] else t))
+    return out
 
 
 def subdiagrams(p):
@@ -303,13 +300,18 @@ def contingency_tables(rows, cols):
 def _bounded_compositions(total, bounds):
     """Compositions of total with len(bounds) parts, part i at most bounds[i].
 
-    Each part is at least what the later parts cannot absorb, so every
-    prefix completes.
+    The one composition walk, for horizontal strips and contingency tables.
+    Every prefix completes: each part is at least what the later parts
+    cannot absorb.  A total below 0 or above sum(bounds) yields nothing.
     """
     if len(bounds) < 2:
-        yield (total,) if bounds else ()
+        if 0 <= total <= sum(bounds):
+            yield (total,)[: len(bounds)]
         return
     room = sum(bounds[1:])
     for v in range(max(0, total - room), min(total, bounds[0]) + 1):
-        for tail in _bounded_compositions(total - v, bounds[1:]):
-            yield (v, *tail)
+        if len(bounds) == 2:
+            yield (v, total - v)
+        else:
+            for tail in _bounded_compositions(total - v, bounds[1:]):
+                yield (v, *tail)

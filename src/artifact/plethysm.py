@@ -27,7 +27,12 @@ from math import factorial
 from operator import mul
 
 from .characters import ClassSum, conjugacy_classes, exact_quotient, strip_row
-from .partitions import SizeMismatchError, check_partition, enumerate_partitions
+from .partitions import (
+    SizeMismatchError,
+    _require_int,
+    check_partition,
+    enumerate_partitions,
+)
 
 DEGREE_CAP = 16
 
@@ -143,6 +148,8 @@ def pleth_hn_expansion(d, n, cap=DEGREE_CAP):
     of h_n^d = sum_lam K_{lam,(n^d)} s_lam, and K_{lam,(n^d)} is nonzero only
     when lam dominates (n^d), which forces len(lam) <= d; nothing is lost.
     """
+    _require_int("d", d)
+    _require_int("n", n)
     if d < 1 or n < 1:
         raise ValueError("both indices must be at least 1")
     if d * n > cap:

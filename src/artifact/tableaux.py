@@ -39,7 +39,7 @@ def kostka(lam: Partition, alpha: tuple[int, ...]) -> int:
     lam = check_partition(lam)
     alpha = tuple(alpha)
     for a in alpha:
-        if not isinstance(a, int) or a < 0:
+        if type(a) is not int or a < 0:
             raise ValueError(f"weight parts must be nonnegative integers, got {a!r}")
     if sum(lam) != sum(alpha):
         raise SizeMismatchError(f"|{alpha}| != |{lam}|")

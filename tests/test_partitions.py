@@ -1,16 +1,19 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.kronecker import padding_threshold
+from artifact.characters import character_table
+from artifact.kronecker import kron_char, kron_table, padding_threshold, reduced_kron
 from artifact.partitions import (
     SizeMismatchError,
     add,
     centralizer_order,
     conjugate,
     contains,
+    contingency_tables,
     count_bounded,
     dimension_hlf,
     durfee,
@@ -24,6 +27,8 @@ from artifact.partitions import (
     stretch,
     subdiagrams,
 )
+from artifact.plethysm import pleth_hn_expansion
+from artifact.tableaux import kostka
 
 
 def dominance_leq(p, q):
@@ -238,6 +243,41 @@ def test_public_counts_reject_non_partitions(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (kron_char, [(True,), (1,), (1,)]),
+        (dimension_hlf, [(2, True)]),
+        (reduced_kron, [(True,), (1,), (1,)]),
+        (kostka, [(2,), (True, True)]),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_bool_parts_are_rejected(call, args):
+    # bool is a subclass of int, but True is not a part
+    with pytest.raises(ValueError, match="parts must be .* integers, got True$"):
+        call(*args)
+
+
+@pytest.mark.parametrize(
+    "call, args, key",
+    [
+        (enumerate_partitions, [2.5], "n"),
+        (enumerate_partitions, [True], "n"),
+        (enumerate_partitions, [4, 2.0], "max_part"),
+        (enumerate_partitions, [4, None, True], "max_len"),
+        (character_table, [2.5], "n"),
+        (kron_table, [True], "n"),
+        (pleth_hn_expansion, [2.5, 2], "d"),
+        (pleth_hn_expansion, [2, True], "n"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_size_arguments_must_be_ints(call, args, key):
+    with pytest.raises(ValueError, match=f"^{key} must be an int, got "):
+        call(*args)
+
+
 def test_centralizer_known():
     assert centralizer_order((1, 1, 1, 1)) == math.factorial(4)
     assert centralizer_order((5,)) == 5
@@ -396,15 +436,18 @@ def test_add_and_stretch():
 
 def test_remove_horizontal_strips_matches_interlacing_filter():
     # q is p minus a horizontal strip of s cells exactly when the rows
-    # interlace: p_{i+1} <= q_i <= p_i
-    for n in range(10):
+    # interlace: p_{i+1} <= q_i <= p_i; a size outside 0..p_1 has none
+    for n in range(12):
         for p in enumerate_partitions(n):
-            for s in range(min(n, 4) + 1):
+            top = p[0] if p else 0
+            for s in range(-1, top + 2):
                 downs = remove_horizontal_strips(p, s)
                 assert len(set(downs)) == len(downs)
+                if not 0 <= s <= top:
+                    assert downs == []
                 want = {
                     q
-                    for q in enumerate_partitions(n - s)
+                    for q in (enumerate_partitions(n - s) if s <= n else [])
                     if len(q) <= len(p)
                     and all(
                         (p[i + 1] if i + 1 < len(p) else 0) <= qi <= p[i]
@@ -415,8 +458,30 @@ def test_remove_horizontal_strips_matches_interlacing_filter():
 
 
 def test_remove_horizontal_strips_known():
-    assert set(remove_horizontal_strips((2, 1))) == {(2, 1), (2,), (1, 1), (1,)}
+    every = {q for s in range(3) for q in remove_horizontal_strips((2, 1), s)}
+    assert every == {(2, 1), (2,), (1, 1), (1,)}
     assert remove_horizontal_strips((2, 2), 1) == [(2, 1)]
+    assert remove_horizontal_strips((), 0) == [()]
+    assert remove_horizontal_strips((3,), 3) == [()]
+
+
+def test_contingency_tables_match_product_filter():
+    # every pair of margins with total <= 5 and at most 3 parts, zeros
+    # allowed; cell (i, j) is at most min(rows[i], cols[j]), and margins of
+    # unequal totals have no table
+    margins = [m for k in range(4) for m in product(range(6), repeat=k) if sum(m) <= 5]
+    for rows in margins:
+        for cols in margins:
+            cells = [range(min(r, c) + 1) for r in rows for c in cols]
+            want = []
+            for flat in product(*cells) if sum(rows) == sum(cols) else ():
+                table = tuple(
+                    flat[i * len(cols) : (i + 1) * len(cols)] for i in range(len(rows))
+                )
+                col_sums = tuple(sum(row[j] for row in table) for j in range(len(cols)))
+                if tuple(map(sum, table)) == rows and col_sums == cols:
+                    want.append(table)
+            assert list(contingency_tables(rows, cols)) == want
 
 
 def test_subdiagrams():
