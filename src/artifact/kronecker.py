@@ -190,10 +190,9 @@ def _engine_value(alpha, beta, gamma):
     nb, ng = sum(beta), sum(gamma)
     meet = tuple(min(x, y) for x, y in zip(beta, gamma))
     deltas = subdiagrams(meet)
-    value = 0
-    n, alpha_c = sum(alpha), conjugate(alpha)
-    for r in range(len(alpha) + 1):
-        for v in map(conjugate, remove_horizontal_strips(alpha_c, r)):
+    value, n = 0, sum(alpha)
+    for r, strips in enumerate(_vertical_strips(alpha)):
+        for v in strips:
             value += (-1) ** r * _level_sum(v, n - r, beta, gamma, deltas, nb, ng)
     if value < 0:
         raise InternalConsistencyError(
@@ -201,6 +200,16 @@ def _engine_value(alpha, beta, gamma):
             % (value, alpha, beta, gamma)
         )
     return value
+
+
+@cache
+def _vertical_strips(alpha):
+    """Per r, the shapes V with alpha/V a vertical strip of r cells."""
+    alpha_c = conjugate(alpha)
+    return tuple(
+        tuple(map(conjugate, remove_horizontal_strips(alpha_c, r)))
+        for r in range(len(alpha) + 1)
+    )
 
 
 def _level_sum(u, t, beta, gamma, deltas, nb, ng):

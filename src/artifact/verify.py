@@ -22,7 +22,11 @@ any value that is not an int, bounds the rest and runs the property.
 Sweeps run serially over their instances in canonical order, so status, witness
 and checked_count are identical for every run; only elapsed time varies.
 A sweep that reads g on every triple of one size (transpose, dimension-sum,
-pp20-bound, ip23, semigroup's positive triples) reads one kron_table;
+pp20-bound, ip23, semigroup's positive triples) reads one kron_table.
+transpose, dimension-sum and ip23 read it as per-pair vectors over nu
+(_kron_lookup), each canonical triple written into its three sorted pairs,
+so no read sorts indices or probes a dict: on 2 vCPUs transpose at
+n = 14 takes 1.3-1.6 s and 61 MB, dimension-sum at n = 12 0.14 s.
 murnaghan and tworow dot one pair product per (lam, mu) with each chi^nu,
 and murnaghan reads every c^lam_{mu,nu} of a pair from one skew expansion,
 as those sweeps read one kron_table.  Only semigroup's summed triples and
@@ -197,11 +201,13 @@ def _largest(vectors):
 
 
 def _kron_lookup(n):
-    """The shapes of n, and g on their indices in any order, from one kron_table."""
+    """The shapes of n, and g[i][j] for i <= j: g(parts[i], parts[j], nu) per nu."""
     parts = enumerate_partitions(n)
-    table = kron_table(n, limit=n)
-    values = dict(zip(multisets(range(len(parts)), 3), (row[3] for row in table)))
-    return parts, lambda *ids: values[tuple(sorted(ids))]
+    p = len(parts)
+    g = [[[0] * p if i <= j else None for j in range(p)] for i in range(p)]
+    for (i, j, k), row in zip(multisets(range(p), 3), kron_table(n, limit=n)):
+        g[i][j][k] = g[i][k][j] = g[j][k][i] = row[3]
+    return parts, g
 
 
 # -- Kronecker symmetries ------------------------------------------------------------
@@ -231,8 +237,9 @@ def _pair_triples(n):
     index = {p: i for i, p in enumerate(parts)}
     bar = [index[conjugate(p)] for p in parts]
     for i, j in multisets(range(len(parts)), 2):
-        for k, nu in enumerate(parts):
-            yield parts[i], parts[j], nu, g(i, j, k), g(bar[i], bar[j], k)
+        a, b = sorted((bar[i], bar[j]))
+        for nu, lhs, rhs in zip(parts, g[i][j], g[a][b]):
+            yield parts[i], parts[j], nu, lhs, rhs
 
 
 def _transpose(n):
@@ -250,7 +257,7 @@ def _dimension_sum(n):
     parts, g = _kron_lookup(n)
     dims = [dimension_hlf(p) for p in parts]
     for i, j in multisets(range(len(parts)), 2):
-        total = sum(d * g(i, j, k) for k, d in enumerate(dims))
+        total = sum(map(mul, dims, g[i][j]))
         want = dims[i] * dims[j]
         yield None if total == want else {
             "lambda": parts[i], "mu": parts[j], "sum": total, "expected": want

@@ -328,6 +328,23 @@ def test_engine_sums_only_vertical_strip_levels(monkeypatch):
     assert sorted(summed, reverse=True) == [(6, 6), (6, 5), (5, 5)]
 
 
+def test_engine_strips_each_alpha_once(monkeypatch):
+    # ip23 at n = 5 meets 135 distinct (conjugate of alpha, strip size) pairs;
+    # each is stripped once, however many (beta, gamma) its alpha comes with
+    stripped = []
+    strips = kronecker.remove_horizontal_strips
+
+    def counting(shape, size):
+        stripped.append((shape, size))
+        return strips(shape, size)
+
+    monkeypatch.setattr(kronecker, "remove_horizontal_strips", counting)
+    kronecker._engine_value.cache_clear()
+    kronecker._vertical_strips.cache_clear()
+    assert run_property("ip23", {"n": 5}).status == "pass"
+    assert len(stripped) == len(set(stripped)) == 135
+
+
 def per_class_phi(big, delta, t):
     """The closure of s_{big/delta} at size t, summed class by class."""
     terms = [

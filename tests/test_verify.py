@@ -371,7 +371,8 @@ def test_kron_lookup_matches_kron_char_on_every_ordered_triple():
         parts, g = verify._kron_lookup(n)
         assert parts == enumerate_partitions(n)
         for i, j, k in product(range(len(parts)), repeat=3):
-            assert g(i, j, k) == kron_char(parts[i], parts[j], parts[k])
+            a, b = sorted((i, j))
+            assert g[a][b][k] == kron_char(parts[i], parts[j], parts[k])
 
 
 # Per-triple references: each sweep as it read g from kron_char, one triple
