@@ -35,6 +35,7 @@ from operator import add, neg, sub
 
 from .partitions import (
     SizeMismatchError,
+    _centralizer_order,
     _require_int,
     check_partition,
     count_bounded,
@@ -204,22 +205,14 @@ def character(lam, alpha):
 def conjugacy_classes(n):
     """The cycle types of S_n in enumerate_partitions order, and their class sizes.
 
-    A size is n!/z, z = prod i^c c! over the parts i of multiplicity c,
-    taken as a running product over each run of equal parts.
+    A size is n!/z_alpha (partitions._centralizer_order).
     """
     got = _classes.get(n)
     if got is None:
         classes = tuple(enumerate_partitions(n))
         order = factorial(n)
-        sizes = []
-        for alpha in classes:
-            z, prev, run = 1, 0, 0
-            for part in alpha:
-                run = run + 1 if part == prev else 1
-                prev = part
-                z *= part * run
-            sizes.append(order // z)
-        got = _classes[n] = classes, tuple(sizes)
+        sizes = tuple(order // _centralizer_order(alpha) for alpha in classes)
+        got = _classes[n] = classes, sizes
     return got
 
 
@@ -303,8 +296,9 @@ class ClassSum:
 
 
 def check_table_size(n, limit):
-    """Raise ValueError unless n is an int with 1 <= n <= limit (the table guard)."""
+    """The table guard: ValueError unless n and limit are ints, 1 <= n <= limit."""
     _require_int("n", n)
+    _require_int("limit", limit)
     if n < 1:
         raise ValueError("a table needs n >= 1, got %d" % n)
     if n > limit:

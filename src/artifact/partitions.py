@@ -152,20 +152,19 @@ def principal_hooks(p):
     return tuple(2 * p[i] - (2 * i + 1) for i in range(durfee(p)))
 
 
-def cycle_counts(alpha):
-    """Map part -> multiplicity for a cycle type."""
-    counts = {}
-    for a in alpha:
-        counts[a] = counts.get(a, 0) + 1
-    return counts
+def _centralizer_order(alpha):
+    """z_alpha = prod i^c c!, one running product over each run of equal parts."""
+    z, prev, run = 1, 0, 0
+    for part in alpha:
+        run = run + 1 if part == prev else 1
+        prev = part
+        z *= part * run
+    return z
 
 
 def centralizer_order(alpha):
-    """z_alpha = prod i^{c_i} c_i! — order of the centralizer of the class."""
-    z = 1
-    for i, c in cycle_counts(check_partition(alpha)).items():
-        z *= i**c * factorial(c)
-    return z
+    """z_alpha — order of the centralizer of the class of cycle type alpha."""
+    return _centralizer_order(check_partition(alpha))
 
 
 def hook_lengths(p):

@@ -116,6 +116,7 @@ def pleth_coefficient(target, inner, outer, cap=DEGREE_CAP):
     target = check_partition(target)
     inner = check_partition(inner)
     outer = check_partition(outer)
+    _require_int("cap", cap)
     degree = sum(inner) * sum(outer)
     if sum(target) != degree:
         raise SizeMismatchError(
@@ -148,8 +149,8 @@ def pleth_hn_expansion(d, n, cap=DEGREE_CAP):
     of h_n^d = sum_lam K_{lam,(n^d)} s_lam, and K_{lam,(n^d)} is nonzero only
     when lam dominates (n^d), which forces len(lam) <= d; nothing is lost.
     """
-    _require_int("d", d)
-    _require_int("n", n)
+    for key, value in (("d", d), ("n", n), ("cap", cap)):
+        _require_int(key, value)
     if d < 1 or n < 1:
         raise ValueError("both indices must be at least 1")
     if d * n > cap:
@@ -164,6 +165,8 @@ def foulkes_violations(d, n, cap=DEGREE_CAP):
     every lam where the first is strictly smaller.  Empty means the
     inequality held at this size.
     """
+    _require_int("d", d)
+    _require_int("n", n)
     if d < n:
         raise ValueError("expected d >= n; swap the arguments")
     big = pleth_hn_expansion(d, n, cap=cap).coeffs

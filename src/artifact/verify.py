@@ -1,14 +1,13 @@
 """Machine checks for the identities and conjectures the library is built on.
 
-Every named property sweeps an exhaustive (or, for the semigroup spot check,
-deterministically sampled) range and returns a Report.  A Report never lies:
-"pass" means every instance in the declared range was checked and held;
-"fail" carries the first counterexample in canonical order, fully
-serialized, so it can be re-verified without rerunning the sweep.  The
-saturation search is different in kind — there a positive stretched value is
-the sought-after outcome ("counterexample-confirmed" refutes saturation for
-reduced coefficients), and running out of budget is recorded as
-"inconclusive-within-range" rather than dressed up as a result.
+Every named property sweeps an exhaustive range and returns a Report.  A
+Report never lies: "pass" means every instance in the declared range was
+checked and held; "fail" carries the first counterexample in canonical
+order, fully serialized, so it can be re-verified without rerunning the
+sweep.  The saturation search is different in kind — there a positive
+stretched value is the sought-after outcome ("counterexample-confirmed"
+refutes saturation for reduced coefficients), and running out of budget is
+recorded as "inconclusive-within-range" rather than dressed up as a result.
 
 Each property is one Spec in the registry near the end of this module: its
 range parameters with their defaults and bounds, and a run function.  A
@@ -22,15 +21,14 @@ any value that is not an int, bounds the rest and runs the property.
 Sweeps run serially over their instances in canonical order, so status, witness
 and checked_count are identical for every run; only elapsed time varies.
 A sweep that reads g on every triple of one size (transpose, dimension-sum,
-pp20-bound, ip23, semigroup's positive triples) reads one kron_table.
-transpose, dimension-sum and ip23 read it as per-pair vectors over nu
-(_kron_lookup), each canonical triple written into its three sorted pairs,
-so no read sorts indices or probes a dict: on 2 vCPUs transpose at
-n = 14 takes 1.3-1.6 s and 61 MB, dimension-sum at n = 12 0.14 s.
+pp20-bound, ip23) reads one kron_table, semigroup one per size.  All but
+pp20-bound read it as per-pair vectors over nu (_kron_lookup), each
+canonical triple written into its three sorted pairs, so transpose,
+dimension-sum and ip23 read g with no index sort or dict probe: on 2 vCPUs
+transpose at n = 14 takes 1.3-1.6 s and 61 MB, dimension-sum at n = 12 0.14 s.
 murnaghan and tworow dot one pair product per (lam, mu) with each chi^nu,
 and murnaghan reads every c^lam_{mu,nu} of a pair from one skew expansion,
-as those sweeps read one kron_table.  Only semigroup's summed triples and
-kron-symmetry call kron_char.
+as those sweeps read one kron_table.  Only kron-symmetry calls kron_char.
 
 Work fixed per sweep is done once per sweep, not per instance: orthogonality
 packs its right vectors with kronecker._pack, as kron_table packs its rows,
@@ -40,11 +38,10 @@ product; char-bound takes the principal hooks once per lam.  Nothing is
 kept between sweeps beyond the library's own memos.
 """
 
-import random
 import time
 from functools import cache
 from itertools import combinations_with_replacement as multisets
-from itertools import compress
+from itertools import compress, permutations, product
 from math import factorial
 from operator import mul
 
@@ -83,10 +80,7 @@ from .plethysm import DEGREE_CAP, foulkes_violations
 from .tableaux import kostka, skew_schur_expansion
 
 SATURATION_SIZE_CAP = 35
-SEMIGROUP_SEED = 20260814
-# semigroup samples positive triples of sizes 1..SEMIGROUP_MAX_SIZE, and
 # cauchy truncates to CAUCHY_NVARS variables
-SEMIGROUP_MAX_SIZE = 5
 CAUCHY_NVARS = 3
 
 PASS = "pass"
@@ -201,13 +195,13 @@ def _largest(vectors):
 
 
 def _kron_lookup(n):
-    """The shapes of n, and g[i][j] for i <= j: g(parts[i], parts[j], nu) per nu."""
+    """parts, {shape: i}, and g[i][j] for i <= j: g(parts[i], parts[j], nu) per nu."""
     parts = enumerate_partitions(n)
     p = len(parts)
     g = [[[0] * p if i <= j else None for j in range(p)] for i in range(p)]
     for (i, j, k), row in zip(multisets(range(p), 3), kron_table(n, limit=n)):
         g[i][j][k] = g[i][k][j] = g[j][k][i] = row[3]
-    return parts, g
+    return parts, {shape: i for i, shape in enumerate(parts)}, g
 
 
 # -- Kronecker symmetries ------------------------------------------------------------
@@ -233,8 +227,7 @@ def _kron_symmetry(n):
 
 def _pair_triples(n):
     """Pair triples lam <= mu, nu free, with g(lam, mu, nu) and g(lam', mu', nu)."""
-    parts, g = _kron_lookup(n)
-    index = {p: i for i, p in enumerate(parts)}
+    parts, index, g = _kron_lookup(n)
     bar = [index[conjugate(p)] for p in parts]
     for i, j in multisets(range(len(parts)), 2):
         a, b = sorted((bar[i], bar[j]))
@@ -254,7 +247,7 @@ def _transpose(n):
 
 def _dimension_sum(n):
     """sum over nu of dim(nu) g(lam, mu, nu) against dim(lam) dim(mu)."""
-    parts, g = _kron_lookup(n)
+    parts, _, g = _kron_lookup(n)
     dims = [dimension_hlf(p) for p in parts]
     for i, j in multisets(range(len(parts)), 2):
         total = sum(map(mul, dims, g[i][j]))
@@ -264,29 +257,39 @@ def _dimension_sum(n):
         }
 
 
-# -- semigroup spot checks ------------------------------------------------------------
+# -- semigroup -------------------------------------------------------------------------
 
 
-def _semigroup(samples):
-    for (first, g_first), (second, g_second) in _semigroup_items(samples):
-        summed = tuple(add(p, q) for p, q in zip(first, second))
-        got = kron_char(*summed)
-        lower = max(g_first, g_second)
-        yield None if got >= lower else {
-            "first": first,
-            "second": second,
-            "summed": summed,
-            "value": got,
-            "lower_bound": lower,
-        }
+def _semigroup(n):
+    """g(first + second) >= max(g(first), g(second)), the inequality checked.
 
+    first is each positive canonical triple of size a, in multisets order,
+    second each distinct ordering of each one of size b, in table order, for
+    1 <= a <= b <= n - a.  Every g is read from _kron_lookup, once per size.
+    """
 
-def _semigroup_items(samples):
-    """The sampled pairs of positive triples, each triple with its g."""
-    tables = (kron_table(n, limit=n) for n in range(1, SEMIGROUP_MAX_SIZE + 1))
-    positives = [((lam, mu, nu), g) for t in tables for lam, mu, nu, g in t if g > 0]
-    rng = random.Random(SEMIGROUP_SEED)
-    return [(rng.choice(positives), rng.choice(positives)) for _ in range(samples)]
+    @cache
+    def table(m):
+        parts, index, g = _kron_lookup(m)
+        positives = [
+            ((parts[i], parts[j], parts[k]), g[i][j][k])
+            for i, j, k in multisets(range(len(parts)), 3) if g[i][j][k] > 0
+        ]
+        return index, g, positives
+
+    for a in range(1, n // 2 + 1):
+        for b in range(a, n - a + 1):
+            index, g, _ = table(a + b)
+            for (first, g1), (triple, g2) in product(table(a)[2], table(b)[2]):
+                lower = max(g1, g2)
+                for second in dict.fromkeys(permutations(triple)):
+                    summed = tuple(map(add, first, second))
+                    i, j, k = map(index.get, summed)
+                    got = g[min(i, j)][max(i, j)][k]
+                    yield None if got >= lower else {
+                        "first": first, "second": second, "summed": summed,
+                        "value": got, "lower_bound": lower,
+                    }
 
 
 # -- padded triples: Murnaghan stability and the two-row closed form ----------------------
@@ -531,7 +534,7 @@ _PROPERTIES = {
     "kron-symmetry": Spec(_sweep(_kron_symmetry), n=(5, 1, CAP)),
     "transpose": Spec(_sweep(_transpose), n=(5, 1, CAP)),
     "dimension-sum": Spec(_sweep(_dimension_sum), n=(6, 1, CAP)),
-    "semigroup": Spec(_sweep(_semigroup), n_key="samples", samples=(40, 1, None)),
+    "semigroup": Spec(_sweep(_semigroup), n=(10, 1, 11)),
     "murnaghan": Spec(_sweep(_murnaghan), n_key="max_size", max_size=(4, 1, 8)),
     "tworow": Spec(_sweep(_tworow), n_key="max_cells", max_cells=(12, 1, 16)),
     "saxl": Spec(_sweep(_saxl), k=(3, 1, 8)),

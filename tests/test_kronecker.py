@@ -1,5 +1,4 @@
-import random
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from operator import mul
 
@@ -96,29 +95,30 @@ def test_kron_dimension_sum():
                 assert total == dimension_hlf(lam) * dimension_hlf(mu)
 
 
-def test_kron_semigroup_sampled():
-    rng = random.Random(20260814)
-    positives = [
-        (lam, mu, nu)
-        for n in range(1, 5)
-        for (lam, mu, nu) in triples(n)
-        if kron_char(lam, mu, nu) > 0
-    ]
-    for _ in range(25):
-        a = rng.choice(positives)
-        b = rng.choice(positives)
-        summed = tuple(
-            tuple(
-                x + y
-                for x, y in zip(
-                    p + (0,) * len(q), q + (0,) * len(p)
+def test_kron_semigroup_exhaustive():
+    # every pair of positive triples of sizes a <= b, a + b <= 8: the first
+    # canonical, the second in any order, covers every pair up to symmetry
+    def positive(trips):
+        return [t for t in trips if kron_char(*t) > 0]
+
+    seconds = {b: positive(triples(b)) for b in range(1, 8)}
+    checked = 0
+    for a in range(1, 5):
+        firsts = positive(combinations_with_replacement(enumerate_partitions(a), 3))
+        for b in range(a, 9 - a):
+            for first, second in product(firsts, seconds[b]):
+                summed = tuple(
+                    tuple(
+                        x + y
+                        for x, y in zip(p + (0,) * len(q), q + (0,) * len(p))
+                        if x + y
+                    )
+                    for p, q in zip(first, second)
                 )
-                if x + y
-            )
-            for p, q in zip(a, b)
-        )
-        lower = max(kron_char(*a), kron_char(*b))
-        assert kron_char(*summed) >= lower
+                lower = max(kron_char(*first), kron_char(*second))
+                assert kron_char(*summed) >= lower
+                checked += 1
+    assert checked == run_property("semigroup", {"n": 8}).checked_count == 5366
 
 
 # -- Schur-Weyl oracle -----------------------------------------------------------

@@ -27,7 +27,7 @@ from artifact.partitions import (
     stretch,
     subdiagrams,
 )
-from artifact.plethysm import pleth_hn_expansion
+from artifact.plethysm import foulkes_violations, pleth_coefficient, pleth_hn_expansion
 from artifact.tableaux import kostka
 
 
@@ -276,6 +276,28 @@ def test_bool_parts_are_rejected(call, args):
 def test_size_arguments_must_be_ints(call, args, key):
     with pytest.raises(ValueError, match=f"^{key} must be an int, got "):
         call(*args)
+
+
+@pytest.mark.parametrize(
+    "call, args, kwargs, message",
+    [
+        (kron_table, [3], {"limit": "x"}, "limit must be an int, got 'x'"),
+        (kron_table, [3], {"limit": True}, "limit must be an int, got True"),
+        (pleth_coefficient, [(2, 2), (2,), (2,)], {"cap": 4.0},
+         "cap must be an int, got 4.0"),
+        (pleth_hn_expansion, [2, 2], {"cap": None}, "cap must be an int, got None"),
+        (foulkes_violations, [3, 2], {"cap": 6.5}, "cap must be an int, got 6.5"),
+        (foulkes_violations, ["3", 2], {}, "d must be an int, got '3'"),
+        (foulkes_violations, [3, 2.0], {}, "n must be an int, got 2.0"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_caps_and_limits_must_be_ints(call, args, kwargs, message):
+    # checked before any comparison, so neither a TypeError nor a float
+    # cap that lets every degree through
+    with pytest.raises(ValueError) as err:
+        call(*args, **kwargs)
+    assert str(err.value) == message
 
 
 def test_centralizer_known():

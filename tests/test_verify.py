@@ -1,5 +1,4 @@
 import json
-import random
 from itertools import combinations_with_replacement as multisets
 from itertools import permutations, product
 from math import factorial
@@ -60,6 +59,8 @@ def test_param_guards():
         run_property("orthogonality", {"n": 23})  # above the table cap
     with pytest.raises(ValueError, match="^k=9 exceeds the cap of 8$"):
         run_property("saxl", {"k": 9})
+    with pytest.raises(ValueError, match="^n=12 exceeds the cap of 11$"):
+        run_property("semigroup", {"n": 12})
 
 
 @pytest.mark.parametrize(
@@ -72,7 +73,7 @@ def test_param_guards():
         ("orthogonality", {"n": 3.7}, "n must be an int, got 3.7"),
         ("saxl", {"k": "3"}, "k must be an int, got '3'"),
         ("tworow", {"max_cells": True}, "max_cells must be an int, got True"),
-        ("semigroup", {"max_size": 5}, "semigroup takes no 'max_size'; it takes samples"),
+        ("semigroup", {"samples": 40}, "semigroup takes no 'samples'; it takes n"),
         ("cauchy", {"nvars": 3}, "cauchy takes no 'nvars'; it takes max_degree"),
     ],
 )
@@ -90,7 +91,7 @@ def test_params_the_property_does_not_read_are_rejected(name, params, message):
         ("kron-symmetry", {"n": 4}, 35),
         ("transpose", {"n": 4}, 15 * 5),
         ("dimension-sum", {"n": 5}, 28),
-        ("semigroup", {"samples": 10}, 10),
+        ("semigroup", {"n": 8}, 5366),
         ("murnaghan", {"max_size": 3}, 42),
         ("char-bound", {"n": 9}, 2 * 30),
         ("pp20-bound", {"n": 5}, 84),
@@ -158,8 +159,8 @@ def test_reports_identical_across_workers():
 
 
 def test_semigroup_sample_is_reproducible():
-    first = run_property("semigroup", {"samples": 15})
-    second = run_property("semigroup", {"samples": 15})
+    first = run_property("semigroup", {"n": 8})
+    second = run_property("semigroup", {"n": 8})
     assert (first.status, first.witness, first.checked_count) == (
         second.status,
         second.witness,
@@ -368,8 +369,9 @@ def test_corrupted_saxl_weight_exits_3(monkeypatch, capsys):
 
 def test_kron_lookup_matches_kron_char_on_every_ordered_triple():
     for n in range(1, 8):
-        parts, g = verify._kron_lookup(n)
+        parts, index, g = verify._kron_lookup(n)
         assert parts == enumerate_partitions(n)
+        assert index == {p: i for i, p in enumerate(parts)}
         for i, j, k in product(range(len(parts)), repeat=3):
             a, b = sorted((i, j))
             assert g[a][b][k] == kron_char(parts[i], parts[j], parts[k])
@@ -428,26 +430,27 @@ def _reference_ip23(n, kron=kron_char):
             }
 
 
-def _reference_semigroup(kron=kron_char, samples=40, max_size=5):
-    positives = [
-        trip
-        for n in range(1, max_size + 1)
-        for trip in multisets(enumerate_partitions(n), 3)
-        if kron(*trip) > 0
-    ]
-    rng = random.Random(verify.SEMIGROUP_SEED)
-    for _ in range(samples):
-        first, second = rng.choice(positives), rng.choice(positives)
-        summed = tuple(add(p, q) for p, q in zip(first, second))
-        got = kron(*summed)
-        lower = max(kron(*first), kron(*second))
-        yield None if got >= lower else {
-            "first": first,
-            "second": second,
-            "summed": summed,
-            "value": got,
-            "lower_bound": lower,
-        }
+def _reference_semigroup(n, kron=kron_char):
+    # each pair of positive triples of sizes a <= b, a + b <= n: the first
+    # canonical, the second each distinct ordering of a canonical one
+    positives = {
+        m: [trip for trip in multisets(enumerate_partitions(m), 3) if kron(*trip) > 0]
+        for m in range(1, n)
+    }
+    sizes = [(a, b) for a in range(1, n // 2 + 1) for b in range(a, n - a + 1)]
+    for a, b in sizes:
+        for first, trip in product(positives[a], positives[b]):
+            for second in dict.fromkeys(permutations(trip)):
+                summed = tuple(add(p, q) for p, q in zip(first, second))
+                got = kron(*summed)
+                lower = max(kron(*first), kron(*second))
+                yield None if got >= lower else {
+                    "first": first,
+                    "second": second,
+                    "summed": summed,
+                    "value": got,
+                    "lower_bound": lower,
+                }
 
 
 def _reference_kron_symmetry(n, kron):
@@ -533,8 +536,10 @@ def test_ip23_and_semigroup_match_the_per_triple_reference():
         reference = _reference_report("ip23", {"n": n}, _reference_ip23(n))
         got = run_property("ip23", {"n": n})
         assert _without_elapsed(got) == _without_elapsed(reference)
-    reference = _reference_report("semigroup", {}, _reference_semigroup())
-    assert _without_elapsed(run_property("semigroup")) == _without_elapsed(reference)
+    for n in range(1, 9):
+        reference = _reference_report("semigroup", {"n": n}, _reference_semigroup(n))
+        got = run_property("semigroup", {"n": n})
+        assert _without_elapsed(got) == _without_elapsed(reference)
 
 
 def _bump(monkeypatch, bumped, by=10**9):
@@ -556,15 +561,17 @@ def _bump(monkeypatch, bumped, by=10**9):
 
 def test_a_bumped_g_gives_the_reference_witness(monkeypatch):
     # one g of size 5 is bumped, so each sweep fails and must name the
-    # reference's first witness
+    # reference's first witness; semigroup at n = 7 reads it as a second
     kron = _bump(monkeypatch, ((4, 1), (3, 2), (3, 1, 1)))
     sweeps = {**TABLE_SWEEPS, "ip23": _reference_ip23}
     for name, reference in sweeps.items():
         want = _reference_report(name, {"n": 5}, reference(5, kron))
         assert want.status == "fail"
         assert _without_elapsed(run_property(name, {"n": 5})) == _without_elapsed(want)
-    want = _reference_report("semigroup", {}, _reference_semigroup(kron))
-    assert _without_elapsed(run_property("semigroup")) == _without_elapsed(want)
+    want = _reference_report("semigroup", {"n": 7}, _reference_semigroup(7, kron))
+    assert want.status == "fail"
+    got = run_property("semigroup", {"n": 7})
+    assert _without_elapsed(got) == _without_elapsed(want)
 
 
 @pytest.mark.parametrize("excess, status", [(0, "pass"), (1, "fail")])
@@ -582,16 +589,39 @@ def test_pp20_fails_exactly_past_its_bound(monkeypatch, excess, status):
 
 
 def test_semigroup_bounds_the_sum_by_the_larger_sampled_g(monkeypatch):
-    # the bumped triple is drawn only as a `second`, so only a bound that
-    # reads the second g as well as the first sees it
-    bumped = ((3, 2), (3, 1, 1), (3, 1, 1))
-    items = verify._semigroup_items(40)
-    assert bumped in [second for _, (second, _) in items]
-    assert bumped not in [first for (first, _), _ in items]
+    # the bumped triple has size 5 > 7 // 2, so at n = 7 it is only ever a
+    # `second`: only a bound that reads the second g as well as the first
+    # sees it
+    n, bumped = 7, ((3, 2), (3, 1, 1), (3, 1, 1))
     kron = _bump(monkeypatch, bumped)
-    want = _reference_report("semigroup", {}, _reference_semigroup(kron))
+    want = _reference_report("semigroup", {"n": n}, _reference_semigroup(n, kron))
     assert want.status == "fail" and want.witness["second"] == bumped
-    assert _without_elapsed(run_property("semigroup")) == _without_elapsed(want)
+    assert want.witness["lower_bound"] == kron(*bumped)
+    got = run_property("semigroup", {"n": n})
+    assert _without_elapsed(got) == _without_elapsed(want)
+
+
+def test_semigroup_names_the_first_pair_under_a_lowered_g(monkeypatch):
+    # g((5, 1, 1), (4, 3), (4, 2, 1)) = 2 is lowered to 1 in the table; the
+    # first pair that sums to it with a g of 2 orders its second out of
+    # canonical order
+    lowered = ((5, 1, 1), (4, 3), (4, 2, 1))
+    kron = _bump(monkeypatch, lowered, -1)
+    want = _reference_report("semigroup", {"n": 7}, _reference_semigroup(7, kron))
+    assert want.witness == {
+        "first": ((2,), (1, 1), (1, 1)),
+        "second": ((3, 1, 1), (3, 2), (3, 1, 1)),
+        "summed": lowered,
+        "value": 1,
+        "lower_bound": 2,
+    }
+    got = run_property("semigroup", {"n": 7})
+    assert _without_elapsed(got) == _without_elapsed(want)
+
+
+def test_semigroup_checks_every_pair_up_to_its_default_size():
+    report = run_property("semigroup")
+    assert (report.status, report.checked_count) == ("pass", 64082)
 
 
 def test_kron_symmetry_names_the_first_asymmetric_triple(monkeypatch):
@@ -699,11 +729,11 @@ def test_murnaghan_pads_each_shape_once_per_size(monkeypatch):
     assert calls == {"pad": 2 + 4 + 7 + 12 + 19}
 
 
-def test_semigroup_asks_kron_char_only_for_summed_triples(monkeypatch):
-    # the two sampled triples carry their g from the tables, one per size
+def test_semigroup_reads_one_kron_table_per_size(monkeypatch):
+    # every g, the summed triple's too, comes from the tables of sizes 1..8
     calls = count_calls(monkeypatch, "kron_char", "kron_table")
-    assert run_property("semigroup").status == "pass"
-    assert calls == {"kron_char": 40, "kron_table": 5}
+    assert run_property("semigroup", {"n": 8}).status == "pass"
+    assert calls == {"kron_char": 0, "kron_table": 8}
 
 
 # -- padded triples: one pair product per (lam, mu) ---------------------------------
