@@ -44,7 +44,6 @@ from .partitions import (
 
 _memo = {}
 _rows = {}
-_classes = {}
 
 # Largest n for which whole tables (character_table, kron_table and the
 # table-sized verify sweeps) run without an explicit override.
@@ -78,12 +77,13 @@ def exact_quotient(total, divisor, *what):
 def clear_memo():
     """Drop the MN memo, the dense rows and the class lists with their sizes.
 
-    ClassSum values stay: a cached ClassSum keeps them until its cache
-    (plethysm._class_vector, verify._square_support) is cleared.
+    The class lists are conjugacy_classes' own cache.  ClassSum values stay:
+    a cached ClassSum keeps them until its cache (plethysm._class_vector,
+    verify._square_support) is cleared.
     """
     _memo.clear()
     _rows.clear()
-    _classes.clear()
+    conjugacy_classes.cache_clear()
 
 
 @cache
@@ -202,24 +202,23 @@ def character(lam, alpha):
     return _mn(_word(lam), alpha)
 
 
+@cache
 def conjugacy_classes(n):
     """The cycle types of S_n in enumerate_partitions order, and their class sizes.
 
     A size is n!/z_alpha (partitions._centralizer_order).
     """
-    got = _classes.get(n)
-    if got is None:
-        classes = tuple(enumerate_partitions(n))
-        order = factorial(n)
-        sizes = tuple(order // _centralizer_order(alpha) for alpha in classes)
-        got = _classes[n] = classes, sizes
-    return got
+    classes = tuple(enumerate_partitions(n))
+    order = factorial(n)
+    return classes, tuple(order // _centralizer_order(alpha) for alpha in classes)
 
 
 class ClassSum:
     """The class function sum_i weights[i] * chi(classes[i]) on S_n.
 
-    The classes are distinct cycle types of one n, parts decreasing.
+    It is built from one {cycle type: weight} mapping over cycle types of
+    one n, parts decreasing; classes and weights keep its nonzero weights,
+    in its order.
     ``contract(lam)`` evaluates it at chi^lam by the MN recursion run over a
     prefix trie of the classes: the value at (shape word w, node) is the
     weighted sum of chi^w(the parts left) over the classes below the node,
@@ -232,12 +231,13 @@ class ClassSum:
     this object.
     """
 
-    def __init__(self, classes, weights):
-        self.classes = tuple(classes)
-        self.weights = tuple(weights)
+    def __init__(self, weights):
+        items = [(alpha, weight) for alpha, weight in weights.items() if weight]
+        self.classes = tuple(alpha for alpha, _ in items)
+        self.weights = tuple(weight for _, weight in items)
         self._nodes = []
         self._values = {}
-        self._node(list(zip(self.classes, self.weights)), 0)
+        self._node(items, 0)
 
     def _node(self, group, depth):
         """Add the node of the classes sharing their first depth parts.

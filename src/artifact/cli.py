@@ -1,8 +1,9 @@
 """Command-line front door: one row of COMMANDS per command, standard library only.
 
 Each command calls one library route (kron is kron_char) and prints plain
-decimal values by default, or schema-stable JSON under --json (every number
-a decimal string, so nothing passes through floating point).  Exit codes:
+decimal values by default, or schema-stable JSON under --json, every record
+rendered by verify._stringify (every number a decimal string, so nothing
+passes through floating point).  Exit codes:
 0 success or property pass (counterexample-confirmed and
 inconclusive-within-range both count as successful runs), 1 invalid input,
 2 property failed where a pass was expected, 3 internal consistency failure.
@@ -18,7 +19,8 @@ from .kronecker import kron_char, kron_table, reduced_kron
 from .partitions import format_partition, parse_partition
 from .plethysm import DEGREE_CAP, pleth_coefficient, pleth_hn_expansion
 from .tableaux import kostka, lr_coefficient
-from .verify import FAIL, n_key, run_property, search_saturation_counterexample
+from .verify import (
+    FAIL, _stringify, n_key, run_property, search_saturation_counterexample)
 
 # An option is (flag, type, default, help line).  Its type is int, str (a
 # path), or bool for a flag, which takes no value.
@@ -64,18 +66,14 @@ def _emit(text, out):
         fh.write(text + "\n")
 
 
-def _parts(p):
-    return [str(x) for x in p]
-
-
 def _value(help, args, value_key, call, *options):
     """The row of a command printing one value, or {args..., value_key: value}."""
     def handler(*parts, as_json, out, **kwargs):
-        text = str(call(*parts, **kwargs))
+        value = call(*parts, **kwargs)
         if as_json:
-            record = {"lambda" if a == "lam" else a: _parts(p) for a, p in zip(args, parts)}
-            text = json.dumps({**record, value_key: text})
-        _emit(text, out)
+            record = {"lambda" if a == "lam" else a: p for a, p in zip(args, parts)}
+            value = json.dumps(_stringify({**record, value_key: value}))
+        _emit(str(value), out)
     params = tuple((arg.upper(), parse_partition) for arg in args)
     return help, params, options + OUTPUT, handler
 
@@ -83,16 +81,16 @@ def _value(help, args, value_key, call, *options):
 def _pleth_hn(d, n, cap, as_json, out):
     terms = pleth_hn_expansion(d, n, cap=cap).coeffs.items()
     if as_json:
-        rows = [{"lambda": _parts(lam), "a": str(a)} for lam, a in terms]
-        _emit(json.dumps({"d": str(d), "n": str(n), "coeffs": rows}), out)
+        rows = [{"lambda": lam, "a": a} for lam, a in terms]
+        _emit(json.dumps(_stringify({"d": d, "n": n, "coeffs": rows})), out)
     else:
         _emit("\n".join("%s: %s" % (format_partition(lam), a) for lam, a in terms), out)
 
 
 def _table_kron(n, cap, out):
-    rows = ({"lambda": _parts(lam), "mu": _parts(mu), "nu": _parts(nu), "g": str(g)}
+    rows = ({"lambda": lam, "mu": mu, "nu": nu, "g": g}
             for lam, mu, nu, g in kron_table(n, limit=cap))
-    _emit("\n".join(map(json.dumps, rows)), out)
+    _emit("\n".join(json.dumps(_stringify(row)) for row in rows), out)
 
 
 def _verify(prop, n, k, d, cap, n_max, as_json, out):

@@ -22,7 +22,6 @@ brute-force cross-check.
 """
 
 from functools import cache
-from itertools import compress
 from math import factorial
 from operator import mul
 
@@ -85,8 +84,7 @@ def _class_vector(outer, inner):
             w = size * chi * mfact ** (d - len(rho))
             for tau, c in product(rho).items():
                 total[tau] = total.get(tau, 0) + w * c
-    support = ClassSum(compress(total, total.values()), filter(None, total.values()))
-    return support, factorial(d) * mfact**d
+    return ClassSum(total), factorial(d) * mfact**d
 
 
 def _coefficient(target, inner, outer):

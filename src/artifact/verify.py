@@ -15,8 +15,11 @@ sweep is one generator that yields, for each instance in canonical order,
 its witness or None; _sweep makes it a run function that counts every
 instance and reports the first witness.  tensor-square and foulkes report
 something other than a first witness, so they have run functions of their
-own.  run_property rejects any parameter the property does not read and
-any value that is not an int, bounds the rest and runs the property.
+own, as has the saturation search (_saturation), which returns at each of
+its outcomes.  run_property rejects any parameter the property does not
+read and any value that is not an int, and bounds the rest; _report times
+the run function and makes the Report, the one for every property and the
+search alike.
 
 Sweeps run serially over their instances in canonical order, so status, witness
 and checked_count are identical for every run; only elapsed time varies.
@@ -41,7 +44,7 @@ kept between sweeps beyond the library's own memos.
 import time
 from functools import cache
 from itertools import combinations_with_replacement as multisets
-from itertools import compress, permutations, product
+from itertools import permutations, product
 from math import factorial
 from operator import mul
 
@@ -361,12 +364,11 @@ def _square_support(lam):
     792 at k = 6 for a staircase, 59 of them nonzero.
     """
     hooks = {h for row in hook_lengths(lam) for h in row}
-    weights = {
+    return ClassSum({
         a: size * character(lam, a) ** 2
         for a, size in zip(*conjugacy_classes(sum(lam)))
         if hooks.issuperset(a)
-    }
-    return ClassSum(compress(weights, weights.values()), filter(None, weights.values()))
+    })
 
 
 def _square(lam, mu):
@@ -579,21 +581,20 @@ def run_property(name, params=None):
             keys = ", ".join(spec.keys)
             raise ValueError(f"{name} takes no {key!r}; it takes {keys}")
         _require_int(key, value)
-    start = time.perf_counter()
     cap = params.get("cap", TABLE_LIMIT)
     values = {
         key: _require(params, key, default, low, cap if high == CAP else high)
         for key, (default, low, high) in spec.ranges.items()
     }
-    status, witness, checked = spec.run(**values)
-    return Report(
-        property=name,
-        params=params,
-        status=status,
-        witness=witness,
-        checked_count=checked,
-        elapsed=time.perf_counter() - start,
-    )
+    return _report(name, params, spec.run, values)
+
+
+def _report(name, params, run, values):
+    """The Report of run(**values), timed; params are the parameters as given."""
+    start = time.perf_counter()
+    status, witness, checked = run(**values)
+    elapsed = time.perf_counter() - start
+    return Report(name, params, status, witness, checked, elapsed)
 
 
 def search_saturation_counterexample(k, n_max, size_cap=SATURATION_SIZE_CAP):
@@ -614,39 +615,27 @@ def search_saturation_counterexample(k, n_max, size_cap=SATURATION_SIZE_CAP):
         raise ValueError("the family needs k >= 3")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    params = {"k": k, "n_max": n_max, "size_cap": size_cap}
+    return _report("saturation-cex", params, _saturation, params)
+
+
+def _saturation(k, n_max, size_cap):
+    """The run function of the saturation search; checked counts reduced_kron calls."""
     base = ((1,) * (k * k - 1), (1,) * (k * k - 1), (k,) * (k - 1))
-    start = time.perf_counter()
-    checked = 0
     witness = {"base": base}
-    status = INCONCLUSIVE
     for n in range(1, n_max + 1):
         trip = tuple(stretch(p, n) for p in base)
         if padding_threshold(*trip) > size_cap:
-            witness["stopped_at_stretch"] = n
-            witness["reason"] = "padding size exceeds cap"
-            break
+            witness.update(stopped_at_stretch=n, reason="padding size exceeds cap")
+            return INCONCLUSIVE, witness, n - 1
         value = reduced_kron(*trip)
-        checked += 1
         if n == 1:
-            if value != 0:
-                status = FAIL
-                witness["base_value"] = value
+            witness["base_value"] = value
+            if value:
                 witness["reason"] = "base triple is already positive"
-                break
-            witness["base_value"] = 0
+                return FAIL, witness, 1
         elif value > 0:
-            status = CONFIRMED
-            witness["stretch"] = n
-            witness["stretched"] = trip
-            witness["value"] = value
-            break
-    else:
-        witness["reason"] = "no positive stretch within range"
-    return Report(
-        property="saturation-cex",
-        params={"k": k, "n_max": n_max, "size_cap": size_cap},
-        status=status,
-        witness=witness,
-        checked_count=checked,
-        elapsed=time.perf_counter() - start,
-    )
+            witness.update(stretch=n, stretched=trip, value=value)
+            return CONFIRMED, witness, n
+    witness["reason"] = "no positive stretch within range"
+    return INCONCLUSIVE, witness, n_max

@@ -7,6 +7,7 @@ import pytest
 
 from artifact import characters
 from artifact.characters import (
+    ClassSum,
     character,
     character_table,
     clear_memo,
@@ -438,12 +439,22 @@ def test_table_limit_guard():
         character_table(0)
 
 
+def test_class_sum_keeps_the_nonzero_weights_in_order():
+    weights = {(3,): 2, (2, 1): 0, (1, 1, 1): 4}
+    support = ClassSum(weights)
+    assert support.classes == ((3,), (1, 1, 1))
+    assert support.weights == (2, 4)
+    for lam in enumerate_partitions(3):
+        want = sum(w * character(lam, a) for a, w in weights.items())
+        assert support.contract(lam) == want
+
+
 def test_clear_memo_empties_the_kernel():
     # the row store and the class lists with their sizes
     strip_row((3, 2, 1), 6)
     conjugacy_classes(6)
     assert characters._rows
-    assert characters._classes
+    assert conjugacy_classes.cache_info().currsize
     clear_memo()
-    assert characters._classes == {}
+    assert conjugacy_classes.cache_info().currsize == 0
     assert characters._rows == {}

@@ -624,7 +624,7 @@ def _saxl_weights(weights):
     def corrupt(monkeypatch):
         true = verify._square_support((2, 1))
         assert (true.classes, true.weights) == (((3,), (1, 1, 1)), (2, 4))
-        support = ClassSum(true.classes, weights)
+        support = ClassSum(dict(zip(true.classes, weights)))
         monkeypatch.setattr(verify, "_square_support", lambda lam: support)
 
     return corrupt
@@ -639,7 +639,7 @@ def _h2h2_weights(weights):
             ((4,), (2, 2), (2, 1, 1), (1, 1, 1, 1)), (2, 3, 2, 1), 8
         )
         # chi^(3,1) is (-1, -1, 1, 3) on those classes, so the true total is 0
-        vector = ClassSum(true.classes, weights), scale
+        vector = ClassSum(dict(zip(true.classes, weights))), scale
         monkeypatch.setattr(plethysm, "_class_vector", lambda outer, inner: vector)
 
     return corrupt

@@ -270,7 +270,7 @@ def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, capsys, corrupted):
     true, scale = plethysm._class_vector((2,), (2,))
     assert true.classes == ((4,), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert [character((3, 1), a) for a in true.classes] == [-1, -1, 1, 3]
-    vector = ClassSum(true.classes, corrupted), scale
+    vector = ClassSum(dict(zip(true.classes, corrupted))), scale
     monkeypatch.setattr(plethysm, "_class_vector", lambda outer, inner: vector)
     plethysm._hn_coeffs.cache_clear()
     with pytest.raises(ArithmeticError):

@@ -230,6 +230,27 @@ def test_saturation_k4_confirms_at_stretch_2():
     assert report.witness["stretched"] == ((2,) * 15, (2,) * 15, (8, 8, 8))
 
 
+def test_saturation_positive_base_fails(monkeypatch):
+    # the real base value is 0; a positive one ends the search at once
+    monkeypatch.setattr(verify, "reduced_kron", lambda *trip: 1)
+    report = search_saturation_counterexample(3, 4)
+    assert report.status == "fail"
+    assert report.checked_count == 1
+    assert list(report.witness) == ["base", "base_value", "reason"]
+    assert report.witness["base_value"] == 1
+    assert report.witness["reason"] == "base triple is already positive"
+
+
+def test_saturation_all_zero_stretches_are_inconclusive(monkeypatch):
+    monkeypatch.setattr(verify, "reduced_kron", lambda *trip: 0)
+    report = search_saturation_counterexample(3, 5, size_cap=10**6)
+    assert report.status == "inconclusive-within-range"
+    assert report.checked_count == 5
+    assert list(report.witness) == ["base", "base_value", "reason"]
+    assert report.witness["base_value"] == 0
+    assert report.witness["reason"] == "no positive stretch within range"
+
+
 def test_report_json_is_all_strings():
     report = search_saturation_counterexample(3, 2)
     doc = report.to_json()
@@ -288,7 +309,10 @@ def test_orthogonality_reports_the_first_failing_pair(
         monkeypatch.setitem(characters._rows, key, tuple(row))
     else:
         corrupted = classes, (sizes[0] + 1,) + sizes[1:]
-        monkeypatch.setitem(characters._classes, n, corrupted)
+        monkeypatch.setattr(
+            verify, "conjugacy_classes",
+            lambda m: corrupted if m == n else conjugacy_classes(m),
+        )
     report = run_property("orthogonality", {"n": n})
     assert report.status == "fail"
     keys = ("kind", "first", "second", "sum", "expected")
@@ -361,7 +385,8 @@ def test_saxl_contraction_matches_kron_char():
 
 def test_corrupted_saxl_weight_exits_3(monkeypatch, capsys):
     true = verify._square_support((3, 2, 1))
-    corrupted = ClassSum(true.classes, (true.weights[0] + 1,) + true.weights[1:])
+    weights = (true.weights[0] + 1,) + true.weights[1:]
+    corrupted = ClassSum(dict(zip(true.classes, weights)))
     monkeypatch.setattr(verify, "_square_support", lambda delta: corrupted)
     assert main(["verify", "saxl", "--k", "3"]) == 3
     assert "internal consistency failure" in capsys.readouterr().err
