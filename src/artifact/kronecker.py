@@ -10,9 +10,12 @@ Every contraction (kron_char, kron_table, the engine's level sums) reads its
 class sizes from characters.conjugacy_classes and its int-tuple rows from
 strip_row, which builds a row on first request: a query costs three rows.
 kron_table packs the rows it read into one int per class column (_pack), a
-field per nu wide enough for n! M^3 (M the largest |entry|), so one dot
-gives the totals of every nu at once; each is still divided exactly per
-triple.  verify's orthogonality sweep packs its vectors with the same _pack.
+field per nu wide enough for n! M^3 (M the largest |entry|), so one dot of
+a pair (lam, mu) gives the totals of every nu at once (_pair_dot).  Since
+chi^lam' = sgn chi^lam, one dot serves the orbit (lam, mu), (lam', mu'),
+(lam', mu), (lam, mu') of pairs (_pair_vectors), and each value is divided
+exactly once, in its representative's vector.  verify's orthogonality
+sweep packs its vectors with the same _pack.
 
 Reduced (stable) coefficients have one route, an exact inversion that
 never pads.  The level L(U), the sum of gbar over the V with U/V a
@@ -30,7 +33,8 @@ oracle for this route.
 """
 
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, repeat
+from itertools import combinations_with_replacement as multisets
 from math import factorial
 from operator import add, mul
 
@@ -247,35 +251,70 @@ def _pack(vectors, bound):
     return columns, width, biases
 
 
-def kron_table(n, limit=TABLE_LIMIT):
-    """All g on canonical triples lam <= mu <= nu (enumeration order).
+def _pair_dot(n):
+    """dot(i, j): g(parts[i], parts[j], nu) over the nu in parts, from one dot.
 
-    Returns a list of (lam, mu, nu, value); by the full S3 symmetry this
-    determines every ordered triple at size n.  classSize * chi^lam is
-    formed once per lam and the pair product with chi^mu once per (lam, mu).
-    The rows chi^nu are packed by _pack, one int per class column with a
-    field per nu, so one dot of the pair with the packed columns gives the
-    total of every nu at once.  Whatever the stored rows hold, |total| <=
-    n! M^3 with M the largest |entry|, and that is the bound passed; the
-    smaller bound n! M holds only for true characters.  Each total is read
-    back and still checked by exact_quotient one triple at a time.
+    parts are conjugacy_classes(n)'s, and the rows chi^nu are packed by
+    _pack, so one dot of |C| chi^lam chi^mu with the columns gives the total
+    of every nu at once.  Whatever the stored rows hold, |total| <= n! M^3
+    with M the largest |entry|, and that is the bound passed (n! M holds
+    only for true characters).  Every field is divided by exact_quotient.
     """
-    check_table_size(n, limit)
     parts, sizes = conjugacy_classes(n)
     order = factorial(n)
     rows = [strip_row(p, n) for p in parts]
     bias = order * max(max(map(abs, row)) for row in rows) ** 3
     columns, width, biases = _pack(rows, bias)
     mask = (1 << width) - 1
+    shifts = range(0, width * len(parts), width)
+    weighted = [tuple(map(mul, sizes, row)) for row in rows]
+
+    def dot(i, j):
+        totals = sum(map(mul, map(mul, weighted[i], rows[j]), columns)) + biases
+        lam, mu = parts[i], parts[j]
+        return [
+            exact_quotient((totals >> s & mask) - bias, order, "g(%r, %r, %r)", lam, mu, nu)
+            for s, nu in zip(shifts, parts)
+        ]
+
+    return dot
+
+
+def _pair_vectors(n):
+    """g[i][j] = g[j][i], the list of g(parts[i], parts[j], nu) over nu.
+
+    Since chi^lam' = sgn chi^lam, (lam, mu) and (lam', mu') share a vector,
+    and (lam', mu) and (lam, mu') have it read at nu' for nu.  The first
+    pair i <= j of each such orbit takes one _pair_dot, so each value is
+    divided once, in its representative's vector.
+    """
+    parts = conjugacy_classes(n)[0]
+    dot = _pair_dot(n)
+    index = {p: i for i, p in enumerate(parts)}
+    bar = [index[conjugate(p)] for p in parts]
+    g = [[None] * len(parts) for _ in parts]
+    for i, j in multisets(range(len(parts)), 2):
+        if g[i][j] is None:
+            a, b = bar[i], bar[j]
+            vector = dot(i, j)
+            g[a][j] = g[j][a] = g[i][b] = g[b][i] = [vector[k] for k in bar]
+            g[a][b] = g[b][a] = g[i][j] = g[j][i] = vector
+    return g
+
+
+def kron_table(n, limit=TABLE_LIMIT):
+    """All g on canonical triples lam <= mu <= nu (enumeration order).
+
+    Returns a list of (lam, mu, nu, value); by the full S3 symmetry this
+    determines every ordered triple at size n.  A pair's triples are the
+    suffix from mu on of its vector in _pair_vectors: one packed dot per
+    conjugation orbit of pairs, each value divided exactly once.
+    """
+    check_table_size(n, limit)
+    parts = conjugacy_classes(n)[0]
+    g = _pair_vectors(n)
     out = []
     for i, lam in enumerate(parts):
-        weighted = tuple(map(mul, sizes, rows[i]))
         for j, mu in enumerate(parts[i:], i):
-            pair = map(mul, weighted, rows[j])
-            totals = (sum(map(mul, pair, columns)) + biases) >> width * j
-            for nu in parts[j:]:
-                total = (totals & mask) - bias
-                totals >>= width
-                value = exact_quotient(total, order, "g(%r, %r, %r)", lam, mu, nu)
-                out.append((lam, mu, nu, value))
+            out.extend(zip(repeat(lam), repeat(mu), parts[j:], g[i][j][j:]))
     return out

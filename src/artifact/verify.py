@@ -24,14 +24,16 @@ search alike.
 Sweeps run serially over their instances in canonical order, so status, witness
 and checked_count are identical for every run; only elapsed time varies.
 A sweep that reads g on every triple of one size (transpose, dimension-sum,
-pp20-bound, ip23) reads one kron_table, semigroup one per size.  All but
-pp20-bound read it as per-pair vectors over nu (_kron_lookup), each
-canonical triple written into its three sorted pairs, so transpose,
-dimension-sum and ip23 read g with no index sort or dict probe: on 2 vCPUs
-transpose at n = 14 takes 1.3-1.6 s and 61 MB, dimension-sum at n = 12 0.14 s.
-murnaghan and tworow dot one pair product per (lam, mu) with each chi^nu,
-and murnaghan reads every c^lam_{mu,nu} of a pair from one skew expansion,
-as those sweeps read one kron_table.  Only kron-symmetry calls kron_char.
+pp20-bound, ip23) reads one table of them, semigroup one per size.
+pp20-bound reads kron_table's canonical triples.  The others read the
+per-pair vectors over nu of kronecker._pair_vectors (_kron_lookup), one
+packed dot per conjugation orbit of pairs, with no index sort or dict
+probe.  transpose checks each vector against a plain dot of the conjugate
+pair, computed without the symmetry: on 2 vCPUs transpose at n = 14 takes
+1.8-2.1 s and 31 MB, dimension-sum at n = 12 0.06-0.09 s.  murnaghan and tworow
+dot one pair product per (lam, mu) with each chi^nu, and murnaghan reads
+every c^lam_{mu,nu} of a pair from one skew expansion, as those sweeps read
+one table.  Only kron-symmetry calls kron_char.
 
 Work fixed per sweep is done once per sweep, not per instance: orthogonality
 packs its right vectors with kronecker._pack, as kron_table packs its rows,
@@ -58,6 +60,8 @@ from .characters import (
 )
 from .kronecker import (
     _pack,
+    _pair_dot,
+    _pair_vectors,
     kron_char,
     kron_table,
     kron_tworow,
@@ -193,18 +197,15 @@ def _largest(vectors):
 
 # -- every g of one size -------------------------------------------------------------
 #
-# kron_table(n) divides each g by n! exactly and lists the canonical triples in
-# multisets(range(p(n)), 3) order.  The sweep's own range bounds n, so limit=n.
+# kron_table(n) and _pair_vectors(n) divide each g by n! exactly; the table
+# lists the canonical triples in multisets(range(p(n)), 3) order.  The sweep's
+# own range bounds n, so kron_table takes limit=n.
 
 
 def _kron_lookup(n):
-    """parts, {shape: i}, and g[i][j] for i <= j: g(parts[i], parts[j], nu) per nu."""
-    parts = enumerate_partitions(n)
-    p = len(parts)
-    g = [[[0] * p if i <= j else None for j in range(p)] for i in range(p)]
-    for (i, j, k), row in zip(multisets(range(p), 3), kron_table(n, limit=n)):
-        g[i][j][k] = g[i][k][j] = g[j][k][i] = row[3]
-    return parts, {shape: i for i, shape in enumerate(parts)}, g
+    """parts, {shape: i}, and g[i][j]: g(parts[i], parts[j], nu) per nu."""
+    parts = conjugacy_classes(n)[0]
+    return parts, {shape: i for i, shape in enumerate(parts)}, _pair_vectors(n)
 
 
 # -- Kronecker symmetries ------------------------------------------------------------
@@ -228,21 +229,23 @@ def _kron_symmetry(n):
         }
 
 
-def _pair_triples(n):
-    """Pair triples lam <= mu, nu free, with g(lam, mu, nu) and g(lam', mu', nu)."""
+def _transpose(n):
+    """g(lam, mu, nu) against g(lam', mu', nu), lam <= mu, nu free.
+
+    _pair_vectors reads the vector of (lam', mu') off the dot of (lam, mu)
+    by this very identity, so only the left side comes from _kron_lookup.
+    The right side is the independent one: a plain packed dot of chi^lam'
+    and chi^mu' (kronecker._pair_dot), divided exactly.
+    """
     parts, index, g = _kron_lookup(n)
+    dot = _pair_dot(n)
     bar = [index[conjugate(p)] for p in parts]
     for i, j in multisets(range(len(parts)), 2):
-        a, b = sorted((bar[i], bar[j]))
-        for nu, lhs, rhs in zip(parts, g[i][j], g[a][b]):
-            yield parts[i], parts[j], nu, lhs, rhs
-
-
-def _transpose(n):
-    for lam, mu, nu, lhs, rhs in _pair_triples(n):
-        yield None if lhs == rhs else {
-            "lambda": lam, "mu": mu, "nu": nu, "plain": lhs, "transposed": rhs
-        }
+        for nu, lhs, rhs in zip(parts, g[i][j], dot(bar[i], bar[j])):
+            yield None if lhs == rhs else {
+                "lambda": parts[i], "mu": parts[j], "nu": nu,
+                "plain": lhs, "transposed": rhs,
+            }
 
 
 # -- dimension sum -------------------------------------------------------------------
@@ -288,7 +291,7 @@ def _semigroup(n):
                 for second in dict.fromkeys(permutations(triple)):
                     summed = tuple(map(add, first, second))
                     i, j, k = map(index.get, summed)
-                    got = g[min(i, j)][max(i, j)][k]
+                    got = g[i][j][k]
                     yield None if got >= lower else {
                         "first": first, "second": second, "summed": summed,
                         "value": got, "lower_bound": lower,
@@ -466,20 +469,19 @@ def _run_foulkes(d, n, cap):
 
 
 def _ip23(n):
-    for lam, mu, nu, g, _ in _pair_triples(n):
-        head = nu[0]
-        first = tuple(part + head for part in lam)
-        second = tuple(part + head for part in mu)
-        third = (head,) * (len(lam) + len(mu)) + nu
-        gbar = reduced_kron(first, second, third)
-        yield None if g == gbar else {
-            "lambda": lam,
-            "mu": mu,
-            "nu": nu,
-            "ordinary": g,
-            "reduced_arguments": [first, second, third],
-            "reduced": gbar,
-        }
+    parts, _, g = _kron_lookup(n)
+    for i, j in multisets(range(len(parts)), 2):
+        lam, mu = parts[i], parts[j]
+        for nu, value in zip(parts, g[i][j]):
+            head = nu[0]
+            first = tuple(part + head for part in lam)
+            second = tuple(part + head for part in mu)
+            third = (head,) * (len(lam) + len(mu)) + nu
+            gbar = reduced_kron(first, second, third)
+            yield None if value == gbar else {
+                "lambda": lam, "mu": mu, "nu": nu, "ordinary": value,
+                "reduced_arguments": [first, second, third], "reduced": gbar,
+            }
 
 
 # -- truncated Cauchy identity ----------------------------------------------------------------------

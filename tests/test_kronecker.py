@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from operator import mul
@@ -391,6 +392,15 @@ def test_kron_table_matches_single_queries():
 
 def test_kron_table_deterministic():
     assert kron_table(5) == kron_table(5)
+
+
+def test_kron_table_digest_is_pinned():
+    # every value and the canonical order of kron_table(n), n = 1..12
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        digest.update(repr(kron_table(n)).encode())
+    want = "f34f02dcff1e1fbb618f79b4644d7d97c9ecd1052e725bed991fad5c3b120326"
+    assert digest.hexdigest() == want
 
 
 def test_kron_table_limit_guard():

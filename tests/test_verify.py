@@ -5,10 +5,10 @@ from math import factorial
 
 import pytest
 
-from artifact import characters, tableaux, verify
+from artifact import characters, kronecker, tableaux, verify
 from artifact.characters import ClassSum, clear_memo, conjugacy_classes, strip_row
 from artifact.cli import main
-from artifact.kronecker import kron_char, kron_table, kron_tworow, reduced_kron
+from artifact.kronecker import kron_char, kron_tworow, reduced_kron
 from artifact.partitions import (
     add,
     centralizer_order,
@@ -395,11 +395,10 @@ def test_corrupted_saxl_weight_exits_3(monkeypatch, capsys):
 def test_kron_lookup_matches_kron_char_on_every_ordered_triple():
     for n in range(1, 8):
         parts, index, g = verify._kron_lookup(n)
-        assert parts == enumerate_partitions(n)
+        assert parts == tuple(enumerate_partitions(n))
         assert index == {p: i for i, p in enumerate(parts)}
         for i, j, k in product(range(len(parts)), repeat=3):
-            a, b = sorted((i, j))
-            assert g[a][b][k] == kron_char(parts[i], parts[j], parts[k])
+            assert g[i][j][k] == kron_char(parts[i], parts[j], parts[k])
 
 
 # Per-triple references: each sweep as it read g from kron_char, one triple
@@ -568,20 +567,37 @@ def test_ip23_and_semigroup_match_the_per_triple_reference():
 
 
 def _bump(monkeypatch, bumped, by=10**9):
-    """Raise g(bumped) by ``by`` in verify's kron_char and kron_table alike."""
+    """Raise g(bumped) by ``by`` in verify's kron_char and pair vectors alike.
+
+    Every ordering of bumped rises in the vectors, which kron_table reads
+    too, so pp20-bound sees the bump as well.
+    """
 
     def kron(*trip):
         return kron_char(*trip) + by * (sorted(trip) == sorted(bumped))
 
-    def table(n, limit):
-        return [
-            (lam, mu, nu, g + by * ((lam, mu, nu) == bumped))
-            for lam, mu, nu, g in kron_table(n, limit=limit)
-        ]
-
     monkeypatch.setattr(verify, "kron_char", kron)
-    monkeypatch.setattr(verify, "kron_table", table)
+    _wrap_vectors(monkeypatch, set(permutations(bumped)), by)
     return kron
+
+
+def _wrap_vectors(monkeypatch, triples, by):
+    """Add ``by`` to g at each ordered triple of shapes in triples, in the pair
+    vectors wherever they are read.  Every vector is copied first, so the
+    bump lands in no vector that shares a list with a bumped one."""
+    true = kronecker._pair_vectors
+
+    def vectors(n):
+        g = [[list(vector) for vector in row] for row in true(n)]
+        index = {p: i for i, p in enumerate(enumerate_partitions(n))}
+        for trip in triples:
+            if trip[0] in index:
+                i, j, k = map(index.get, trip)
+                g[i][j][k] += by
+        return g
+
+    monkeypatch.setattr(kronecker, "_pair_vectors", vectors)
+    monkeypatch.setattr(verify, "_pair_vectors", vectors)
 
 
 def test_a_bumped_g_gives_the_reference_witness(monkeypatch):
@@ -597,6 +613,24 @@ def test_a_bumped_g_gives_the_reference_witness(monkeypatch):
     assert want.status == "fail"
     got = run_property("semigroup", {"n": 7})
     assert _without_elapsed(got) == _without_elapsed(want)
+
+
+def test_transpose_checks_the_vectors_against_an_independent_dot(monkeypatch):
+    # g((4,1), (3,2), (3,1,1)) rises by 1 in the vectors of both (lam, mu)
+    # and (lam', mu'), as a table read from one dot would carry it: the two
+    # vectors still agree, so only transpose's own dot of (lam', mu') sees it
+    lam, mu, nu = (4, 1), (3, 2), (3, 1, 1)
+    bar, mu_bar = conjugate(lam), conjugate(mu)
+    bumped = [(lam, mu, nu), (mu, lam, nu), (bar, mu_bar, nu), (mu_bar, bar, nu)]
+    _wrap_vectors(monkeypatch, bumped, 1)
+    _, index, g = verify._kron_lookup(5)
+    assert g[index[lam]][index[mu]] == g[index[bar]][index[mu_bar]]
+    value = kron_char(lam, mu, nu)
+    report = run_property("transpose", {"n": 5})
+    assert report.status == "fail"
+    assert report.witness == {
+        "lambda": lam, "mu": mu, "nu": nu, "plain": value + 1, "transposed": value
+    }
 
 
 @pytest.mark.parametrize("excess, status", [(0, "pass"), (1, "fail")])
@@ -736,9 +770,11 @@ def count_calls(monkeypatch, *names):
     "name, n", [("transpose", 6), ("dimension-sum", 6), ("pp20-bound", 7)]
 )
 def test_table_sweeps_read_one_kron_table(monkeypatch, name, n):
-    calls = count_calls(monkeypatch, "kron_char", "kron_table")
+    # pp20-bound reads the table's rows, the others its per-pair vectors
+    source = "kron_table" if name == "pp20-bound" else "_pair_vectors"
+    calls = count_calls(monkeypatch, "kron_char", source)
     assert run_property(name, {"n": n}).status == "pass"
-    assert calls == {"kron_char": 0, "kron_table": 1}
+    assert calls == {"kron_char": 0, source: 1}
 
 
 def test_char_bound_lists_the_shapes_once(monkeypatch):
@@ -756,9 +792,9 @@ def test_murnaghan_pads_each_shape_once_per_size(monkeypatch):
 
 def test_semigroup_reads_one_kron_table_per_size(monkeypatch):
     # every g, the summed triple's too, comes from the tables of sizes 1..8
-    calls = count_calls(monkeypatch, "kron_char", "kron_table")
+    calls = count_calls(monkeypatch, "kron_char", "_pair_vectors")
     assert run_property("semigroup", {"n": 8}).status == "pass"
-    assert calls == {"kron_char": 0, "kron_table": 8}
+    assert calls == {"kron_char": 0, "_pair_vectors": 8}
 
 
 # -- padded triples: one pair product per (lam, mu) ---------------------------------
