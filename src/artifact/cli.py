@@ -97,9 +97,9 @@ def _verify(prop, n, k, d, cap, n_max, as_json, out):
     if prop == "saturation-cex":
         if n is not None or d is not None:
             raise ValueError("saturation-cex takes --k, --n-max and --cap")
-        kwargs = {} if cap is None else {"size_cap": cap}
+        flags = {"k": k, "n_max": n_max, "size_cap": cap}
         report = search_saturation_counterexample(
-            3 if k is None else k, 4 if n_max is None else n_max, **kwargs)
+            **{key: v for key, v in flags.items() if v is not None})
     else:
         flags = {"k": k, "d": d, "cap": cap, "n_max": n_max}
         if n is not None:

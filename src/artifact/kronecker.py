@@ -6,16 +6,18 @@ kron_schur_oracle reads g off s_lam(x_i y_j) by Jacobi's bialternant, from
 Kostka numbers over contingency tables.  They share no algorithmic
 machinery, so their agreement on a corpus is a real check.
 
-Every contraction (kron_char, kron_table, the engine's level sums) reads its
+Every contraction (kron_char, kron_table, the engine's levels) reads its
 class sizes from characters.conjugacy_classes and its int-tuple rows from
 strip_row, which builds a row on first request: a query costs three rows.
-kron_table packs the rows it read into one int per class column (_pack), a
-field per nu wide enough for n! M^3 (M the largest |entry|), so one dot of
-a pair (lam, mu) gives the totals of every nu at once (_pair_dot).  Since
-chi^lam' = sgn chi^lam, one dot serves the orbit (lam, mu), (lam', mu'),
-(lam', mu), (lam, mu') of pairs (_pair_vectors), and each value is divided
-exactly once, in its representative's vector.  verify's orthogonality
-sweep packs its vectors with the same _pack.
+kron_char, and verify's murnaghan and tworow, end in _contract_pair: a
+pair product |C| chi^lam chi^mu dotted with a row, divided by n! exactly.
+kron_table packs the rows it read into one int per class column (_pack, which
+returns the dot), a field per nu wide enough for n! M^3 (M the largest
+|entry|), so one dot of a pair (lam, mu) gives the totals of every nu at
+once (_pair_dot).  Since chi^lam' = sgn chi^lam, one dot serves the orbit
+(lam, mu), (lam', mu'), (lam', mu), (lam, mu') of pairs (_pair_vectors),
+and each value is divided exactly once, in its representative's vector.
+verify's orthogonality sweep dots its vectors with the same _pack.
 
 Reduced (stable) coefficients have one route, an exact inversion that
 never pads.  The level L(U), the sum of gbar over the V with U/V a
@@ -25,9 +27,10 @@ horizontal strips is multiplication by H(1) = sum h_r, whose inverse is
 E(-1) = sum (-1)^r e_r (Macdonald I.(2.6) and the two Pieri rules), so
 gbar(A) = sum over V with A/V a vertical strip of (-1)^|A/V| L(V): one
 level per such V, prod (multiplicity + 1) over the distinct parts of A.
-A level's class function is built from strip closures, the characters of
-s_rho * h_r, which strip_row builds by the same recursion, in the same
-store, as the rows chi^lam.  The padded definition (kron_char at a large
+The levels of one size share one class function, the coupling, built once
+from strip closures, the characters of s_rho * h_r, which strip_row builds
+by the same recursion, in the same store, as the rows chi^lam; each level
+is one dot of it with chi^V.  The padded definition (kron_char at a large
 padding size) is not called here; the tests keep it as the independent
 oracle for this route.
 """
@@ -75,8 +78,13 @@ def kron_char(lam, mu, nu):
         )
     _, sizes = conjugacy_classes(n)
     pair = map(mul, sizes, map(mul, strip_row(lam, n), strip_row(mu, n)))
-    total = sum(map(mul, pair, strip_row(nu, n)))
-    return exact_quotient(total, factorial(n), "g(%r, %r, %r)", lam, mu, nu)
+    return _contract_pair(pair, strip_row(nu, n), lam, mu, nu)
+
+
+def _contract_pair(pair, row, *trip):
+    """g(*trip) from pair, |C| times the rows of two of trip, and the third's row."""
+    total = sum(map(mul, pair, row))
+    return exact_quotient(total, factorial(sum(trip[0])), "g(%r, %r, %r)", *trip)
 
 
 @cache
@@ -187,17 +195,31 @@ def _engine_value(alpha, beta, gamma):
     couples the two remaining arguments through their skew constituents.
     Inverting the strip sum with H(1)E(-1) = 1 (Macdonald I.(2.6)) gives
     gbar(A) = sum of (-1)^|A/V| L(V) over the V with A/V a vertical strip,
-    so only those levels are computed.  Every level divides exactly by
-    |V|! and is a sum of reduced coefficients, and the result is one, so
-    exact division and nonnegativity are asserted, not assumed.
+    so only those levels are computed.  The levels of size t = |A| - r share
+    one coupling, the sum of phi(beta, delta, t) phi(gamma, delta, t) over
+    the window |delta| >= max(|beta|, |gamma|) - t, weighted by the class
+    sizes: it is built once per r, and each level is one dot of it with
+    strip_row(V, t).  Every level divides exactly by t! and is a sum of
+    reduced coefficients, and the result is one, so exact division and
+    nonnegativity are asserted, not assumed.
     """
-    nb, ng = sum(beta), sum(gamma)
+    most = max(sum(beta), sum(gamma))
     meet = tuple(min(x, y) for x, y in zip(beta, gamma))
     deltas = subdiagrams(meet)
     value, n = 0, sum(alpha)
     for r, strips in enumerate(_vertical_strips(alpha)):
+        t = n - r
+        window = [d for d in deltas if sum(d) >= most - t]
+        if not window:
+            continue
+        fbs = [_phi(beta, d, t) for d in window]
+        fgs = fbs if beta == gamma else [_phi(gamma, d, t) for d in window]
+        terms = zip(*(map(mul, fb, fg) for fb, fg in zip(fbs, fgs)))
+        coupling = tuple(map(mul, conjugacy_classes(t)[1], map(sum, terms)))
+        order = factorial(t)
         for v in strips:
-            value += (-1) ** r * _level_sum(v, n - r, beta, gamma, deltas, nb, ng)
+            total = sum(map(mul, coupling, strip_row(v, t)))
+            value += (-1) ** r * exact_quotient(total, order, "level sum at %r", v)
     if value < 0:
         raise InternalConsistencyError(
             "negative reduced coefficient %d for %r,%r,%r"
@@ -216,65 +238,52 @@ def _vertical_strips(alpha):
     )
 
 
-def _level_sum(u, t, beta, gamma, deltas, nb, ng):
-    """The class sum producing sum of gbar over strip predecessors of u."""
-    lo = max(nb, ng) - t
-    window = [d for d in deltas if sum(d) >= lo]
-    if not window:
-        return 0
-    weights = tuple(map(mul, conjugacy_classes(t)[1], strip_row(u, t)))
-    total = 0
-    for d in window:
-        fb = _phi(beta, d, t)
-        fg = fb if beta == gamma else _phi(gamma, d, t)
-        total += sum(map(mul, weights, map(mul, fb, fg)))
-    return exact_quotient(total, factorial(t), "level sum at %r", u)
-
-
 # -- batch export -----------------------------------------------------------------
 
 
 def _pack(vectors, bound):
-    """The vectors packed one int per coordinate: (columns, width, biases).
+    """dot(x): the dots of x with every one of vectors, from one big-int dot.
 
     Kronecker substitution.  Coordinate t of every vector goes into one int,
     vectors[k][t] in the field of width bits at bit width * k, so one dot of
-    a vector x with the columns gives the dot of x with every vector at once.
-    bound is the caller's bound on |any such dot|.  Adding biases, bound in
-    every field, keeps field k in [0, 2 bound], which width bits hold, so no
-    field carries into its neighbour: (total >> width * k) & mask, less
-    bound, is exactly the k-th dot, whatever the signs.
+    x with those columns holds the dot of x with every vector.  bound is the
+    caller's bound on |any such dot|.  Adding bound to every field keeps it
+    in [0, 2 bound], which width bits hold, so no field carries into its
+    neighbour: each field, less bound, is exactly its dot, whatever the signs.
     """
     width = (2 * bound).bit_length()
-    columns = [sum(x << width * k for k, x in enumerate(c)) for c in zip(*vectors)]
-    biases = bound * sum(1 << width * k for k in range(len(vectors)))
-    return columns, width, biases
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(vectors), width)
+    columns = [sum(x << s for s, x in zip(shifts, c)) for c in zip(*vectors)]
+    biases = sum(bound << s for s in shifts)
+
+    def dot(x):
+        total = sum(map(mul, x, columns)) + biases
+        return [(total >> s & mask) - bound for s in shifts]
+
+    return dot
 
 
 def _pair_dot(n):
     """dot(i, j): g(parts[i], parts[j], nu) over the nu in parts, from one dot.
 
     parts are conjugacy_classes(n)'s, and the rows chi^nu are packed by
-    _pack, so one dot of |C| chi^lam chi^mu with the columns gives the total
-    of every nu at once.  Whatever the stored rows hold, |total| <= n! M^3
-    with M the largest |entry|, and that is the bound passed (n! M holds
-    only for true characters).  Every field is divided by exact_quotient.
+    _pack, so one dot of |C| chi^lam chi^mu gives the total of every nu at
+    once.  Whatever the stored rows hold, |total| <= n! M^3 with M the
+    largest |entry|, and that is the bound passed (n! M holds only for true
+    characters).  Every field is divided by exact_quotient.
     """
     parts, sizes = conjugacy_classes(n)
     order = factorial(n)
     rows = [strip_row(p, n) for p in parts]
-    bias = order * max(max(map(abs, row)) for row in rows) ** 3
-    columns, width, biases = _pack(rows, bias)
-    mask = (1 << width) - 1
-    shifts = range(0, width * len(parts), width)
+    packed = _pack(rows, order * max(max(map(abs, row)) for row in rows) ** 3)
     weighted = [tuple(map(mul, sizes, row)) for row in rows]
 
     def dot(i, j):
-        totals = sum(map(mul, map(mul, weighted[i], rows[j]), columns)) + biases
         lam, mu = parts[i], parts[j]
         return [
-            exact_quotient((totals >> s & mask) - bias, order, "g(%r, %r, %r)", lam, mu, nu)
-            for s, nu in zip(shifts, parts)
+            exact_quotient(total, order, "g(%r, %r, %r)", lam, mu, nu)
+            for total, nu in zip(packed(map(mul, weighted[i], rows[j])), parts)
         ]
 
     return dot

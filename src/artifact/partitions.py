@@ -123,10 +123,13 @@ def enumerate_partitions(n, max_part=None, max_len=None):
 
 
 def conjugate(p):
-    """Transpose of the Young diagram."""
-    if not p:
-        return ()
-    return tuple(sum(1 for a in p if a > j) for j in range(p[0]))
+    """Transpose of the Young diagram: column j is the number i of parts > j."""
+    out, i = [], len(p)
+    for j in range(p[0] if p else 0):
+        while p[i - 1] <= j:
+            i -= 1
+        out.append(i)
+    return tuple(out)
 
 
 def durfee(p):

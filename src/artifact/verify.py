@@ -29,18 +29,17 @@ pp20-bound reads kron_table's canonical triples.  The others read the
 per-pair vectors over nu of kronecker._pair_vectors (_kron_lookup), one
 packed dot per conjugation orbit of pairs, with no index sort or dict
 probe.  transpose checks each vector against a plain dot of the conjugate
-pair, computed without the symmetry: on 2 vCPUs transpose at n = 14 takes
-1.8-2.1 s and 31 MB, dimension-sum at n = 12 0.06-0.09 s.  murnaghan and tworow
-dot one pair product per (lam, mu) with each chi^nu, and murnaghan reads
-every c^lam_{mu,nu} of a pair from one skew expansion, as those sweeps read
-one table.  Only kron-symmetry calls kron_char.
+pair, computed without the symmetry.  murnaghan and tworow dot one pair
+product per (lam, mu) with each chi^nu in kron_char's own step,
+kronecker._contract_pair; murnaghan reads every c^lam_{mu,nu} of a pair
+from one skew expansion.  Only kron-symmetry calls kron_char.
 
 Work fixed per sweep is done once per sweep, not per instance: orthogonality
-packs its right vectors with kronecker._pack, as kron_table packs its rows,
-so each left vector takes one dot; murnaghan pads each shape and fetches
-its row once per size; pp20-bound works out its bound once per length
-product; char-bound takes the principal hooks once per lam.  Nothing is
-kept between sweeps beyond the library's own memos.
+dots each left vector with every right vector at once (kronecker._pack, as
+kron_table does); murnaghan pads each shape and fetches its row once per
+size; pp20-bound works out its bound once per length product; char-bound
+takes the principal hooks once per lam.  Nothing is kept between sweeps
+beyond the library's own memos.
 """
 
 import time
@@ -59,6 +58,7 @@ from .characters import (
     strip_row,
 )
 from .kronecker import (
+    _contract_pair,
     _pack,
     _pair_dot,
     _pair_vectors,
@@ -177,22 +177,15 @@ def _orthogonality(n):
         ("row", weighted, rows, lambda lam: factorial(n)),
     )
     for kind, left, right, diagonal in halves:
-        bound = len(classes) * _largest(left) * _largest(right)
-        packed, width, biases = _pack(right, bound)
-        mask = (1 << width) - 1
+        most = [max(abs(x) for v in half for x in v) for half in (left, right)]
+        dot = _pack(right, len(classes) * most[0] * most[1])
         for p, x in zip(classes, left):
-            totals = sum(map(mul, x, packed)) + biases
-            for q in classes:
-                total, want = (totals & mask) - bound, diagonal(p) if p == q else 0
+            for q, total in zip(classes, dot(x)):
+                want = diagonal(p) if p == q else 0
                 yield None if total == want else {
                     "kind": kind, "first": p, "second": q,
                     "sum": total, "expected": want,
                 }
-                totals >>= width
-
-
-def _largest(vectors):
-    return max(abs(x) for vector in vectors for x in vector)
 
 
 # -- every g of one size -------------------------------------------------------------
@@ -303,12 +296,6 @@ def _semigroup(n):
 # |C| chi^lam chi^mu is formed once per pair and dotted with each chi^nu.
 
 
-def _contract(pair, row, *trip):
-    """g(*trip), pair being |C| times the two rows of trip that are not row."""
-    total = sum(map(mul, pair, row))
-    return exact_quotient(total, factorial(sum(trip[0])), "g(%r, %r, %r)", *trip)
-
-
 def _murnaghan(max_size):
     """g(lam[n], mu[n], nu[n]) against c^lam_{mu,nu}; |mu| + |nu| = |lam| = (n - 1) / 2.
 
@@ -330,7 +317,7 @@ def _murnaghan(max_size):
                     expansion = skew_schur_expansion(lam, mu)
                     for nu in shapes[total - k]:
                         big = padded[lam], padded[mu], padded[nu]
-                        g = _contract(pair, rows[nu], *big)
+                        g = _contract_pair(pair, rows[nu], *big)
                         c = expansion.get(nu, 0)
                         yield None if g == c else {
                             "lambda": lam, "mu": mu, "nu": nu,
@@ -347,7 +334,7 @@ def _tworow(max_cells):
             pair = tuple(map(mul, conjugacy_classes(size)[1], map(mul, row, row)))
             for k in range(size // 2 + 1):
                 lam = (size - k, k) if k else (size,)
-                direct = _contract(pair, strip_row(lam, size), lam, rect, rect)
+                direct = _contract_pair(pair, strip_row(lam, size), lam, rect, rect)
                 closed = kron_tworow(n, d, k)
                 yield None if direct == closed else {
                     "n": n, "d": d, "k": k, "character": direct, "closed_form": closed
@@ -599,7 +586,7 @@ def _report(name, params, run, values):
     return Report(name, params, status, witness, checked, elapsed)
 
 
-def search_saturation_counterexample(k, n_max, size_cap=SATURATION_SIZE_CAP):
+def search_saturation_counterexample(k=3, n_max=4, size_cap=SATURATION_SIZE_CAP):
     """Hunt for a saturation failure in the family (1^(k²-1), 1^(k²-1), k^(k-1)).
 
     Verifies the base triple has reduced coefficient 0, then stretches every

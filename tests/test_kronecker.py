@@ -317,16 +317,51 @@ def test_engine_sums_only_vertical_strip_levels(monkeypatch):
     # gbar(A) needs the levels at A minus a vertical strip, not at every
     # subdiagram of A: 3 levels for A = (6, 6) where 28 subdiagrams exist
     summed = []
-    level_sum = kronecker._level_sum
+    quotient = kronecker.exact_quotient
 
-    def counting(u, *args):
-        summed.append(u)
-        return level_sum(u, *args)
+    def recording(total, divisor, *what):
+        if what[0] == "level sum at %r":
+            summed.append(what[1])
+        return quotient(total, divisor, *what)
 
-    monkeypatch.setattr(kronecker, "_level_sum", counting)
+    monkeypatch.setattr(kronecker, "exact_quotient", recording)
     kronecker._engine_value.cache_clear()
     assert reduced_kron((2,) * 8, (2,) * 8, (6, 6)) > 0
     assert sorted(summed, reverse=True) == [(6, 6), (6, 5), (5, 5)]
+
+
+def test_engine_builds_each_coupling_once(monkeypatch):
+    # the coupling of a strip size does not depend on V, so each
+    # phi(big, delta, t) is built once, not once per level of size t
+    calls = []
+    phi = kronecker._phi
+
+    def counting(big, delta, t):
+        calls.append((big, delta, t))
+        return phi(big, delta, t)
+
+    monkeypatch.setattr(kronecker, "_phi", counting)
+    kronecker._engine_value.cache_clear()
+    assert reduced_kron((3, 2, 1), (4, 2), (2, 2, 1, 1)) == 132
+    assert len(calls) == len(set(calls)) == 64
+
+
+def test_reduced_digest_is_pinned():
+    # every multiset of three partitions of total size <= 11, the empty one
+    # included, each triple in (size, parts) order
+    shapes = sorted(
+        (p for n in range(12) for p in enumerate_partitions(n)),
+        key=lambda p: (sum(p), p),
+    )
+    trios = [
+        trio for trio in combinations_with_replacement(shapes, 3)
+        if sum(map(sum, trio)) <= 11
+    ]
+    assert len(trios) == 1975
+    values = [(trio, reduced_kron(*trio)) for trio in trios]
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    want = "1c901bb9e3c7a50c21d695699442a2acca2275b96c08dc171f223127bcd55442"
+    assert digest == want
 
 
 def test_engine_strips_each_alpha_once(monkeypatch):

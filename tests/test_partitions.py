@@ -159,6 +159,14 @@ def test_conjugate_known():
     assert conjugate(()) == ()
 
 
+def test_conjugate_counts_the_parts_above_each_column():
+    # column j of p is as long as the number of parts of p greater than j
+    for n in range(16):
+        for p in enumerate_partitions(n):
+            want = tuple(sum(1 for a in p if a > j) for j in range(p[0] if p else 0))
+            assert conjugate(p) == want
+
+
 @given(partition_strategy())
 def test_conjugate_is_involution(p):
     assert conjugate(conjugate(p)) == p
