@@ -13,11 +13,13 @@ kron_char, and verify's murnaghan and tworow, end in _contract_pair: a
 pair product |C| chi^lam chi^mu dotted with a row, divided by n! exactly.
 kron_table packs the rows it read into one int per class column (_pack, which
 returns the dot), a field per nu wide enough for n! M^3 (M the largest
-|entry|), so one dot of a pair (lam, mu) gives the totals of every nu at
-once (_pair_dot).  Since chi^lam' = sgn chi^lam, one dot serves the orbit
-(lam, mu), (lam', mu'), (lam', mu), (lam, mu') of pairs (_pair_vectors),
-and each value is divided exactly once, in its representative's vector.
-verify's orthogonality sweep dots its vectors with the same _pack.
+|entry|), so one dot of a pair (lam, mu) and one divmod by n! give, and
+check, the value of every nu at once (_pair_dot); a vector that fails the
+check is redone through _contract_pair, which raises.  Since chi^lam' =
+sgn chi^lam, one dot serves the orbit (lam, mu), (lam', mu'), (lam', mu),
+(lam, mu') of pairs (_pair_vectors), so each value is divided once, in its
+representative's vector.  verify's orthogonality sweep dots its vectors with
+the same _pack, dividing by 1.
 
 Reduced (stable) coefficients have one route, an exact inversion that
 never pads.  The level L(U), the sum of gbar over the V with U/V a
@@ -241,25 +243,46 @@ def _vertical_strips(alpha):
 # -- batch export -----------------------------------------------------------------
 
 
-def _pack(vectors, bound):
-    """dot(x): the dots of x with every one of vectors, from one big-int dot.
+def _pack(vectors, order, bound):
+    """dot(x): the dots of x with every one of vectors, each divided by order.
 
     Kronecker substitution.  Coordinate t of every vector goes into one int,
     vectors[k][t] in the field of width bits at bit width * k, so one dot of
-    x with those columns holds the dot of x with every vector.  bound is the
-    caller's bound on |any such dot|.  Adding bound to every field keeps it
-    in [0, 2 bound], which width bits hold, so no field carries into its
-    neighbour: each field, less bound, is exactly its dot, whatever the signs.
+    x with those columns holds the dot t_k of x with every vector.  bound is
+    the caller's bound on |t_k| / order, so with the bias order * bound
+    added, field k holds t_k + order bound in [0, 2 order bound].  A field
+    is low = bitlen(2 bound) bits plus bitlen(order) more, which hold that,
+    so no field carries into its neighbour, whatever the signs.
+
+    One divmod(total, order) = (q, r) checks every field at once; "high"
+    bits are those at or above low within a field.  If every t_k is a
+    multiple of order, q holds t_k / order + bound < 2^low in field k.
+    Conversely, if r = 0 and q has no high bit, order times each field of q
+    is below 2^width, so those products are the fields of total: every t_k
+    divides, with quotient q's field less bound.  Subtracting bound from
+    every field of q then leaves d with no high bit iff no quotient is
+    negative: the lowest negative one borrows, setting high bits in its field,
+    or in the top field makes d negative, and a negative int has every bit
+    above its length set.  So dot returns every t_k / order when r = 0 and
+    neither q nor d has a high bit, and None otherwise: then some t_k leaves
+    a remainder or is negative, and the caller redoes the vector plainly.
     """
-    width = (2 * bound).bit_length()
-    mask = (1 << width) - 1
+    low = (2 * bound).bit_length()
+    width = order.bit_length() + low
     shifts = range(0, width * len(vectors), width)
     columns = [sum(x << s for s, x in zip(shifts, c)) for c in zip(*vectors)]
-    biases = sum(bound << s for s in shifts)
+    ones = sum(1 << s for s in shifts)
+    high = ones * ((1 << width) - (1 << low))
+    mask = (1 << low) - 1
+    bias = bound * ones
+    biases = order * bias
 
     def dot(x):
-        total = sum(map(mul, x, columns)) + biases
-        return [(total >> s & mask) - bound for s in shifts]
+        q, r = divmod(sum(map(mul, x, columns)) + biases, order)
+        d = q - bias
+        if r or (q | d) & high:
+            return None
+        return [d >> s & mask for s in shifts]
 
     return dot
 
@@ -268,23 +291,27 @@ def _pair_dot(n):
     """dot(i, j): g(parts[i], parts[j], nu) over the nu in parts, from one dot.
 
     parts are conjugacy_classes(n)'s, and the rows chi^nu are packed by
-    _pack, so one dot of |C| chi^lam chi^mu gives the total of every nu at
-    once.  Whatever the stored rows hold, |total| <= n! M^3 with M the
-    largest |entry|, and that is the bound passed (n! M holds only for true
-    characters).  Every field is divided by exact_quotient.
+    _pack, so one dot of |C| chi^lam chi^mu and one divmod by n! give every
+    nu's value at once.  Whatever the stored rows hold, |total| <= n! M^3
+    with M the largest |entry|, so M^3 is the bound passed (M holds only for
+    true characters).  If any field fails to divide, or is negative, every
+    nu of the pair goes through _contract_pair, which raises at the first
+    failing one with kron_char's message.
     """
     parts, sizes = conjugacy_classes(n)
-    order = factorial(n)
     rows = [strip_row(p, n) for p in parts]
-    packed = _pack(rows, order * max(max(map(abs, row)) for row in rows) ** 3)
+    packed = _pack(rows, factorial(n), max(max(map(abs, row)) for row in rows) ** 3)
     weighted = [tuple(map(mul, sizes, row)) for row in rows]
 
     def dot(i, j):
-        lam, mu = parts[i], parts[j]
-        return [
-            exact_quotient(total, order, "g(%r, %r, %r)", lam, mu, nu)
-            for total, nu in zip(packed(map(mul, weighted[i], rows[j])), parts)
-        ]
+        values = packed(map(mul, weighted[i], rows[j]))
+        if values is None:
+            pair = tuple(map(mul, weighted[i], rows[j]))
+            values = [
+                _contract_pair(pair, row, parts[i], parts[j], nu)
+                for nu, row in zip(parts, rows)
+            ]
+        return values
 
     return dot
 
@@ -316,8 +343,8 @@ def kron_table(n, limit=TABLE_LIMIT):
 
     Returns a list of (lam, mu, nu, value); by the full S3 symmetry this
     determines every ordered triple at size n.  A pair's triples are the
-    suffix from mu on of its vector in _pair_vectors: one packed dot per
-    conjugation orbit of pairs, each value divided exactly once.
+    suffix from mu on of its vector in _pair_vectors: one packed dot and one
+    exact divmod per conjugation orbit of pairs.
     """
     check_table_size(n, limit)
     parts = conjugacy_classes(n)[0]

@@ -36,10 +36,10 @@ from one skew expansion.  Only kron-symmetry calls kron_char.
 
 Work fixed per sweep is done once per sweep, not per instance: orthogonality
 dots each left vector with every right vector at once (kronecker._pack, as
-kron_table does); murnaghan pads each shape and fetches its row once per
-size; pp20-bound works out its bound once per length product; char-bound
-takes the principal hooks once per lam.  Nothing is kept between sweeps
-beyond the library's own memos.
+kron_table does, but dividing by 1, not n!); murnaghan pads each shape
+and fetches its row once per size; pp20-bound works out its bound once per
+length product; char-bound takes the principal hooks once per lam.  Nothing
+is kept between sweeps beyond the library's own memos.
 """
 
 import time
@@ -166,7 +166,9 @@ def _orthogonality(n):
     (kronecker._pack), so each left vector takes one dot that gives its dot
     with every right vector: 2 p(n) dots for the 2 p(n)^2 checks.  The bound
     p(n) * max|left| * max|right| is read from the vectors themselves, so no
-    field carries even on a corrupted row.
+    field carries even on a corrupted row.  The dot divides by 1, so it
+    returns None only when some total is negative; that left vector is then
+    dotted plainly, and its witnesses keep their signed sums.
     """
     classes, sizes = conjugacy_classes(n)
     rows = [strip_row(lam, n) for lam in classes]
@@ -178,9 +180,10 @@ def _orthogonality(n):
     )
     for kind, left, right, diagonal in halves:
         most = [max(abs(x) for v in half for x in v) for half in (left, right)]
-        dot = _pack(right, len(classes) * most[0] * most[1])
+        dot = _pack(right, 1, len(classes) * most[0] * most[1])
         for p, x in zip(classes, left):
-            for q, total in zip(classes, dot(x)):
+            totals = dot(x) or [sum(map(mul, x, y)) for y in right]
+            for q, total in zip(classes, totals):
                 want = diagonal(p) if p == q else 0
                 yield None if total == want else {
                     "kind": kind, "first": p, "second": q,

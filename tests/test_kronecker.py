@@ -4,6 +4,8 @@ from math import factorial
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from artifact import characters, kronecker
 from artifact.characters import character, clear_memo, strip_row
@@ -494,10 +496,10 @@ def test_packed_table_matches_kron_char_on_more_fields(n):
     assert rows == [(*trio, kron_char(*trio)) for trio in canonical]
 
 
-def _assert_table_fails_as_the_direct_contraction(monkeypatch, shape, entry):
+def _assert_table_fails_as_the_direct_contraction(monkeypatch, shape, entry, first):
     """Set chi^shape of S_4 at class (3,1) to entry; kron_table(4) must raise
     the message of the first triple whose direct contraction fails, and
-    that triple is g((4,), (4,), (2,2))."""
+    that triple is first."""
     parts, sizes = characters.conjugacy_classes(4)
     row = strip_row(shape, 4)
     key = (characters._word(shape), 4)
@@ -510,7 +512,7 @@ def _assert_table_fails_as_the_direct_contraction(monkeypatch, shape, entry):
         value, rem = divmod(total, order)
         if rem or value < 0:
             break
-    assert trio == ((4,), (4,), (2, 2))
+    assert trio == first
     check = "leaves remainder %d" % rem if rem else "is negative"
     message = "g(%r, %r, %r): %d / %d %s" % (*trio, total, order, check)
     with pytest.raises(InternalConsistencyError) as failure:
@@ -523,14 +525,101 @@ def test_corrupted_row_does_not_overflow_a_packed_field(monkeypatch):
     # exactly, with a 302-bit total in its field, and the first failure is
     # g((4,), (4,), (2,2)).  A field sized for true characters (n! M bits)
     # would carry that total into its neighbours and change the message.
-    _assert_table_fails_as_the_direct_contraction(monkeypatch, (4,), 10**30)
+    first = (4,), (4,), (2, 2)
+    _assert_table_fails_as_the_direct_contraction(monkeypatch, (4,), 10**30, first)
 
 
 def test_negative_field_past_the_first_does_not_borrow(monkeypatch):
     # chi^(2,2) with -10**30 at class (3,1) makes field (2,2), the third of
     # each packed column, hugely negative.  The bias keeps every field
     # nonnegative, so it borrows nothing from the fields above it.
-    _assert_table_fails_as_the_direct_contraction(monkeypatch, (2, 2), -(10**30))
+    first = (4,), (4,), (2, 2)
+    _assert_table_fails_as_the_direct_contraction(monkeypatch, (2, 2), -(10**30), first)
+
+
+def test_remainder_alone_fails_the_packed_division(monkeypatch):
+    # chi^(3,1) with 1 at class (3,1), where it is 0: g((4,), (4,), (3,1))
+    # totals 8, nonnegative but not a multiple of 24, in the second field
+    first = (4,), (4,), (3, 1)
+    _assert_table_fails_as_the_direct_contraction(monkeypatch, (3, 1), 1, first)
+
+
+def test_negative_top_field_fails_the_packed_division(monkeypatch):
+    # chi^(1^4) with -2 at class (3,1), where it is 1: g((4,), (4,), (1^4))
+    # totals -24, an exact multiple with quotient -1, in the last field,
+    # where no field above it can show a borrow
+    first = (4,), (4,), (1, 1, 1, 1)
+    _assert_table_fails_as_the_direct_contraction(monkeypatch, (1, 1, 1, 1), -2, first)
+
+
+def test_table_divides_once_per_packed_dot(monkeypatch):
+    # kron_table(8) takes 78 packed dots, one per conjugation orbit of
+    # pairs; on true characters each is one divmod, and no field is divided
+    # on its own
+    calls = {"divmod": 0, "exact_quotient": 0}
+
+    def counting(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(kronecker, "divmod", counting("divmod", divmod), raising=False)
+    quotient = counting("exact_quotient", kronecker.exact_quotient)
+    monkeypatch.setattr(kronecker, "exact_quotient", quotient)
+    assert len(kron_table(8)) == 2024
+    assert calls == {"divmod": 78, "exact_quotient": 0}
+
+
+def _fields_by_divmod(vectors, x, order):
+    """The oracle: every dot of x, divided on its own, or None if one fails."""
+    out = []
+    for v in vectors:
+        value, rem = divmod(sum(map(mul, x, v)), order)
+        if rem or value < 0:
+            return None
+        out.append(value)
+    return out
+
+
+@st.composite
+def packed_cases(draw):
+    """(vectors, x, order, bound) with |every dot| <= order * bound.
+
+    Half the cases make every vector a multiple of order, so every dot
+    divides, and then may nudge one coordinate of one vector, which spoils
+    at most that vector's dot."""
+    order = draw(st.sampled_from([1] + [factorial(n) for n in range(1, 11)]))
+    count, length = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    entry = st.integers(-(10**30), 10**30)
+    if draw(st.booleans()):
+        top = 10**30 // order
+        least = draw(st.sampled_from([0, -top]))
+        entry = st.integers(least, top).map(lambda w: order * w)
+    vector = st.lists(entry, min_size=length, max_size=length)
+    vectors = draw(st.lists(vector, min_size=count, max_size=count))
+    if draw(st.booleans()):
+        k, t = draw(st.integers(0, count - 1)), draw(st.integers(0, length - 1))
+        vectors[k][t] += draw(st.integers(-order, order))
+    x = draw(st.lists(st.integers(-(10**30), 10**30), min_size=length, max_size=length))
+    if draw(st.booleans()):
+        x = [abs(c) for c in x]
+    most = max(abs(sum(map(mul, x, v))) for v in vectors)
+    bound = -(-most // order) + draw(st.integers(0, 3))
+    return vectors, x, order, bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_cases())
+# q = 202 has no high bit and d = 7 none either, but -15 / 7 is no quotient
+@example(([[-15], [1]], [1], 7, 3))
+# r = 0 and q = 0 has no high bit, but the quotient -1 is negative
+@example(([[-1]], [1], 1, 1))
+def test_packed_dot_matches_per_field_divmod(case):
+    vectors, x, order, bound = case
+    want = _fields_by_divmod(vectors, x, order)
+    assert kronecker._pack(vectors, order, bound)(x) == want
 
 
 @pytest.mark.parametrize(
