@@ -9,8 +9,8 @@ machinery, so their agreement on a corpus is a real check.
 Every contraction (kron_char, kron_table, the engine's levels) reads its
 class sizes from characters.conjugacy_classes and its int-tuple rows from
 strip_row, which builds a row on first request: a query costs three rows.
-kron_char, and verify's murnaghan and tworow, end in _contract_pair: a
-pair product |C| chi^lam chi^mu dotted with a row, divided by n! exactly.
+kron_char and verify's tworow end in _contract_pair: a pair product
+|C| chi^lam chi^mu dotted with a row, divided by n! exactly.
 kron_table packs the rows it read into one int per class column (_pack, which
 returns the dot), a field per nu wide enough for n! M^3 (M the largest
 |entry|), so one dot of a pair (lam, mu) and one divmod by n! give, and
@@ -18,8 +18,10 @@ check, the value of every nu at once (_pair_dot); a vector that fails the
 check is redone through _contract_pair, which raises.  Since chi^lam' =
 sgn chi^lam, one dot serves the orbit (lam, mu), (lam', mu'), (lam', mu),
 (lam, mu') of pairs (_pair_vectors), so each value is divided once, in its
-representative's vector.  verify's orthogonality sweep dots its vectors with
-the same _pack, dividing by 1.
+representative's vector.  verify's murnaghan packs the products
+chi^mu chi^nu of one size with the same _pack and bound, one dot per lam,
+and falls back to _contract_pair in the same way; its orthogonality sweep
+dots its vectors with _pack too, dividing by 1.
 
 Reduced (stable) coefficients have one route, an exact inversion that
 never pads.  The level L(U), the sum of gbar over the V with U/V a
@@ -32,9 +34,10 @@ level per such V, prod (multiplicity + 1) over the distinct parts of A.
 The levels of one size share one class function, the coupling, built once
 from strip closures, the characters of s_rho * h_r, which strip_row builds
 by the same recursion, in the same store, as the rows chi^lam; each level
-is one dot of it with chi^V.  The padded definition (kron_char at a large
-padding size) is not called here; the tests keep it as the independent
-oracle for this route.
+is one dot of it with chi^V.  A size whose coupling is a sum over no
+subdiagram adds nothing, so its levels are never built.  The padded
+definition (kron_char at a large padding size) is not called here; the
+tests keep it as the independent oracle for this route.
 """
 
 from functools import cache
@@ -199,27 +202,28 @@ def _engine_value(alpha, beta, gamma):
     gbar(A) = sum of (-1)^|A/V| L(V) over the V with A/V a vertical strip,
     so only those levels are computed.  The levels of size t = |A| - r share
     one coupling, the sum of phi(beta, delta, t) phi(gamma, delta, t) over
-    the window |delta| >= max(|beta|, |gamma|) - t, weighted by the class
-    sizes: it is built once per r, and each level is one dot of it with
-    strip_row(V, t).  Every level divides exactly by t! and is a sum of
-    reduced coefficients, and the result is one, so exact division and
-    nonnegativity are asserted, not assumed.
+    the window of subdiagrams delta of the meet of beta and gamma with
+    |delta| >= max(|beta|, |gamma|) - t, weighted by the class sizes: it is
+    built once per r, and each level is one dot of it with strip_row(V, t).
+    The window is empty once r > |A| - max(|beta|, |gamma|) + |meet|, so
+    only the r up to that (and up to len(A)) are stripped, and only the
+    delta of the widest window, at r = 0, are listed.  Every level divides
+    exactly by t! and is a sum of reduced coefficients, and the result is
+    one, so exact division and nonnegativity are checked, not assumed.
     """
-    most = max(sum(beta), sum(gamma))
+    most, n = max(sum(beta), sum(gamma)), sum(alpha)
     meet = tuple(min(x, y) for x, y in zip(beta, gamma))
-    deltas = subdiagrams(meet)
-    value, n = 0, sum(alpha)
-    for r, strips in enumerate(_vertical_strips(alpha)):
+    deltas = subdiagrams(meet, most - n)
+    value = 0
+    for r in range(min(len(alpha), n - most + sum(meet)) + 1):
         t = n - r
         window = [d for d in deltas if sum(d) >= most - t]
-        if not window:
-            continue
         fbs = [_phi(beta, d, t) for d in window]
         fgs = fbs if beta == gamma else [_phi(gamma, d, t) for d in window]
         terms = zip(*(map(mul, fb, fg) for fb, fg in zip(fbs, fgs)))
         coupling = tuple(map(mul, conjugacy_classes(t)[1], map(sum, terms)))
         order = factorial(t)
-        for v in strips:
+        for v in _vertical_strips(alpha, r):
             total = sum(map(mul, coupling, strip_row(v, t)))
             value += (-1) ** r * exact_quotient(total, order, "level sum at %r", v)
     if value < 0:
@@ -231,13 +235,9 @@ def _engine_value(alpha, beta, gamma):
 
 
 @cache
-def _vertical_strips(alpha):
-    """Per r, the shapes V with alpha/V a vertical strip of r cells."""
-    alpha_c = conjugate(alpha)
-    return tuple(
-        tuple(map(conjugate, remove_horizontal_strips(alpha_c, r)))
-        for r in range(len(alpha) + 1)
-    )
+def _vertical_strips(alpha, r):
+    """The shapes V with alpha/V a vertical strip of r cells."""
+    return tuple(map(conjugate, remove_horizontal_strips(conjugate(alpha), r)))
 
 
 # -- batch export -----------------------------------------------------------------

@@ -262,21 +262,32 @@ def remove_horizontal_strips(p, size):
     return out
 
 
-def subdiagrams(p):
-    """All partitions whose diagram fits inside p, in increasing size order."""
-    p = tuple(p)
-    out = [()]
+def subdiagrams(p, least=0):
+    """All partitions of at least `least` cells whose diagram fits inside p,
+    in increasing size order.
 
-    def build(i, prefix):
+    A prefix ending in v is dropped, with every smaller v, once even the
+    rows below it cannot bring it up to least: they hold at most the
+    smaller of p's cells below and v per row left.
+    """
+    p = tuple(p)
+    below = [sum(p[i + 1:]) for i in range(len(p))]
+    out = [()] if least <= 0 else []
+
+    def build(i, prefix, size):
         if i == len(p):
             return
         top = min(p[i], prefix[-1]) if prefix else p[i]
+        rows = len(p) - i - 1
         for v in range(top, 0, -1):
+            if size + v + min(below[i], v * rows) < least:
+                break
             cand = (*prefix, v)
-            out.append(cand)
-            build(i + 1, cand)
+            if size + v >= least:
+                out.append(cand)
+            build(i + 1, cand, size + v)
 
-    build(0, ())
+    build(0, (), 0)
     out.sort(key=lambda q: (sum(q), q))
     return out
 

@@ -29,17 +29,20 @@ pp20-bound reads kron_table's canonical triples.  The others read the
 per-pair vectors over nu of kronecker._pair_vectors (_kron_lookup), one
 packed dot per conjugation orbit of pairs, with no index sort or dict
 probe.  transpose checks each vector against a plain dot of the conjugate
-pair, computed without the symmetry.  murnaghan and tworow dot one pair
-product per (lam, mu) with each chi^nu in kron_char's own step,
-kronecker._contract_pair; murnaghan reads every c^lam_{mu,nu} of a pair
-from one skew expansion.  Only kron-symmetry calls kron_char.
+pair, computed without the symmetry.  tworow dots one pair product per
+rectangle with each chi^lam in kron_char's own step,
+kronecker._contract_pair.  murnaghan packs the products chi^mu chi^nu of
+one size, one per unordered pair, with kronecker._pack and takes one dot
+per lam, redoing a lam whose dot fails the exact division through
+_contract_pair; it reads every c^lam_{mu,nu} of a pair from one skew
+expansion.  Only kron-symmetry calls kron_char.
 
 Work fixed per sweep is done once per sweep, not per instance: orthogonality
 dots each left vector with every right vector at once (kronecker._pack, as
-kron_table does, but dividing by 1, not n!); murnaghan pads each shape
-and fetches its row once per size; pp20-bound works out its bound once per
-length product; char-bound takes the principal hooks once per lam.  Nothing
-is kept between sweeps beyond the library's own memos.
+kron_table does, but dividing by 1, not n!); murnaghan pads each shape,
+fetches its row and packs its products once per size; pp20-bound works out
+its bound once per length product; char-bound takes the principal hooks
+once per lam.  Nothing is kept between sweeps beyond the library's own memos.
 """
 
 import time
@@ -296,15 +299,23 @@ def _semigroup(n):
 
 # -- padded triples: Murnaghan stability and the two-row closed form ----------------------
 #
-# |C| chi^lam chi^mu is formed once per pair and dotted with each chi^nu.
+# murnaghan packs the products chi^mu chi^nu of one size (kronecker._pack) and
+# dots |C| chi^lam with them once per lam; tworow forms |C| chi^rect chi^rect
+# once per rectangle and dots it with each two-row chi^lam.
 
 
 def _murnaghan(max_size):
     """g(lam[n], mu[n], nu[n]) against c^lam_{mu,nu}; |mu| + |nu| = |lam| = (n - 1) / 2.
 
-    The expansion of s_{lam/mu} holds c^lam_{mu,nu} for every nu, so one LR
-    search serves a whole (lam, mu).  Each shape of size at most (n - 1) / 2
-    is padded and its row fetched once per n.
+    Each shape of size at most (n - 1) / 2 is padded and its row fetched
+    once per n.  The products chi^mu chi^nu of the pairs with |mu| + |nu|
+    = (n - 1) / 2 are packed once per n, one field per unordered pair,
+    since (mu, nu) and (nu, mu) have one product, with the bound n! M^3 of
+    kronecker._pair_dot, so one dot of |C| chi^lam gives, and checks,
+    every g of lam.  If it fails, lam's triples are redone in sweep order
+    through _contract_pair, which raises at the first failing one.
+    The expansion of s_{lam/mu} holds c^lam_{mu,nu} for every nu, so one
+    LR search serves a whole (lam, mu).
     """
     shapes = [enumerate_partitions(k) for k in range(max_size + 1)]
     for total in range(1, max_size + 1):
@@ -312,20 +323,36 @@ def _murnaghan(max_size):
         sizes = conjugacy_classes(n)[1]
         padded = {p: pad(p, n) for k in range(total + 1) for p in shapes[k]}
         rows = {p: strip_row(big, n) for p, big in padded.items()}
+        groups = [(mu, shapes[total - k]) for k in range(total + 1) for mu in shapes[k]]
+        fields = {}
+        reads = [
+            fields.setdefault(min((mu, nu), (nu, mu)), len(fields))
+            for mu, nus in groups for nu in nus
+        ]
+        products = [tuple(map(mul, rows[mu], rows[nu])) for mu, nu in fields]
+        most = max(max(map(abs, row)) for row in rows.values())
+        dot = _pack(products, factorial(n), most**3)
         for lam in shapes[total]:
             weighted = tuple(map(mul, sizes, rows[lam]))
-            for k in range(total + 1):
-                for mu in shapes[k]:
+            values = dot(weighted)
+            if values is not None:
+                values = [values[i] for i in reads]
+            else:
+                values = []
+                for mu, nus in groups:
                     pair = tuple(map(mul, weighted, rows[mu]))
-                    expansion = skew_schur_expansion(lam, mu)
-                    for nu in shapes[total - k]:
+                    for nu in nus:
                         big = padded[lam], padded[mu], padded[nu]
-                        g = _contract_pair(pair, rows[nu], *big)
-                        c = expansion.get(nu, 0)
-                        yield None if g == c else {
-                            "lambda": lam, "mu": mu, "nu": nu,
-                            "n": n, "padded": g, "lr": c,
-                        }
+                        values.append(_contract_pair(pair, rows[nu], *big))
+            values = iter(values)
+            for mu, nus in groups:
+                expansion = skew_schur_expansion(lam, mu)
+                for nu, g in zip(nus, values):
+                    c = expansion.get(nu, 0)
+                    yield None if g == c else {
+                        "lambda": lam, "mu": mu, "nu": nu,
+                        "n": n, "padded": g, "lr": c,
+                    }
 
 
 def _tworow(max_cells):

@@ -367,20 +367,29 @@ def test_reduced_digest_is_pinned():
 
 
 def test_engine_strips_each_alpha_once(monkeypatch):
-    # ip23 at n = 5 meets 135 distinct (conjugate of alpha, strip size) pairs;
-    # each is stripped once, however many (beta, gamma) its alpha comes with
-    stripped = []
-    strips = kronecker.remove_horizontal_strips
+    # ip23 at n = 5 reads 35 distinct (conjugate of alpha, strip size) pairs;
+    # each is stripped once, however many (beta, gamma) its alpha comes with,
+    # and no strip size whose window is empty is stripped.  The 196 engine
+    # calls list only the 196 delta their windows read
+    stripped, listed = [], []
+    strips, subs = kronecker.remove_horizontal_strips, kronecker.subdiagrams
 
     def counting(shape, size):
         stripped.append((shape, size))
         return strips(shape, size)
 
+    def listing(meet, least):
+        deltas = subs(meet, least)
+        listed.extend(deltas)
+        return deltas
+
     monkeypatch.setattr(kronecker, "remove_horizontal_strips", counting)
+    monkeypatch.setattr(kronecker, "subdiagrams", listing)
     kronecker._engine_value.cache_clear()
     kronecker._vertical_strips.cache_clear()
     assert run_property("ip23", {"n": 5}).status == "pass"
-    assert len(stripped) == len(set(stripped)) == 135
+    assert len(stripped) == len(set(stripped)) == 35
+    assert len(listed) == kronecker._engine_value.cache_info().currsize == 196
 
 
 def per_class_phi(big, delta, t):

@@ -520,6 +520,15 @@ def test_subdiagrams():
     assert len(subdiagrams((3, 3))) == 10
 
 
+def test_subdiagrams_above_a_size_are_the_filtered_list():
+    for n in range(11):
+        for p in enumerate_partitions(n):
+            every = subdiagrams(p)
+            for least in range(-1, n + 2):
+                want = [q for q in every if sum(q) >= least]
+                assert subdiagrams(p, least) == want
+
+
 @given(partition_strategy(max_size=12))
 @settings(max_examples=40)
 def test_subdiagram_membership(p):

@@ -6,7 +6,13 @@ from math import factorial
 import pytest
 
 from artifact import characters, kronecker, tableaux, verify
-from artifact.characters import ClassSum, clear_memo, conjugacy_classes, strip_row
+from artifact.characters import (
+    ClassSum,
+    InternalConsistencyError,
+    clear_memo,
+    conjugacy_classes,
+    strip_row,
+)
 from artifact.cli import main
 from artifact.kronecker import kron_char, kron_tworow, reduced_kron
 from artifact.partitions import (
@@ -93,6 +99,7 @@ def test_params_the_property_does_not_read_are_rejected(name, params, message):
         ("dimension-sum", {"n": 5}, 28),
         ("semigroup", {"n": 8}, 5366),
         ("murnaghan", {"max_size": 3}, 42),
+        ("murnaghan", {"max_size": 8}, 6829),
         ("char-bound", {"n": 9}, 2 * 30),
         ("pp20-bound", {"n": 5}, 84),
         ("foulkes", {"d": 3, "n": 2}, 11),
@@ -797,7 +804,7 @@ def test_semigroup_reads_one_kron_table_per_size(monkeypatch):
     assert calls == {"kron_char": 0, "_pair_vectors": 8}
 
 
-# -- padded triples: one pair product per (lam, mu) ---------------------------------
+# -- padded triples: one packed dot per lam, one pair product per rectangle ----------
 
 
 def _reference_murnaghan(max_size, lr=lr_coefficient):
@@ -829,7 +836,7 @@ def _reference_tworow(max_cells, closed_form=kron_tworow):
 
 
 PADDED_SWEEPS = {
-    "murnaghan": ("max_size", _reference_murnaghan, range(1, 7)),
+    "murnaghan": ("max_size", _reference_murnaghan, range(1, 8)),
     "tworow": ("max_cells", _reference_tworow, range(1, 17)),
 }
 
@@ -889,3 +896,56 @@ def test_padded_sweeps_call_no_kron_char(monkeypatch, name, params, shape_lists)
     want = dict(zip(names, (0, 0, shape_lists, pairs)))
     assert calls == want
     assert lr_calls == []
+
+
+def test_murnaghan_takes_one_packed_dot_per_lam(monkeypatch):
+    # max_size 5 has 1 + 2 + 3 + 5 + 7 shapes lam; on true characters every
+    # dot checks out, so no triple is contracted on its own
+    calls = count_calls(monkeypatch, "_contract_pair")
+    dots = []
+    pack = verify._pack
+
+    def counting(*args):
+        dot = pack(*args)
+        return lambda x: dots.append(x) or dot(x)
+
+    monkeypatch.setattr(verify, "_pack", counting)
+    assert run_property("murnaghan", {"max_size": 5}).status == "pass"
+    assert (len(dots), calls) == (18, {"_contract_pair": 0})
+
+
+def _assert_murnaghan_fails_as_kron_char(monkeypatch, shape, i, entry, message):
+    """Set chi^shape of S_5 at class i to entry.  murnaghan at max_size 2 and
+    its per-item reference, which calls kron_char in sweep order, must both
+    raise message, that of the first padded triple that fails."""
+    row = strip_row(shape, 5)
+    corrupted = (*row[:i], entry, *row[i + 1:])
+    monkeypatch.setitem(characters._rows, (characters._word(shape), 5), corrupted)
+    for run in (
+        lambda: list(_reference_murnaghan(2)),
+        lambda: run_property("murnaghan", {"max_size": 2}),
+    ):
+        with pytest.raises(InternalConsistencyError) as failure:
+            run()
+        assert str(failure.value) == message
+
+
+# at n = 5 murnaghan packs one field per unordered pair {mu, nu}, in sweep
+# order: ((), (2)), ((), (1,1)), ((1), (1)), padded to (5), (4,1), (3,2) and
+# (3,1,1); S_5's classes are 5, 41, 32, 311, 221, 2111, 1^5
+
+
+def test_murnaghan_remainder_past_the_first_field(monkeypatch):
+    # chi^(3,1,1) with -1 at class (2,2,1), where it is -2, adds 15 to the
+    # second field of lam = (2): g((3,2), (5), (3,1,1)) totals 15, not 0
+    message = "g((3, 2), (5,), (3, 1, 1)): 15 / 120 leaves remainder 15"
+    _assert_murnaghan_fails_as_kron_char(monkeypatch, (3, 1, 1), 4, -1, message)
+
+
+def test_murnaghan_negative_last_field(monkeypatch):
+    # chi^(4,1) with 4 at class (4,1), where it is 0 and chi^(3,2) is -1,
+    # takes 30 * 16 from the last field of lam = (2): g((3,2), (4,1), (4,1))
+    # totals 120 - 480 = -360, a multiple of 120 but negative, in the top
+    # field, where no field above it can show a borrow
+    message = "g((3, 2), (4, 1), (4, 1)): -360 / 120 is negative"
+    _assert_murnaghan_fails_as_kron_char(monkeypatch, (4, 1), 1, 4, message)
