@@ -99,12 +99,12 @@ def test_params_the_property_does_not_read_are_rejected(name, params, message):
         ("dimension-sum", {"n": 5}, 28),
         ("semigroup", {"n": 8}, 5366),
         ("murnaghan", {"max_size": 3}, 42),
-        ("murnaghan", {"max_size": 8}, 6829),
         ("char-bound", {"n": 9}, 2 * 30),
         ("pp20-bound", {"n": 5}, 84),
         ("foulkes", {"d": 3, "n": 2}, 11),
         ("ip23", {"n": 3}, 6 * 3),
         ("cauchy", {"max_degree": 4}, 30),
+        ("murnaghan", {"max_size": 8}, 6829),
     ],
 )
 def test_properties_pass(name, params, checked):
