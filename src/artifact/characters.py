@@ -22,23 +22,28 @@ S_{m-t} with parts <= t, a suffix of that size's class list.  The adjoint
 p_t^perp is a derivation with p_t^perp h_r = h_{r-t}, so the block is the
 signed sum, over the t-hooks of lam, of the child's row bounded by t, plus
 the row of s_lam * h_{r-t} when t <= r: one tuple map per term, and zeros
-where there is none.  A bounded row is the tail of the row of any larger
-bound, so _rows keeps one row per (word, size), over the largest bound
-built so far, and builds only the blocks a larger bound adds: the one
-store of dense rows, read by every dense contraction.  character_table(n)
+where there is none.  The block sizes of S_m, by first part and by largest
+part, are counted once per size (_layout).  A bounded row is the tail of
+the row of any larger bound, so _rows keeps one row per (word, size), over
+the largest bound built so far, and builds only the blocks a larger bound
+adds: the one store of dense rows, read by every dense contraction.  It is
+read in one more way: chi^lam' = sgn * chi^lam, so when strip_row finds a
+conjugate's full row stored it reads an irreducible row from it, times
+the sign row chi^(1^t), which the recursion itself builds.  character_table(n)
 is those rows of S_n as a plain dict of dicts.
 """
 
 from functools import cache
+from itertools import accumulate
 from math import factorial
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from .partitions import (
     SizeMismatchError,
     _centralizer_order,
     _require_int,
     check_partition,
-    count_bounded,
+    conjugate,
     enumerate_partitions,
 )
 
@@ -75,15 +80,32 @@ def exact_quotient(total, divisor, *what):
 
 
 def clear_memo():
-    """Drop the MN memo, the dense rows and the class lists with their sizes.
+    """Drop the MN memo, the dense rows, the class layouts and the class lists.
 
-    The class lists are conjugacy_classes' own cache.  ClassSum values stay:
-    a cached ClassSum keeps them until its cache (plethysm._class_vector,
+    The layouts are _layout's cache, and the class lists with their sizes
+    are conjugacy_classes' own.  ClassSum values stay: a cached ClassSum
+    keeps them until its cache (plethysm._class_vector,
     verify._square_support) is cleared.
     """
     _memo.clear()
     _rows.clear()
+    _layout.cache_clear()
     conjugacy_classes.cache_clear()
+
+
+@cache
+def _layout(m):
+    """The class blocks of S_m: counts by first part t, and by parts <= q.
+
+    firsts[t] classes have first part t (firsts[0] = 0) and bounded[q]
+    have every part <= q, for t, q in 0..m; _row reads its block sizes here.
+    The rests of the block of first part t are the classes of S_{m-t} with
+    parts <= t, so firsts comes from the layouts of the smaller sizes.
+    """
+    if not m:
+        return (0,), (1,)
+    firsts = (0, *(_layout(m - t)[1][min(t, m - t)] for t in range(1, m + 1)))
+    return firsts, tuple(accumulate(firsts))
 
 
 @cache
@@ -138,7 +160,8 @@ def _row(w, r, m, q):
     """
     if not m:
         return (1,)
-    size = count_bounded(m, q, m)
+    firsts, bounded = _layout(m)
+    size = bounded[q]
     stored = _rows.get((w, m), ())
     have = len(stored)
     if have >= size:
@@ -148,9 +171,15 @@ def _row(w, r, m, q):
     while len(row) + have < size:
         left = m - t
         bound = t if t < left else left
-        need = count_bounded(left, bound, left)
-        # p_t^perp h_r = h_{r-t}, the term of the derivation that keeps w
-        block = _row(w, r - t, left, bound) if t <= r else None
+        need = firsts[t]
+        block = None
+        if t <= r:
+            # p_t^perp h_r = h_{r-t}, the term of the derivation that keeps w
+            block = _rows.get((w, left), ())
+            if len(block) > need:
+                block = block[-need:]
+            elif len(block) < need:
+                block = _row(w, r - t, left, bound)
         # the rim-hook walk of _mn, once for the whole block of first part t
         hooks = w & ~(w << t) & -(1 << t)
         while hooks:
@@ -179,12 +208,23 @@ def strip_row(rho, t):
     By Pieri's rule that is the character of s_rho * h_r, r = t - |rho|, as a
     tuple over the classes of S_t in enumerate_partitions order; rho = eps
     gives the row chi^eps itself, and a full stored row is returned as is.
+    An irreducible row (|rho| = t > 1) that is not stored in full, while
+    the full row of rho' is, is read as sgn * chi^rho' and stored.  The sign
+    row chi^(1^t) comes from _row itself, so asking for (1^t) never loops.
     """
     w = _word(rho)
     row = _rows.get((w, t), ())
-    if len(row) == count_bounded(t, t, t):
+    size = _layout(t)[1][t]
+    if len(row) == size:
         return row
-    return _row(w, t - sum(rho), t, t)
+    r = t - sum(rho)
+    sign = (2 << t) - 2  # the word of (1^t): bits 1..t
+    if not r and w != sign:
+        twin = _rows.get((_word(conjugate(rho)), t), ())
+        if len(twin) == size:
+            row = _rows[w, t] = tuple(map(mul, _row(sign, 0, t, t), twin))
+            return row
+    return _row(w, r, t, t)
 
 
 def character(lam, alpha):

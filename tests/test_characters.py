@@ -458,3 +458,103 @@ def test_clear_memo_empties_the_kernel():
     clear_memo()
     assert conjugacy_classes.cache_info().currsize == 0
     assert characters._rows == {}
+
+
+def test_clear_memo_drops_the_class_layouts():
+    strip_row((3, 2, 1), 6)
+    assert characters._layout.cache_info().currsize
+    clear_memo()
+    assert characters._layout.cache_info().currsize == 0
+
+
+# -- class layouts and conjugate reads ---------------------------------------------
+
+
+def test_layout_counts_the_class_blocks():
+    # bounded[q] classes of S_m have parts <= q, and firsts[t] have first
+    # part t: the partitions of m - t with parts <= t
+    for m in range(31):
+        firsts, bounded = characters._layout(m)
+        assert len(firsts) == len(bounded) == m + 1 and firsts[0] == 0
+        for q in range(m + 1):
+            assert bounded[q] == count_bounded(m, q, m)
+        for t in range(1, m + 1):
+            assert firsts[t] == count_bounded(m - t, t, m - t)
+        if 1 <= m <= 12:
+            heads = Counter(alpha[0] for alpha in enumerate_partitions(m))
+            assert firsts[1:] == tuple(heads[t] for t in range(1, m + 1))
+
+
+def _rows_built_at(n, monkeypatch):
+    """The words whose full row of S_n the block recursion builds from here on."""
+    built = []
+    build, full = characters._row, len(conjugacy_classes(n)[0])
+
+    def counted(w, r, m, q):
+        fresh = m == n and len(characters._rows.get((w, m), ())) < full
+        row = build(w, r, m, q)
+        if fresh and len(row) == full:
+            built.append(w)
+        return row
+
+    monkeypatch.setattr(characters, "_row", counted)
+    return built
+
+
+def test_cold_kron_table_reads_nine_rows_through_a_conjugate(monkeypatch):
+    # S_8 has 10 conjugate pairs and 2 self-conjugate shapes; classes run
+    # from (8) down, so the first shape of each pair is built and the
+    # second read, except (1^8), which the first read builds as the sign row
+    from artifact.kronecker import kron_table
+
+    clear_memo()
+    built = _rows_built_at(8, monkeypatch)
+    kron_table(8)
+    classes, _ = conjugacy_classes(8)
+    stored = {w for w, m in characters._rows if m == 8}
+    assert stored == set(map(characters._word, classes))
+    assert len(built) == len(set(built)) == 13
+    read = stored - set(built)
+    assert len(read) == 9
+    assert characters._word((1,) * 8) in built
+    for lam in classes:
+        if characters._word(lam) in read:
+            assert characters._word(conjugate(lam)) in built
+
+
+def test_conjugate_reads_match_the_recursion(monkeypatch):
+    # chi^lam read as sgn * chi^lam' equals chi^lam built in a cleared
+    # store; a bounded tail of chi^lam' is not read, so lam is built
+    for n in range(1, 13):
+        classes, _ = conjugacy_classes(n)
+        want = {}
+        for lam in classes:
+            clear_memo()
+            want[lam] = strip_row(lam, n)
+        for lam in classes:
+            twin = conjugate(lam)
+            if twin == lam:
+                continue
+            w = characters._word(lam)
+            clear_memo()
+            strip_row(twin, n)
+            built = _rows_built_at(n, monkeypatch)
+            assert strip_row(lam, n) == want[lam]
+            assert characters._rows[w, n] == want[lam]
+            assert w not in built or lam == (1,) * n
+            monkeypatch.undo()
+            clear_memo()
+            characters._row(characters._word(twin), 0, n, n - 1)
+            assert strip_row(lam, n) == want[lam]
+
+
+def test_sign_row_after_the_trivial_row():
+    # (1^t)'s conjugate (t) is stored, and the sign row is built by the
+    # recursion itself rather than read through the row it would make
+    for t in range(1, 13):
+        clear_memo()
+        classes, _ = conjugacy_classes(t)
+        assert strip_row((t,), t) == (1,) * len(classes)
+        sign = tuple((-1) ** (t - len(alpha)) for alpha in classes)
+        assert strip_row((1,) * t, t) == sign
+        assert characters._rows[characters._word((1,) * t), t] == sign
