@@ -172,14 +172,8 @@ def _row(w, r, m, q):
         left = m - t
         bound = t if t < left else left
         need = firsts[t]
-        block = None
-        if t <= r:
-            # p_t^perp h_r = h_{r-t}, the term of the derivation that keeps w
-            block = _rows.get((w, left), ())
-            if len(block) > need:
-                block = block[-need:]
-            elif len(block) < need:
-                block = _row(w, r - t, left, bound)
+        # p_t^perp h_r = h_{r-t}, the term of the derivation that keeps w
+        block = _row(w, r - t, left, bound) if t <= r else None
         # the rim-hook walk of _mn, once for the whole block of first part t
         hooks = w & ~(w << t) & -(1 << t)
         while hooks:

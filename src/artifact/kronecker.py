@@ -287,19 +287,21 @@ def _pack(vectors, order, bound):
     return dot
 
 
-def _pair_dot(n):
+def _pair_dot(n, rows=None):
     """dot(i, j): g(parts[i], parts[j], nu) over the nu in parts, from one dot.
 
-    parts are conjugacy_classes(n)'s, and the rows chi^nu are packed by
-    _pack, so one dot of |C| chi^lam chi^mu and one divmod by n! give every
-    nu's value at once.  Whatever the stored rows hold, |total| <= n! M^3
-    with M the largest |entry|, so M^3 is the bound passed (M holds only for
-    true characters).  If any field fails to divide, or is negative, every
-    nu of the pair goes through _contract_pair, which raises at the first
-    failing one with kron_char's message.
+    parts are conjugacy_classes(n)'s, and the rows chi^nu (strip_row's
+    unless rows gives them, in class order) are packed by _pack, so one dot
+    of |C| chi^lam chi^mu and one divmod by n! give every nu's value at
+    once.  Whatever the rows hold, |total| <= n! M^3 with M the largest
+    |entry|, so M^3 is the bound passed (M holds only for true characters).
+    If any field fails to divide, or is negative, every nu of the pair goes
+    through _contract_pair, which raises at the first failing one with
+    kron_char's message.
     """
     parts, sizes = conjugacy_classes(n)
-    rows = [strip_row(p, n) for p in parts]
+    if rows is None:
+        rows = [strip_row(p, n) for p in parts]
     packed = _pack(rows, factorial(n), max(max(map(abs, row)) for row in rows) ** 3)
     weighted = [tuple(map(mul, sizes, row)) for row in rows]
 

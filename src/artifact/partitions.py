@@ -193,8 +193,10 @@ def dimension_hlf(p):
 def count_bounded(r, a, b):
     """Partitions of r with largest part <= a and at most b parts (p_r(a,b)).
 
-    The library's one partition counter: p(m) is count_bounded(m, m, m),
+    The library's general partition counter: p(m) is count_bounded(m, m, m),
     and the partitions of m with parts <= q number count_bounded(m, q, m).
+    The dense rows read those of one size from characters._layout instead,
+    which also counts the classes by first part; a test holds the two equal.
     A bound past r cannot bind, so the recursion clamps both bounds to r:
     below the top call, counts that differ only there share one memo entry.
     """

@@ -29,8 +29,8 @@ pp20-bound reads kron_table's canonical triples.  The others read the
 per-pair vectors over nu of kronecker._pair_vectors (_kron_lookup), one
 packed dot per conjugation orbit of pairs, with no index sort or dict
 probe.  transpose checks each vector against a plain dot of the conjugate
-pair, computed without the symmetry.  tworow dots one pair product per
-rectangle with each chi^lam in kron_char's own step,
+pair, computed without the symmetry, over point-route rows.  tworow dots
+one pair product per rectangle with each chi^lam in kron_char's own step,
 kronecker._contract_pair.  murnaghan packs the products chi^mu chi^nu of
 one size, one per unordered pair, with kronecker._pack and takes one dot
 per lam, redoing a lam whose dot fails the exact division through
@@ -55,6 +55,8 @@ from operator import mul
 from .characters import (
     TABLE_LIMIT,
     ClassSum,
+    _mn,
+    _word,
     character,
     conjugacy_classes,
     exact_quotient,
@@ -234,10 +236,12 @@ def _transpose(n):
     _pair_vectors reads the vector of (lam', mu') off the dot of (lam, mu)
     by this very identity, so only the left side comes from _kron_lookup.
     The right side is the independent one: a plain packed dot of chi^lam'
-    and chi^mu' (kronecker._pair_dot), divided exactly.
+    and chi^mu' (kronecker._pair_dot), divided exactly, over rows taken
+    value by value from the point route (characters._mn), not from the dense
+    rows, which strip_row may read as sgn chi^lam for chi^lam'.
     """
     parts, index, g = _kron_lookup(n)
-    dot = _pair_dot(n)
+    dot = _pair_dot(n, [[_mn(w, alpha) for alpha in parts] for w in map(_word, parts)])
     bar = [index[conjugate(p)] for p in parts]
     for i, j in multisets(range(len(parts)), 2):
         for nu, lhs, rhs in zip(parts, g[i][j], dot(bar[i], bar[j])):

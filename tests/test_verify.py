@@ -640,6 +640,27 @@ def test_transpose_checks_the_vectors_against_an_independent_dot(monkeypatch):
     }
 
 
+def test_transpose_sees_a_wrong_row_read_through_its_conjugate():
+    # chi^(4,1) of S_5 is stored as chi^(3,2), a true character, so every
+    # dot still divides, and chi^(2,1,1,1) is then read through it as
+    # sgn chi^(3,2): the dense rows keep the symmetry, so only the point
+    # route on transpose's right side sees the wrong row.  At nu = (3,2)
+    # the dense rows give g((5), (3,2), (3,2)) = 1.
+    clear_memo()
+    try:
+        strip_row((3, 2), 5)
+        rows, word = characters._rows, characters._word
+        rows[word((4, 1)), 5] = rows[word((3, 2)), 5]
+        report = run_property("transpose", {"n": 5})
+        assert strip_row((2, 1, 1, 1), 5) == strip_row((2, 2, 1), 5)
+    finally:
+        clear_memo()
+    assert report.status == "fail"
+    assert report.witness == {
+        "lambda": (5,), "mu": (4, 1), "nu": (3, 2), "plain": 1, "transposed": 0
+    }
+
+
 @pytest.mark.parametrize("excess, status", [(0, "pass"), (1, "fail")])
 def test_pp20_fails_exactly_past_its_bound(monkeypatch, excess, status):
     # g((5, 2), (4, 3), (3, 2, 2)) = 1 is raised to the largest value the
