@@ -33,6 +33,7 @@ the sign row chi^(1^t), which the recursion itself builds.  character_table(n)
 is those rows of S_n as a plain dict of dicts.
 """
 
+import sys
 from functools import cache
 from itertools import accumulate
 from math import factorial
@@ -80,17 +81,19 @@ def exact_quotient(total, divisor, *what):
 
 
 def clear_memo():
-    """Drop the MN memo, the dense rows, the class layouts and the class lists.
+    """Empty every store: the MN memo, the dense rows and each @cache table.
 
-    The layouts are _layout's cache, and the class lists with their sizes
-    are conjugacy_classes' own.  ClassSum values stay: a cached ClassSum
-    keeps them until its cache (plethysm._class_vector,
-    verify._square_support) is cleared.
+    The tables are found on the loaded artifact modules, not in a list, so
+    a new @cache is emptied too; a ClassSum cached in one goes with its
+    node values.
     """
     _memo.clear()
     _rows.clear()
-    _layout.cache_clear()
-    conjugacy_classes.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__package__ + "."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 @cache

@@ -123,9 +123,11 @@ def kron_schur_oracle(lam, mu, nu):
     conjugated, to make ab smallest.  Refused when n > 9 and ab > 4.
     """
     trio = tuple(map(check_partition, (lam, mu, nu)))
-    n = sum(trio[0])
-    if sum(trio[1]) != n or sum(trio[2]) != n:
-        raise SizeMismatchError("Kronecker arguments must share a size")
+    n, *sizes = map(sum, trio)
+    if sizes != [n, n]:
+        raise SizeMismatchError(
+            "Kronecker arguments must share a size, got %d, %d, %d" % (n, *sizes)
+        )
     # g(x, y, z) = g(y, z, x) = g(x', y', z) = g(x', y, z') = g(x, y', z')
     flip, moves = (trio, tuple(map(conjugate, trio))), product(range(3), (0, 1), (0, 1))
     lam, mu, nu = min(

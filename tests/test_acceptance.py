@@ -27,7 +27,6 @@ from artifact import (
     run_property,
     search_saturation_counterexample,
 )
-from artifact import verify
 from artifact.characters import clear_memo
 from artifact.symfunc import multiply, schur_in_monomials, to_schur_basis
 from test_characters import rim_hook_heights
@@ -233,9 +232,8 @@ def test_criterion_14_saxl_staircase_k7():
     assert report.status == "pass"
     assert report.checked_count == 3718
     # the sweep leaves about 22,000 MN memo entries and about 16,000 node
-    # values in the staircase's ClassSum
+    # values in the staircase's ClassSum; clear_memo() drops both
     clear_memo()
-    verify._square_support.cache_clear()
     _budget(14, 60, started)
 
 
@@ -247,5 +245,4 @@ def test_criterion_14_saxl_staircase_k8():
     assert report.status == "pass"
     assert report.checked_count == 17977
     clear_memo()
-    verify._square_support.cache_clear()
     _budget(14, 60, started)

@@ -1,10 +1,13 @@
 import math
 from collections import Counter
 from functools import lru_cache
+from importlib import import_module
 from itertools import combinations, product
+from pkgutil import iter_modules
 
 import pytest
 
+import artifact
 from artifact import characters
 from artifact.characters import (
     ClassSum,
@@ -14,6 +17,7 @@ from artifact.characters import (
     conjugacy_classes,
     strip_row,
 )
+from artifact.kronecker import kron_schur_oracle, kron_tworow, reduced_kron
 from artifact.partitions import (
     SizeMismatchError,
     centralizer_order,
@@ -24,6 +28,9 @@ from artifact.partitions import (
     hook_lengths,
     remove_horizontal_strips,
 )
+from artifact.plethysm import pleth_coefficient, pleth_hn_expansion
+from artifact.tableaux import lr_coefficient
+from artifact.verify import run_property
 from test_partitions import class_size
 
 
@@ -449,22 +456,57 @@ def test_class_sum_keeps_the_nonzero_weights_in_order():
         assert support.contract(lam) == want
 
 
-def test_clear_memo_empties_the_kernel():
-    # the row store and the class lists with their sizes
-    strip_row((3, 2, 1), 6)
-    conjugacy_classes(6)
-    assert characters._rows
-    assert conjugacy_classes.cache_info().currsize
-    clear_memo()
-    assert conjugacy_classes.cache_info().currsize == 0
-    assert characters._rows == {}
+# every module-level @cache table of the package, by module
+TABLES = {
+    "characters": ("_layout", "_word", "conjugacy_classes"),
+    "partitions": ("count_bounded",),
+    "tableaux": ("_strip_chains", "_lr_core", "skew_schur_expansion"),
+    "kronecker": ("_table_sum", "_engine_value", "_vertical_strips"),
+    "plethysm": ("_class_vector", "_hn_coeffs"),
+    "verify": ("_square_support",),
+}
 
 
-def test_clear_memo_drops_the_class_layouts():
-    strip_row((3, 2, 1), 6)
-    assert characters._layout.cache_info().currsize
+def test_clear_memo_empties_every_store():
+    # TABLES names every cached function the package's modules hold, so a
+    # new @cache shows here
+    submodules = iter_modules(artifact.__path__, "artifact.")
+    modules = [import_module(m.name) for m in submodules]
+    found = {
+        (value.__module__, value.__name__)
+        for module in modules
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear")
+    }
+    named = {("artifact." + m, name) for m, names in TABLES.items() for name in names}
+    assert found == named
+    tables = {name: getattr(import_module(m), name) for m, name in named}
+
+    def sizes():
+        return {name: table.cache_info().currsize for name, table in tables.items()}
+
+    run_property("saxl", {"k": 3})
+    pleth_hn_expansion(3, 2)
+    assert reduced_kron((2, 1), (2, 1), (2, 1)) == 9
+    assert kron_schur_oracle((2, 1), (2, 1), (2, 1)) == 1
+    assert lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2
+    assert kron_tworow(3, 2, 2) == 1
+    assert character((3, 1), (2, 1, 1)) == 1
+    assert characters._memo and characters._rows
+    assert 0 not in sizes().values()
     clear_memo()
-    assert characters._layout.cache_info().currsize == 0
+    assert characters._memo == {} and characters._rows == {}
+    assert sizes() == dict.fromkeys(tables, 0)
+
+
+def test_clear_memo_drops_class_sums_built_from_a_wrong_row(corrupted_row):
+    # h_2[h_2] = s_4 + s_22, so the coefficient of s_4 is 1; with chi^(2) of
+    # S_2 stored as (1, 3) the class vector of h_2[h_2] reads 7, and its
+    # cached ClassSum keeps 7 until clear_memo() drops it
+    corrupted_row((2,), 2, (1, 3))
+    assert pleth_coefficient((4,), (2,), (2,)) == 7
+    clear_memo()
+    assert pleth_coefficient((4,), (2,), (2,)) == 1
 
 
 # -- class layouts and conjugate reads ---------------------------------------------

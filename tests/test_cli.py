@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact import characters, cli, kronecker, plethysm, verify
+from artifact import cli, plethysm, verify
 from artifact.characters import (
     TABLE_LIMIT,
     ClassSum,
@@ -579,9 +579,9 @@ S3_ROWS = {(3,): (1, 1, 1), (2, 1): (-1, 0, 2)}
 def _s3_row(row, shape=(2, 1)):
     """Replace chi^shape of S_3, truly S3_ROWS[shape], in the row store."""
 
-    def corrupt(monkeypatch):
+    def corrupt(monkeypatch, corrupted_row):
         assert strip_row(shape, 3) == S3_ROWS[shape]
-        monkeypatch.setitem(characters._rows, (characters._word(shape), 3), row)
+        corrupted_row(shape, 3, row)
 
     return corrupt
 
@@ -589,12 +589,12 @@ def _s3_row(row, shape=(2, 1)):
 @pytest.mark.parametrize(
     "args", ["kron 2,1 2,1 2,1", "table kron --n 3", "verify dimension-sum --n 3"]
 )
-def test_failed_run_leaves_out_as_it_was(monkeypatch, capsys, tmp_path, args):
+def test_failed_run_leaves_out_as_it_was(corrupted_row, capsys, tmp_path, args):
     # the early --out check opens nothing for writing: an exit-3 run neither
     # truncates an existing file nor creates a missing one
     kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
     kept.write_bytes(b"earlier output\n")
-    _s3_row((-1, 0, 3))(monkeypatch)
+    corrupted_row((2, 1), 3, (-1, 0, 3))
     for target in (kept, fresh):
         code, out, err = run(capsys, *args.split(), "--out", str(target))
         assert (code, out) == (3, "") and "internal consistency failure" in err
@@ -605,11 +605,9 @@ def test_failed_run_leaves_out_as_it_was(monkeypatch, capsys, tmp_path, args):
 def _engine_level(row):
     """Corrupt the weights of the top level of gbar((2,1), (2,1), (2,1)) = 9."""
 
-    def corrupt(monkeypatch):
-        kronecker._engine_value.cache_clear()
+    def corrupt(monkeypatch, corrupted_row):
         assert reduced_kron((2, 1), (2, 1), (2, 1)) == 9
-        _s3_row(row)(monkeypatch)
-        kronecker._engine_value.cache_clear()
+        _s3_row(row)(monkeypatch, corrupted_row)
 
     return corrupt
 
@@ -621,7 +619,7 @@ def _saxl_weights(weights):
     char-bound at size 3 all contract this support.
     """
 
-    def corrupt(monkeypatch):
+    def corrupt(monkeypatch, corrupted_row):
         true = verify._square_support((2, 1))
         assert (true.classes, true.weights) == (((3,), (1, 1, 1)), (2, 4))
         support = ClassSum(dict(zip(true.classes, weights)))
@@ -633,7 +631,7 @@ def _saxl_weights(weights):
 def _h2h2_weights(weights):
     """Replace the class-vector weights of h_2[h_2], truly (2, 3, 2, 1)."""
 
-    def corrupt(monkeypatch):
+    def corrupt(monkeypatch, corrupted_row):
         true, scale = plethysm._class_vector((2,), (2,))
         assert (true.classes, true.weights, scale) == (
             ((4,), (2, 2), (2, 1, 1), (1, 1, 1, 1)), (2, 3, 2, 1), 8
@@ -738,10 +736,12 @@ HARD_FAILURES = {
 
 @pytest.mark.parametrize("route", HARD_FAILURES)
 @pytest.mark.parametrize("check", ["remainder", "negative"])
-def test_every_exact_division_fails_hard(monkeypatch, capsys, route, check):
+def test_every_exact_division_fails_hard(
+    monkeypatch, corrupted_row, capsys, route, check
+):
     call, command, *cases = HARD_FAILURES[route]
     corrupt, message = cases[check == "negative"]
-    corrupt(monkeypatch)
+    corrupt(monkeypatch, corrupted_row)
     with pytest.raises(InternalConsistencyError) as caught:
         call()
     assert message in str(caught.value)
@@ -750,31 +750,28 @@ def test_every_exact_division_fails_hard(monkeypatch, capsys, route, check):
     )
 
 
-def test_one_corrupted_row_reaches_every_dense_reader(monkeypatch):
-    # every dense contraction reads chi^(2,1) of S_3 from the one row store
-    kronecker._engine_value.cache_clear()
-    plethysm._class_vector.cache_clear()
-    _s3_row((-1, 0, 3))(monkeypatch)
-    try:
-        for call in (
-            lambda: kron_char((2, 1), (2, 1), (2, 1)),
-            lambda: kron_table(3),
-            lambda: run_property("dimension-sum", {"n": 3}),
-            lambda: run_property("transpose", {"n": 3}),
-            lambda: run_property("pp20-bound", {"n": 3}),
-            lambda: run_property("ip23", {"n": 3}),
-            lambda: run_property("murnaghan", {"max_size": 1}),
-            lambda: run_property("tworow", {"max_cells": 3}),
-            lambda: reduced_kron((2, 1), (2, 1), (2, 1)),
-        ):
-            with pytest.raises(InternalConsistencyError):
-                call()
-        assert run_property("orthogonality", {"n": 3}).status == "fail"
-        # the class vector of s_(1)[s_(2,1)] becomes 3 p_111 - 2 p_3 over 3!,
-        # which the true chi^(2,1) = (-1, 0, 2) contracts to 8
-        with pytest.raises(InternalConsistencyError, match="8 / 6 leaves remainder 2"):
-            pleth_coefficient((2, 1), (2, 1), (1,))
-        assert character_table(3)[(2, 1)] == {(3,): -1, (2, 1): 0, (1, 1, 1): 3}
-    finally:
-        # the class vector of s_(1)[s_(2,1)] was cached from the corrupted row
-        plethysm._class_vector.cache_clear()
+def test_one_corrupted_row_reaches_every_dense_reader(corrupted_row):
+    # every dense contraction reads chi^(2,1) of S_3 from the one row store;
+    # the fixture empties every store first, so no reader has a value cached
+    # from the true row, and again at teardown, so the class vector of
+    # s_(1)[s_(2,1)] built from the corrupted row goes with it
+    corrupted_row((2, 1), 3, (-1, 0, 3))
+    for call in (
+        lambda: kron_char((2, 1), (2, 1), (2, 1)),
+        lambda: kron_table(3),
+        lambda: run_property("dimension-sum", {"n": 3}),
+        lambda: run_property("transpose", {"n": 3}),
+        lambda: run_property("pp20-bound", {"n": 3}),
+        lambda: run_property("ip23", {"n": 3}),
+        lambda: run_property("murnaghan", {"max_size": 1}),
+        lambda: run_property("tworow", {"max_cells": 3}),
+        lambda: reduced_kron((2, 1), (2, 1), (2, 1)),
+    ):
+        with pytest.raises(InternalConsistencyError):
+            call()
+    assert run_property("orthogonality", {"n": 3}).status == "fail"
+    # the class vector of s_(1)[s_(2,1)] becomes 3 p_111 - 2 p_3 over 3!,
+    # which the true chi^(2,1) = (-1, 0, 2) contracts to 8
+    with pytest.raises(InternalConsistencyError, match="8 / 6 leaves remainder 2"):
+        pleth_coefficient((2, 1), (2, 1), (1,))
+    assert character_table(3)[(2, 1)] == {(3,): -1, (2, 1): 0, (1, 1, 1): 3}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.characters import character_table
+from artifact.characters import character_table, clear_memo
 from artifact.kronecker import kron_char, kron_table, padding_threshold, reduced_kron
 from artifact.partitions import (
     SizeMismatchError,
@@ -398,7 +398,7 @@ def test_count_bounded_with_bounds_past_r():
 def test_count_bounded_memo_clamps_bounds_to_r():
     # the (m, q, m) calls of characters._row: one entry per clamped (r, a, b);
     # keyed on the unclamped bounds these calls leave 593 entries
-    count_bounded.cache_clear()
+    clear_memo()
     for m in range(13):
         for q in range(m + 1):
             count_bounded(m, q, m)

@@ -124,7 +124,7 @@ def test_contract_matches_dense_rows():
     # class vectors are rebuilt and the MN memo is cleared first, so contract
     # computes every value it reads
     for degree in range(1, 13):
-        plethysm._class_vector.cache_clear()
+        clear_memo()
         supports = [
             plethysm._class_vector(outer, inner)[0]
             for m in range(1, degree + 1)
@@ -272,7 +272,7 @@ def test_corrupted_kernel_row_is_a_hard_failure(monkeypatch, capsys, corrupted):
     assert [character((3, 1), a) for a in true.classes] == [-1, -1, 1, 3]
     vector = ClassSum(dict(zip(true.classes, corrupted))), scale
     monkeypatch.setattr(plethysm, "_class_vector", lambda outer, inner: vector)
-    plethysm._hn_coeffs.cache_clear()
+    clear_memo()
     with pytest.raises(ArithmeticError):
         pleth_coefficient((3, 1), (2,), (2,))
     with pytest.raises(ArithmeticError):

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from artifact import characters, kronecker, tableaux, verify
+from artifact import kronecker, tableaux, verify
 from artifact.characters import (
     ClassSum,
     InternalConsistencyError,
@@ -306,14 +306,13 @@ def test_matrix_count_small():
     ],
 )
 def test_orthogonality_reports_the_first_failing_pair(
-    monkeypatch, n, corrupt, witness, checked
+    monkeypatch, corrupted_row, n, corrupt, witness, checked
 ):
     classes, sizes = conjugacy_classes(n)
     if corrupt == "row":
         row = list(strip_row((3, 1, 1), n))
         row[classes.index((3, 2))] += 1
-        key = characters._word((3, 1, 1)), n
-        monkeypatch.setitem(characters._rows, key, tuple(row))
+        corrupted_row((3, 1, 1), n, row)
     else:
         corrupted = classes, (sizes[0] + 1,) + sizes[1:]
         monkeypatch.setattr(
@@ -350,7 +349,7 @@ def _reference_orthogonality(n):
 @pytest.mark.parametrize(
     "n, entry", [*((n, None) for n in range(1, 10)), (6, 10**30), (6, -(10**30))]
 )
-def test_orthogonality_matches_the_per_pair_reference(monkeypatch, n, entry):
+def test_orthogonality_matches_the_per_pair_reference(corrupted_row, n, entry):
     # the packed dots read every pair's sum exactly, also when one entry of
     # chi^(3,2,1) at class (3,1,1,1), not the first of the row, is set far
     # beyond any character value
@@ -358,8 +357,7 @@ def test_orthogonality_matches_the_per_pair_reference(monkeypatch, n, entry):
         classes = conjugacy_classes(n)[0]
         row = list(strip_row((3, 2, 1), n))
         row[classes.index((3, 1, 1, 1))] = entry
-        key = characters._word((3, 2, 1)), n
-        monkeypatch.setitem(characters._rows, key, tuple(row))
+        corrupted_row((3, 2, 1), n, row)
     params = {"n": n}
     want = _reference_report("orthogonality", params, _reference_orthogonality(n))
     assert (want.status == "fail") == (entry is not None)
@@ -372,7 +370,6 @@ def test_saxl_contraction_matches_kron_char():
     # n <= 12; the supports and the MN memo are cleared before each n, so
     # contract computes every value it reads
     for n in range(13):
-        verify._square_support.cache_clear()
         clear_memo()
         shapes = enumerate_partitions(n)
         for lam in shapes:
@@ -380,7 +377,6 @@ def test_saxl_contraction_matches_kron_char():
                 assert verify._square(lam, mu) == kron_char(lam, lam, mu)
     # the staircases up to k = 6 (n = 21) too; every hook length of a
     # staircase is odd, so its support has odd parts only
-    verify._square_support.cache_clear()
     clear_memo()
     for k in range(1, 7):
         delta = tuple(range(k, 0, -1))
@@ -640,21 +636,15 @@ def test_transpose_checks_the_vectors_against_an_independent_dot(monkeypatch):
     }
 
 
-def test_transpose_sees_a_wrong_row_read_through_its_conjugate():
+def test_transpose_sees_a_wrong_row_read_through_its_conjugate(corrupted_row):
     # chi^(4,1) of S_5 is stored as chi^(3,2), a true character, so every
     # dot still divides, and chi^(2,1,1,1) is then read through it as
     # sgn chi^(3,2): the dense rows keep the symmetry, so only the point
     # route on transpose's right side sees the wrong row.  At nu = (3,2)
     # the dense rows give g((5), (3,2), (3,2)) = 1.
-    clear_memo()
-    try:
-        strip_row((3, 2), 5)
-        rows, word = characters._rows, characters._word
-        rows[word((4, 1)), 5] = rows[word((3, 2)), 5]
-        report = run_property("transpose", {"n": 5})
-        assert strip_row((2, 1, 1, 1), 5) == strip_row((2, 2, 1), 5)
-    finally:
-        clear_memo()
+    corrupted_row((4, 1), 5, strip_row((3, 2), 5))
+    report = run_property("transpose", {"n": 5})
+    assert strip_row((2, 1, 1, 1), 5) == strip_row((2, 2, 1), 5)
     assert report.status == "fail"
     assert report.witness == {
         "lambda": (5,), "mu": (4, 1), "nu": (3, 2), "plain": 1, "transposed": 0
@@ -935,13 +925,12 @@ def test_murnaghan_takes_one_packed_dot_per_lam(monkeypatch):
     assert (len(dots), calls) == (18, {"_contract_pair": 0})
 
 
-def _assert_murnaghan_fails_as_kron_char(monkeypatch, shape, i, entry, message):
+def _assert_murnaghan_fails_as_kron_char(corrupted_row, shape, i, entry, message):
     """Set chi^shape of S_5 at class i to entry.  murnaghan at max_size 2 and
     its per-item reference, which calls kron_char in sweep order, must both
     raise message, that of the first padded triple that fails."""
     row = strip_row(shape, 5)
-    corrupted = (*row[:i], entry, *row[i + 1:])
-    monkeypatch.setitem(characters._rows, (characters._word(shape), 5), corrupted)
+    corrupted_row(shape, 5, (*row[:i], entry, *row[i + 1:]))
     for run in (
         lambda: list(_reference_murnaghan(2)),
         lambda: run_property("murnaghan", {"max_size": 2}),
@@ -956,17 +945,17 @@ def _assert_murnaghan_fails_as_kron_char(monkeypatch, shape, i, entry, message):
 # (3,1,1); S_5's classes are 5, 41, 32, 311, 221, 2111, 1^5
 
 
-def test_murnaghan_remainder_past_the_first_field(monkeypatch):
+def test_murnaghan_remainder_past_the_first_field(corrupted_row):
     # chi^(3,1,1) with -1 at class (2,2,1), where it is -2, adds 15 to the
     # second field of lam = (2): g((3,2), (5), (3,1,1)) totals 15, not 0
     message = "g((3, 2), (5,), (3, 1, 1)): 15 / 120 leaves remainder 15"
-    _assert_murnaghan_fails_as_kron_char(monkeypatch, (3, 1, 1), 4, -1, message)
+    _assert_murnaghan_fails_as_kron_char(corrupted_row, (3, 1, 1), 4, -1, message)
 
 
-def test_murnaghan_negative_last_field(monkeypatch):
+def test_murnaghan_negative_last_field(corrupted_row):
     # chi^(4,1) with 4 at class (4,1), where it is 0 and chi^(3,2) is -1,
     # takes 30 * 16 from the last field of lam = (2): g((3,2), (4,1), (4,1))
     # totals 120 - 480 = -360, a multiple of 120 but negative, in the top
     # field, where no field above it can show a borrow
     message = "g((3, 2), (4, 1), (4, 1)): -360 / 120 is negative"
-    _assert_murnaghan_fails_as_kron_char(monkeypatch, (4, 1), 1, 4, message)
+    _assert_murnaghan_fails_as_kron_char(corrupted_row, (4, 1), 1, 4, message)
