@@ -499,6 +499,24 @@ def test_clear_memo_empties_every_store():
     assert sizes() == dict.fromkeys(tables, 0)
 
 
+def test_clear_memo_empties_the_kernel():
+    # the row store and the class lists with their sizes
+    strip_row((3, 2, 1), 6)
+    conjugacy_classes(6)
+    assert characters._rows
+    assert conjugacy_classes.cache_info().currsize
+    clear_memo()
+    assert conjugacy_classes.cache_info().currsize == 0
+    assert characters._rows == {}
+
+
+def test_clear_memo_drops_the_class_layouts():
+    strip_row((3, 2, 1), 6)
+    assert characters._layout.cache_info().currsize
+    clear_memo()
+    assert characters._layout.cache_info().currsize == 0
+
+
 def test_clear_memo_drops_class_sums_built_from_a_wrong_row(corrupted_row):
     # h_2[h_2] = s_4 + s_22, so the coefficient of s_4 is 1; with chi^(2) of
     # S_2 stored as (1, 3) the class vector of h_2[h_2] reads 7, and its
