@@ -213,14 +213,6 @@ def count_bounded(r, a, b):
     )
 
 
-def contains(inner, outer):
-    """True iff the diagram of inner fits inside outer cellwise."""
-    return all(
-        (inner[i] if i < len(inner) else 0) <= (outer[i] if i < len(outer) else 0)
-        for i in range(len(inner))
-    )
-
-
 def pad(p, n):
     """p[n] = (n - |p|, p_1, p_2, ...); requires n - |p| >= p_1."""
     p = tuple(p)

@@ -4,21 +4,20 @@ Kostka numbers follow the branching rule: an SSYT is a chain of horizontal
 strips, one per letter, so K(lam, alpha) sums K(nu, alpha without its last
 part) over the nu with lam/nu a horizontal strip of that size, memoized per
 (nu, weight prefix).  LR coefficients and skew Schur expansions share one
-depth-first generation of skew semistandard tableaux — rows weakly
-increase, columns strictly increase — with the ballot condition enforced
-incrementally and a per-letter budget: the weight nu for c^lam_{mu,nu}, a
-budget that never binds for the full expansion.  The reading word of a skew
-tableau scans rows right-to-left, top-to-bottom.
+count of LR tableaux by content, with a per-letter budget: the weight nu
+for c^lam_{mu,nu}, a budget that never binds for the full expansion.  On
+the shape reduced to the rows and columns that hold a cell, a straight
+shape or one turned by 180 degrees inside a rectangle has one LR tableau,
+read off without a search; any other goes to a depth-first generation of
+skew semistandard tableaux — rows weakly increase, columns strictly
+increase — with the ballot condition enforced incrementally.  The reading
+word of a skew tableau scans rows right-to-left, top-to-bottom.
 """
 
 from functools import cache
+from operator import le
 
-from .partitions import (
-    SizeMismatchError,
-    check_partition,
-    contains,
-    remove_horizontal_strips,
-)
+from .partitions import SizeMismatchError, check_partition, remove_horizontal_strips
 
 Partition = tuple[int, ...]
 
@@ -114,9 +113,43 @@ def skew_schur_expansion(outer: Partition, inner: Partition) -> dict:
 def _lr_tableaux(outer: Partition, inner: Partition, weight: tuple[int, ...]) -> dict:
     """Count the LR tableaux of outer/inner by content, at most weight[v-1]
     copies of the letter v; empty dict when inner is not contained in outer.
+
+    One walk up the rows checks containment and reduces the shape: it drops
+    the empty rows and shifts each block of rows left over the empty
+    columns below it.  That only translates the connected components, so
+    s_{outer/inner} does not change.  A straight reduced shape has one LR
+    tableau, of content the shape; so has one whose outer is a rectangle,
+    the 180-degree turn of a straight shape, of content that shape turned
+    back.  The content is kept if it fits the budget; other shapes are
+    searched.
     """
-    if not contains(inner, outer):
+    if any(inner[len(outer) :]):
         return {}
+    outs, ins, shift, below = [], [], 0, 0  # the reduced rows, bottom-up
+    for i in range(len(outer) - 1, -1, -1):
+        o, m = outer[i], inner[i] if i < len(inner) else 0
+        if m > o:
+            return {}
+        if m < o:
+            shift += max(m - below, 0)  # no cell from the row below's end to m
+            outs.append(o - shift)
+            ins.append(m - shift)
+            below = o
+    if not ins or not ins[-1]:  # the top row's inner is the largest
+        content = tuple(reversed(outs))
+    elif outs[-1] == outs[0]:
+        content = tuple(outs[0] - m for m in ins)
+    else:
+        inner = tuple(reversed(ins[ins.count(0) :]))
+        return _lr_search(tuple(reversed(outs)), inner, weight)
+    fits = len(content) <= len(weight) and all(map(le, content, weight))
+    return {content: 1} if fits else {}
+
+
+def _lr_search(outer: Partition, inner: Partition, weight: tuple[int, ...]) -> dict:
+    """Count the LR tableaux of outer/inner by content, at most weight[v-1]
+    copies of the letter v, by depth-first search; inner must fit in outer.
+    """
     cells = _skew_cells(outer, inner)
     n = len(cells)
     budget = list(weight)

@@ -12,7 +12,6 @@ from artifact.partitions import (
     add,
     centralizer_order,
     conjugate,
-    contains,
     contingency_tables,
     count_bounded,
     dimension_hlf,
@@ -29,6 +28,14 @@ from artifact.partitions import (
 )
 from artifact.plethysm import foulkes_violations, pleth_coefficient, pleth_hn_expansion
 from artifact.tableaux import kostka
+
+
+def contains(inner, outer):
+    """True iff the diagram of inner fits inside outer cellwise."""
+    return all(
+        (inner[i] if i < len(inner) else 0) <= (outer[i] if i < len(outer) else 0)
+        for i in range(len(inner))
+    )
 
 
 def dominance_leq(p, q):

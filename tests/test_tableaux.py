@@ -7,12 +7,20 @@ from hypothesis import strategies as st
 from artifact.partitions import (
     SizeMismatchError,
     conjugate,
-    contains,
     dimension_hlf,
     enumerate_partitions,
 )
-from artifact.tableaux import kostka, lr_coefficient, skew_schur_expansion
-from test_partitions import dominance_leq
+from artifact import kronecker, tableaux
+from artifact.characters import clear_memo
+from artifact.tableaux import (
+    _lr_search,
+    _lr_tableaux,
+    kostka,
+    lr_coefficient,
+    skew_schur_expansion,
+)
+from artifact.verify import run_property, search_saturation_counterexample
+from test_partitions import contains, dominance_leq
 
 
 def is_ballot(word) -> bool:
@@ -399,17 +407,152 @@ def count_skew_syt(outer, inner):
 
 def test_skew_syt_counts_from_lr():
     # number of skew SYT equals sum of c^lam_{mu,nu} * f^nu
+    checked = 0
     for total in range(6):
         for lam in enumerate_partitions(total):
             for k in range(total + 1):
                 for mu in enumerate_partitions(k):
-                    if not contains(lam, mu):
+                    if not contains(mu, lam):
                         continue
                     expected = sum(
                         lr_coefficient(lam, mu, nu) * dimension_hlf(nu)
                         for nu in enumerate_partitions(total - k)
                     )
                     assert expected == count_skew_syt(lam, mu)
+                    checked += 1
+    assert checked == 110
+
+
+# -- the reduced shape against the search on the raw shape ---------------------
+
+
+def full_budget(outer, inner):
+    n = sum(outer) - sum(inner)
+    return (n,) * n
+
+
+def assert_reduction_agrees(outer, inner, weight):
+    # the search runs on the raw, unreduced shape; it needs inner inside outer
+    want = _lr_search(outer, inner, weight) if contains(inner, outer) else {}
+    assert _lr_tableaux(outer, inner, weight) == want, (outer, inner, weight)
+
+
+def test_reduction_agrees_with_the_search_on_every_pair():
+    for total in range(11):
+        for lam in enumerate_partitions(total):
+            for k in range(total + 1):
+                for mu in enumerate_partitions(k):
+                    assert_reduction_agrees(lam, mu, full_budget(lam, mu))
+
+
+def test_reduction_agrees_with_the_search_on_every_budget():
+    for total in range(9):
+        for lam in enumerate_partitions(total):
+            for k in range(total + 1):
+                for mu in enumerate_partitions(k):
+                    for nu in enumerate_partitions(total - k):
+                        assert_reduction_agrees(lam, mu, nu)
+
+
+def test_reduction_agrees_on_shifted_shapes():
+    # lam/mu moved c columns right, under r rows that inner fills
+    for total in range(6):
+        for lam in enumerate_partitions(total):
+            for k in range(total + 1):
+                for mu in enumerate_partitions(k):
+                    if not contains(mu, lam):
+                        continue
+                    for r, c in product(range(3), repeat=2):
+                        top = ((lam[0] if lam else 0) + c,) * r
+                        outer = top + tuple(x + c for x in lam)
+                        inner = top + tuple(x + c for x in mu)
+                        inner += (c,) * (len(lam) - len(mu))
+                        weight = full_budget(lam, mu)
+                        assert_reduction_agrees(outer, inner, weight)
+                        assert _lr_tableaux(outer, inner, weight) == _lr_search(
+                            lam, mu, weight
+                        )
+
+
+def test_reduction_agrees_across_empty_rows_and_columns():
+    # alpha/gamma above and right of beta, x - beta_1 empty columns and e
+    # empty rows of length y between them
+    small = [p for n in range(4) for p in enumerate_partitions(n)]
+    for alpha, gamma, beta in product(small, repeat=3):
+        if not alpha or not contains(gamma, alpha):
+            continue
+        b = beta[0] if beta else 0
+        for x, e in product(range(b, b + 3), range(3)):
+            for y in {b, x}:
+                outer = tuple(x + a for a in alpha) + (y,) * e + beta
+                inner = tuple(x + g for g in gamma)
+                inner += (x,) * (len(alpha) - len(gamma)) + (y,) * e
+                assert_reduction_agrees(outer, inner, full_budget(outer, inner))
+
+
+def test_reduction_agrees_inside_every_rectangle():
+    for a, b in product(range(1, 6), repeat=2):
+        rect = (a,) * b
+        for k in range(a * b + 1):
+            for mu in enumerate_partitions(k):
+                if contains(mu, rect):
+                    assert_reduction_agrees(rect, mu, full_budget(rect, mu))
+                    turned = tuple(a - m for m in reversed(mu + (0,) * (b - len(mu))))
+                    assert_reduction_agrees(rect, mu, tuple(x for x in turned if x))
+
+
+def test_reduction_keeps_only_what_fits_the_budget():
+    assert _lr_tableaux((3, 2), (), (2, 2, 1)) == {}
+    assert _lr_tableaux((3, 3), (1,), (2, 2, 1)) == {}
+    assert lr_coefficient((3, 2), (), (2, 2, 1)) == 0
+
+
+def engine_expansions(monkeypatch, search):
+    """The (beta, delta) the engine expands in a cold ip23 n = 4 sweep and a
+    cold k = 3 saturation search, with search standing in for the DFS."""
+    seen = []
+
+    def record(big, delta):
+        seen.append((big, delta))
+        return skew_schur_expansion(big, delta)
+
+    monkeypatch.setattr(kronecker, "skew_schur_expansion", record)
+    monkeypatch.setattr(tableaux, "_lr_search", search)
+    clear_memo()
+    assert run_property("ip23", {"n": 4}).status == "pass"
+    clear_memo()
+    saturation = search_saturation_counterexample(3, 4, 100)
+    assert saturation.status == "counterexample-confirmed"
+    return seen
+
+
+def test_reduction_agrees_on_the_engine_expansions(monkeypatch):
+    for big, delta in set(engine_expansions(monkeypatch, _lr_search)):
+        assert_reduction_agrees(big, delta, full_budget(big, delta))
+
+
+def test_engine_expansions_never_search(monkeypatch):
+    # every skew shape the engine meets here is straight or a turned
+    # straight shape once reduced, so each has one constituent
+    def refuse(outer, inner, weight):
+        raise AssertionError(f"searched {outer}/{inner}")
+
+    seen = set(engine_expansions(monkeypatch, refuse))
+    assert len(seen) == 112
+    assert all(len(skew_schur_expansion(*shape)) == 1 for shape in seen)
+
+
+def test_murnaghan_still_searches(monkeypatch):
+    calls = []
+
+    def search(outer, inner, weight):
+        calls.append((outer, inner))
+        return _lr_search(outer, inner, weight)
+
+    monkeypatch.setattr(tableaux, "_lr_search", search)
+    clear_memo()
+    assert run_property("murnaghan", {"max_size": 5}).status == "pass"
+    assert len(calls) == 21 and len(set(calls)) == 10
 
 
 @st.composite
